@@ -1,13 +1,13 @@
-"""Campaign execution modes head-to-head: serial, thread, process, tcp.
+"""Campaign execution modes head-to-head: serial, process, tcp.
 
 The sharded-execution work promises two things: (1) sharding never
 changes what the campaign reports, and (2) process mode buys real
-throughput on multi-core machines, where thread mode is GIL-bound for
-the pure-Python solvers under test. The tcp fleet adds a third claim:
+throughput on multi-core machines, where one interpreter is GIL-bound
+for the pure-Python solvers under test. The tcp fleet adds a third claim:
 (3) moving leases over sockets instead of executor pipes costs only a
 constant per-campaign overhead (worker spawn + handshake + frame
 codec), not a per-iteration tax. This benchmark runs the identical
-deterministic campaign through all four modes, asserts the bug records
+deterministic campaign through all three modes, asserts the bug records
 match record-for-record, and reports throughput per mode.
 
 Honesty note: the speedup column is only meaningful on multi-core
@@ -40,7 +40,6 @@ CAMPAIGN = dict(
 
 MODES = (
     ("serial", 1),
-    ("thread", WORKERS),
     ("process", WORKERS),
     ("tcp", WORKERS),
 )
@@ -86,7 +85,7 @@ def test_campaign_mode_throughput(benchmark):
         )
     lines += [
         "",
-        "Bug records identical across all four modes (asserted).",
+        "Bug records identical across all three modes (asserted).",
         "Speedup requires multiple cores: on a 1-core host, process and",
         "tcp modes add spawn + pickling/framing overhead with no",
         "parallelism to pay for it; the tcp row then measures the fleet",

@@ -89,22 +89,24 @@ def test_guarded_solver_overhead(benchmark):
 
 
 def test_supervised_loop_overhead(benchmark):
-    """Supervised-lease loop vs bare shard loop, same worker, same work.
+    """Supervised-lease loop vs the in-process kernel, same work.
 
-    The supervised path adds, per iteration: one heartbeat write
-    (tmpfile + atomic rename), one progress-log append (flocked write +
-    flush), and a per-index ``run_iterations`` call merged at the end.
-    All of it must stay inside the same **< 5%** budget as the guard —
-    process supervision is pointless if nobody can afford to leave it
-    on. Measured in-process (the pool's spawn cost is identical in both
-    arms and would only add noise): alternating bare/leased shard runs
-    over identical iterations, overhead = median per-round time ratio.
+    Every process/tcp shard runs as a lease, which adds, per iteration:
+    one heartbeat write (tmpfile + atomic rename), one progress-log
+    append (flocked write + flush), and a per-index ``run_iterations``
+    call merged at the end. All of it must stay inside the same
+    **< 5%** budget as the guard — supervision is always on, so it has
+    to be affordable. Measured in-process (a pool's spawn cost would
+    only add noise): alternating leased ``_run_shard`` runs with plain
+    ``YinYang.run_iterations`` over the same indices on the same
+    solvers, overhead = median per-round time ratio.
     """
     import os
     import tempfile
     from dataclasses import replace as dc_replace
 
     from repro.campaign.runner import deterministic_solvers
+    from repro.core import parallel
     from repro.core.parallel import ShardTask, WorkerSpec, _init_worker, _run_shard
     from repro.core.parallel import serialize_seeds
 
@@ -125,12 +127,26 @@ def test_supervised_loop_overhead(benchmark):
         seed=6,
         strategy="fusion",
     )
+    state = parallel._STATE
+    kernel = YinYang(state.solvers, config=spec.config, strategy=base.strategy)
+    scripts = state.scripts_for(base.seed_texts)
     rounds = 10
+
+    def run_kernel():
+        kernel.run_iterations(
+            base.oracle,
+            scripts,
+            list(base.logics),
+            range(base.iterations),
+            seed=base.seed,
+        )
 
     def measure():
         with tempfile.TemporaryDirectory() as tmp:
-            _run_shard(base)  # warmup: parse cache, strategy prepare
-            bare_times, leased_times = [], []
+            # Warmup: parse cache, strategy prepare.
+            _run_shard(dc_replace(base, lease_id=0, heartbeat_dir=tmp))
+            run_kernel()
+            kernel_times, leased_times = [], []
             for index in range(rounds):
                 leased = dc_replace(
                     base,
@@ -140,30 +156,32 @@ def test_supervised_loop_overhead(benchmark):
                     # measure skipping the work, not doing it.
                     progress_path=os.path.join(tmp, f"round-{index}.jsonl"),
                 )
-                arms = [("bare", base), ("leased", leased)]
+                arms = [("kernel", run_kernel), ("leased", lambda: _run_shard(leased))]
                 if index % 2:
                     arms.reverse()
-                for label, task in arms:
+                for label, run in arms:
                     start = time.perf_counter()
-                    _run_shard(task)
+                    run()
                     elapsed = time.perf_counter() - start
-                    (bare_times if label == "bare" else leased_times).append(elapsed)
-        return bare_times, leased_times
+                    (kernel_times if label == "kernel" else leased_times).append(
+                        elapsed
+                    )
+        return kernel_times, leased_times
 
-    bare_times, leased_times = once(benchmark, measure)
-    ratios = [s / b for s, b in zip(leased_times, bare_times)]
+    kernel_times, leased_times = once(benchmark, measure)
+    ratios = [s / b for s, b in zip(leased_times, kernel_times)]
     overhead = statistics.median(ratios) - 1.0
-    bare_rate = rounds * base.iterations / sum(bare_times)
+    kernel_rate = rounds * base.iterations / sum(kernel_times)
     leased_rate = rounds * base.iterations / sum(leased_times)
 
     emit(
         "supervised_pool_overhead",
         (
             "Supervised-lease loop overhead — iterations per second, one worker\n"
-            f"bare shard loop : {bare_rate:,.1f}/s\n"
-            f"supervised lease: {leased_rate:,.1f}/s "
+            f"in-process kernel: {kernel_rate:,.1f}/s (YinYang.run_iterations)\n"
+            f"supervised lease : {leased_rate:,.1f}/s "
             "(heartbeat + progress checkpoint + per-index loop)\n"
-            f"overhead        : {overhead:+.1%} median per-round "
+            f"overhead         : {overhead:+.1%} median per-round "
             f"(budget < {OVERHEAD_BUDGET:.0%})\n"
         ),
     )

@@ -56,25 +56,40 @@ def test_fusion_throughput(benchmark):
     assert per_second > PAPER_THROUGHPUT
 
 
-def test_multithreaded_mode_runs(benchmark):
-    """The paper's multi-threaded mode: same loop, sharded across threads."""
+class NullSolver:
+    """Answers ``unknown`` instantly: isolates the loop from solving."""
+
+    name = "null"
+
+    def check_script(self, script):
+        from repro.solver.result import CheckOutcome, SolverResult
+
+        return CheckOutcome(SolverResult.UNKNOWN)
+
+
+def null_solvers():
+    """A picklable solver factory for process-mode runs."""
+    return [NullSolver()]
+
+
+def test_parallel_mode_runs(benchmark):
+    """The paper's parallel mode: same loop, sharded across supervised
+    worker processes."""
     from repro.core.config import YinYangConfig
     from repro.core.yinyang import YinYang
 
     corpus = build_corpus("QF_LIA", scale=0.002, seed=22)
-
-    class NullSolver:
-        name = "null"
-
-        def check_script(self, script):
-            from repro.solver.result import CheckOutcome, SolverResult
-
-            return CheckOutcome(SolverResult.UNKNOWN)
-
     tool = YinYang(NullSolver(), YinYangConfig(seed=3))
 
     def run():
-        return tool.test("sat", corpus.sat_seeds, iterations=64, threads=4)
+        return tool.test(
+            "sat",
+            corpus.sat_seeds,
+            iterations=64,
+            mode="process",
+            workers=2,
+            solver_factory=null_solvers,
+        )
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert report.fused > 0

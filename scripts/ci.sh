@@ -6,8 +6,10 @@
 #   1. AST lint  — term nodes must be built via the interning
 #      constructors, the observability layer must never import random
 #      (telemetry cannot be allowed to perturb the campaign's RNG
-#      streams), and the campaign core must stay strategy-agnostic (no
-#      fusion/concatfuzz imports in yinyang.py).
+#      streams), the campaign core must stay strategy-agnostic (no
+#      fusion/concatfuzz imports in yinyang.py), and pool executors
+#      may only appear in core/parallel.py (every multi-worker run is
+#      a supervised lease; no second, bare pool path).
 #   2. Strategy determinism — the default fusion strategy must
 #      reproduce the pre-refactor golden journal byte-for-byte, and
 #      opfuzz must journal identically across modes/worker counts.
@@ -22,8 +24,9 @@
 #   5. Fast lane — the full suite minus the soak/slow markers
 #      (see pyproject.toml; run the slow and chaos lanes nightly:
 #      `pytest -m slow` / `pytest -m chaos`).
-#   6. Fault tolerance — the supervised-campaign acceptance property:
-#      seeded chaos kills of worker processes must leave the merged
+#   6. Fault tolerance — the acceptance property of the supervised
+#      lease path every process/tcp campaign runs on: seeded chaos
+#      kills of worker processes must leave the merged
 #      journal byte-identical to a failure-free deterministic run, and
 #      a permanently poisonous iteration must be quarantined instead
 #      of aborting the campaign.
@@ -37,8 +40,8 @@
 #      journal (the nightly slow lane re-runs the 4-worker shapes).
 #   9. QF_BV theory — the pluggable-theory path end-to-end through the
 #      real CLI: deterministic bit-vector campaigns (fusion and opfuzz,
-#      --triage --incremental) run serially and on a two-worker process
-#      pool, and the journals must be byte-identical.
+#      --triage --incremental) run serially and on a two-worker
+#      supervised process pool, and the journals must be byte-identical.
 #
 # Stages 1-4 are subsets of stage 5; running them first just makes
 # the common failure modes fail in seconds instead of minutes.
@@ -46,7 +49,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core) =="
+echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core, one pool path) =="
 python -m pytest tests/test_ast_lint.py \
     "tests/test_observability.py::TestHotPathHygiene" -q
 

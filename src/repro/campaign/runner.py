@@ -11,23 +11,25 @@ solvers; ``run_campaign`` therefore accepts a
 and a :class:`~repro.robustness.journal.CampaignJournal` (crash-safe
 per-cell journaling with ``resume=True`` skipping completed cells).
 
-Campaigns run in one of four execution modes:
+Campaigns run in one of three execution modes:
 
 - ``serial`` — one process, one thread (the default);
-- ``thread`` — each cell's iterations sharded over a thread pool
-  (cheap, but GIL-bound for the pure-Python solvers under test);
 - ``process`` — each cell's iterations sharded over a persistent
   spawn-safe worker pool (:mod:`repro.core.parallel`): per-worker
   solver instances, parse caches, and crash-safe sidecar journals the
   parent merges into the main journal;
 - ``tcp`` — each cell's iterations leased to a socket worker fleet
   (:mod:`repro.distributed`): separate ``yinyang worker`` processes
-  pull leases by work stealing, always under supervision, and the
-  coordinator merges their shipped shard payloads (plus a
-  coordinator-side fleet sidecar for resume).
+  pull leases by work stealing, and the coordinator merges their
+  shipped shard payloads (plus a coordinator-side fleet sidecar for
+  resume).
 
-All modes and worker counts produce identical bug records and identical
-journal bytes for a fixed seed; sharding is invisible to the oracle.
+Process and tcp campaigns take one path: every shard is a lease that
+the :class:`~repro.distributed.coordinator.Coordinator` drives through
+a :class:`~repro.robustness.supervisor.Supervisor`, so dead or hung
+workers are always healed. All modes and worker counts produce
+identical bug records and identical journal bytes for a fixed seed;
+sharding is invisible to the oracle.
 """
 
 from __future__ import annotations
@@ -37,27 +39,24 @@ from dataclasses import dataclass, field, replace
 from repro.campaign.classify import collect_found_faults, found_fault_objects
 from repro.campaign.triage import TriagePolicy, parse_budget_tiers
 from repro.core.config import FusionConfig, YinYangConfig
-from repro.core.yinyang import (
-    EXECUTION_MODES,
-    YinYang,
-    merge_shard_reports,
-    shard_indices,
-)
+from repro.core.yinyang import YinYang
 from repro.faults.catalog import bv_fault_catalog, cvc4_like_catalog, z3_like_catalog
 from repro.faults.faulty_solver import FaultySolver
+from repro.observability.telemetry import NULL_TELEMETRY
 from repro.robustness.journal import (
     CampaignJournal,
     load_sidecar_shards,
     remove_sidecars,
 )
+from repro.robustness.supervisor import SupervisorPolicy
 from repro.solver.solver import ReferenceSolver, SolverConfig
 from repro.solver.strings import StringConfig
 from repro.strategies.registry import make_strategy
 
-#: The modes ``run_campaign`` accepts: YinYang's in-process trio plus
-#: the distributed socket fleet (campaign-level only — ``YinYang.test``
-#: has no tcp mode; a fleet needs the campaign's lease machinery).
-CAMPAIGN_MODES = EXECUTION_MODES + ("tcp",)
+#: The modes ``run_campaign`` accepts: ``YinYang.test``'s two plus the
+#: distributed socket fleet (campaign-level only — a fleet needs the
+#: campaign's lease machinery).
+CAMPAIGN_MODES = ("serial", "process", "tcp")
 
 
 def default_solvers(release="trunk", base_config=None):
@@ -153,7 +152,7 @@ class CampaignResult:
     strategy: str = "fusion"  # the mutation strategy's registry name
     # (solver, corpus, oracle) -> [per-shard counter dicts] (process mode)
     shard_counters: dict = field(default_factory=dict)
-    # Supervised process mode: quarantined poison-iteration artifacts
+    # Process/tcp modes: quarantined poison-iteration artifacts
     # (PoisonedIteration records) and the supervisor's counters
     # (restarts / retries / requeues / bisections / poisoned / ...).
     poisoned: list = field(default_factory=list)
@@ -212,7 +211,10 @@ class CampaignResult:
         if self.supervision.get("restarts"):
             parts.append(f"{self.supervision['restarts']} worker restarts")
         if self.poisoned:
-            parts.append(f"{len(self.poisoned)} poisoned iterations")
+            parts.append(
+                "poisoned: "
+                + "/".join(f"{p.iteration} ({p.classification})" for p in self.poisoned)
+            )
         return ", ".join(parts)
 
 
@@ -238,13 +240,10 @@ def _absorb_cell(result, key, report, journal, telemetry=None):
     if telemetry is not None:
         telemetry.count("cells")
     if journal is not None:
-        if telemetry is not None:
-            # The print/journal phase: serializing bug scripts back to
-            # SMT-LIB and committing the cell durably. Timed only —
-            # telemetry never writes into the journal itself.
-            with telemetry.phase("journal_write"):
-                journal.record_cell(key, report)
-        else:
+        # The print/journal phase: serializing bug scripts back to
+        # SMT-LIB and committing the cell durably. Timed only —
+        # telemetry never writes into the journal itself.
+        with (telemetry or NULL_TELEMETRY).phase("journal_write"):
             journal.record_cell(key, report)
 
 
@@ -317,19 +316,19 @@ def run_campaign(
     journal records it (non-default strategies only, to keep fusion
     journal bytes stable) and a resume refuses to mix strategies.
 
-    ``supervise`` (``True`` or a
-    :class:`~repro.robustness.supervisor.SupervisorPolicy`) runs
-    process mode under the self-healing coordinator: dead or hung
-    workers are respawned, their shard leases resume from crash-safe
-    checkpoints, and an iteration that keeps killing workers is
-    bisected out and quarantined as a reproduction artifact
-    (``result.poisoned`` / journal ``poison`` entries) instead of
-    failing the campaign. ``containment`` (a
+    Process and tcp campaigns always run under the self-healing
+    coordinator: dead or hung workers are respawned, their shard leases
+    resume from crash-safe checkpoints, and an iteration that keeps
+    killing (or raising in) its worker is bisected out and quarantined
+    as a reproduction artifact (``result.poisoned`` / journal
+    ``poison`` entries) instead of failing the campaign. ``supervise``
+    is the :class:`~repro.robustness.supervisor.SupervisorPolicy` it
+    runs under (``None``: the default policy). ``containment`` (a
     :class:`~repro.robustness.containment.ContainmentPolicy`) applies
     rlimits inside every worker; ``chaos_process`` (a
     :class:`~repro.robustness.chaos.ProcessChaos`) injects planned
-    worker-level faults for recovery testing. All three imply
-    ``mode="process"`` supervision and are rejected elsewhere.
+    worker-level faults for recovery testing. All three only act at
+    the worker boundary, so serial campaigns do not consult them.
 
     ``triage`` routes each mutant to a solve-budget tier before
     checking: ``True`` (the default
@@ -342,7 +341,7 @@ def run_campaign(
     pre-triage campaign.
 
     ``mode="tcp"`` runs the campaign over a socket worker fleet
-    (:class:`~repro.distributed.endpoint.TcpFleet`), always supervised:
+    (:class:`~repro.distributed.endpoint.TcpFleet`):
     ``listen`` is the coordinator's ``(host, port)`` (default
     127.0.0.1 on an ephemeral port), ``spawn_workers`` the number of
     local ``yinyang worker`` processes to start (default ``workers``;
@@ -366,18 +365,9 @@ def run_campaign(
     """
     if mode not in CAMPAIGN_MODES:
         raise ValueError(f"mode must be one of {CAMPAIGN_MODES}, got {mode!r}")
-    # A socket fleet is always supervised: worker disconnects are lease
-    # failures only the supervisor's retry machinery can absorb.
-    supervised = (
-        bool(supervise)
-        or containment is not None
-        or chaos_process is not None
-        or mode == "tcp"
-    )
-    if supervised and mode not in ("process", "tcp"):
-        raise ValueError(
-            "supervise/containment/chaos_process need mode='process' or "
-            "'tcp': supervision works at the worker boundary"
+    if supervise is not None and not isinstance(supervise, SupervisorPolicy):
+        raise TypeError(
+            f"supervise must be a SupervisorPolicy or None, got {supervise!r}"
         )
     if net_chaos is not None and mode != "tcp":
         raise ValueError("net_chaos needs mode='tcp': it faults the wire")
@@ -391,19 +381,14 @@ def run_campaign(
         from repro.solver.session import SessionConfig
 
         incremental = SessionConfig()
-    if mode in ("process", "tcp"):
-        if solver_factory is None:
-            if solvers is not None:
-                raise ValueError(
-                    f"{mode} mode needs solver_factory (a picklable callable); "
-                    "live solver objects cannot be shipped to worker processes"
-                )
-            solver_factory = default_solvers
-        if solvers is None:
-            solvers = solver_factory()
-    else:
-        if solvers is None:
-            solvers = solver_factory() if solver_factory is not None else default_solvers()
+    if mode != "serial" and solver_factory is None and solvers is not None:
+        raise ValueError(
+            f"{mode} mode needs solver_factory (a picklable callable); "
+            "live solver objects cannot be shipped to worker processes"
+        )
+    solver_factory = solver_factory or default_solvers
+    if solvers is None:
+        solvers = solver_factory()
     if journal is not None and not isinstance(journal, CampaignJournal):
         journal = CampaignJournal(journal)
     # Solvers outside the fault-injected family (ProcessSolver, a bare
@@ -416,39 +401,24 @@ def run_campaign(
         workers=workers,
         strategy=strategy_name,
     )
-    completed = {}
-    if journal is not None:
-        meta_params = {"seed": seed, "iterations_per_cell": iterations_per_cell}
-        if strategy_name != "fusion":
-            # Fusion journals predate strategies and must keep their
-            # exact bytes; only other workloads stamp the meta key.
-            meta_params["strategy"] = strategy_name
-        if triage is not None:
-            # The canonical policy spec: a resume with a different
-            # policy (or none) mismatches and is refused, and the
-            # split counters ride every cell report.
-            meta_params["triage"] = triage.describe()
-            journal.unknown_split = True
-        if incremental is not None and incremental is not False:
-            # Same discipline as triage: stamp the session spec only
-            # when the feature is on (cold journal bytes stay stable)
-            # and refuse resumes that would mix warm and cold shards.
-            meta_params["incremental"] = incremental.describe()
-        if logic:
-            # Stamped only for logic-restricted campaigns (QF_BV):
-            # default journal bytes stay stable, and a resume with a
-            # different logic restriction mismatches and is refused.
-            meta_params["logic"] = logic
-        journal.ensure_meta(**meta_params)
-        journal.ensure_strategy(strategy_name)
-        if resume:
-            completed = journal.completed_cells()
     config = YinYangConfig(
         fusion=fusion_config or FusionConfig(),
         seed=seed,
         triage=triage,
         incremental=incremental or None,
     )
+    journal_meta, sidecar_meta = _campaign_meta(
+        config, iterations_per_cell, strategy_name, logic, workers
+    )
+    completed = {}
+    if journal is not None:
+        if triage is not None:
+            # The split counters ride every cell report of a triage run.
+            journal.unknown_split = True
+        journal.ensure_meta(**journal_meta)
+        journal.ensure_strategy(strategy_name)
+        if resume:
+            completed = journal.completed_cells()
     cells = _campaign_cells(solvers, corpora)
     # Resumed cells are folded in first, in canonical order, so the
     # in-memory result (not just the journal) is shard- and
@@ -460,7 +430,7 @@ def run_campaign(
         else:
             remaining.append((key, solver, seeds))
     if mode in ("process", "tcp"):
-        _run_cells_process(
+        _run_cells_supervised(
             result,
             remaining,
             config=config,
@@ -473,8 +443,8 @@ def run_campaign(
             workers=workers,
             telemetry=telemetry,
             strategy=strategy_name,
-            logic=logic,
-            supervise=(supervise or True) if supervised else None,
+            sidecar_meta=sidecar_meta,
+            supervise=supervise,
             containment=containment,
             chaos_process=chaos_process,
             mode=mode,
@@ -504,14 +474,38 @@ def run_campaign(
                 telemetry=telemetry,
                 strategy=strategy_obj,
             )
-        report = tool.test(
-            key[2], seeds, iterations=iterations_per_cell, mode=mode, workers=workers
-        )
+        report = tool.test(key[2], seeds, iterations=iterations_per_cell)
         _absorb_cell(result, key, report, journal, telemetry)
     return result
 
 
-def _run_cells_process(
+def _campaign_meta(config, iterations_per_cell, strategy, logic, workers):
+    """The campaign parameters a journal and its sidecars are stamped
+    with: ``(journal_meta, sidecar_meta)``.
+
+    Opt-in features (triage, incremental sessions, a logic restriction)
+    stamp their spec only when on, so default-campaign journal bytes
+    stay stable while a resume that would mix budgets, warm and cold
+    shards, or catalogs mismatches and is refused. Fusion journals
+    predate strategies and omit the strategy key. Sidecars are
+    transient (removed once the campaign lands in the main journal), so
+    they always carry the strategy, plus the worker count their shard
+    partition depends on.
+    """
+    meta = {"seed": config.seed, "iterations_per_cell": iterations_per_cell}
+    if config.triage is not None:
+        meta["triage"] = config.triage.describe()
+    if config.incremental:
+        meta["incremental"] = config.incremental.describe()
+    if logic:
+        meta["logic"] = logic
+    sidecar_meta = dict(meta, strategy=strategy, workers=workers)
+    if strategy != "fusion":
+        meta["strategy"] = strategy
+    return meta, sidecar_meta
+
+
+def _run_cells_supervised(
     result,
     remaining,
     config,
@@ -522,65 +516,44 @@ def _run_cells_process(
     journal,
     resume,
     workers,
-    telemetry=None,
-    strategy="fusion",
-    logic=None,
-    supervise=None,
-    containment=None,
-    chaos_process=None,
-    mode="process",
-    steal_seed=0,
-    listen=None,
-    spawn_workers=None,
-    net_chaos=None,
+    telemetry,
+    strategy,
+    sidecar_meta,
+    supervise,
+    containment,
+    chaos_process,
+    mode,
+    steal_seed,
+    listen,
+    spawn_workers,
+    net_chaos,
 ):
-    """Shard each remaining cell over a persistent worker pool.
+    """Run the remaining cells as supervised shard leases.
 
-    Cells run one at a time (each sharded ``workers`` ways) and are
-    journaled in canonical order — exactly the order and bytes a serial
-    run would produce. Quarantine state is aggregated across workers
-    between cells: once any shard's breaker trips for a solver, later
-    cells pre-quarantine it everywhere, mirroring serial mode where one
-    guard object spans the campaign.
-
-    With ``supervise`` the same cells run as supervised shard leases
-    (see :func:`_run_cells_supervised`); the journal bytes are
-    identical either way as long as no iteration is poisoned.
+    Builds the lease backend for ``mode`` — the in-process
+    :class:`~repro.core.parallel.SupervisedPoolBackend` or a socket
+    :class:`~repro.distributed.endpoint.TcpFleet` — and hands the cell
+    loop to the :class:`~repro.distributed.coordinator.Coordinator`:
+    one supervisor spans the campaign (restart budget and counters are
+    campaign-global), cells run one at a time in canonical order (each
+    sharded ``workers`` ways) and are journaled exactly as a serial run
+    would, each shard's checkpoints live in a lease progress file next
+    to the journal, and a lease re-executed after a worker death
+    replays its completed iterations — the merged cell report, and
+    therefore the journal, matches a failure-free run byte for byte.
+    Poisoned iterations are journaled as ``poison`` entries and
+    collected on ``result.poisoned``.
     """
     from repro.core.parallel import (
-        ShardedPool,
-        ShardTask,
+        SupervisedPoolBackend,
         WorkerSpec,
-        collect_shard,
-        serialize_seeds,
+        reconstruct_iteration_script,
     )
+    from repro.distributed.coordinator import Coordinator
 
-    # Sidecars are transient (removed once the campaign lands in the
-    # main journal), so they carry the strategy unconditionally: a
-    # resume must never splice one strategy's partial shards into
-    # another's cells.
-    meta = {
-        "seed": config.seed,
-        "iterations_per_cell": iterations_per_cell,
-        "workers": workers,
-        "strategy": strategy,
-    }
-    if config.triage is not None:
-        # Like strategy: sidecar partials from a triage run must never
-        # be spliced into a non-triage resume (different budgets mean
-        # different unknown counts for the same iterations).
-        meta["triage"] = config.triage.describe()
-    if config.incremental:
-        # And likewise for incremental sessions: warm and cold partial
-        # shards may differ in unknown counts and must not be mixed.
-        meta["incremental"] = config.incremental.describe()
-    if logic:
-        # A logic-restricted campaign's partial shards must never be
-        # spliced into a default campaign's resume (different catalogs).
-        meta["logic"] = logic
     partials = {}
     if journal is not None and resume:
-        partials = load_sidecar_shards(journal.path, meta)
+        partials = load_sidecar_shards(journal.path, sidecar_meta)
     spec = WorkerSpec(
         solver_factory=solver_factory,
         config=config,
@@ -591,150 +564,15 @@ def _run_cells_process(
         journal_path=(
             journal.path if journal is not None and mode == "process" else None
         ),
-        journal_meta=meta if mode == "process" else {},
+        journal_meta=sidecar_meta if mode == "process" else {},
         telemetry=telemetry.config() if telemetry is not None else None,
         containment=containment,
         chaos_process=chaos_process,
     )
-    if supervise is not None:
-        _run_cells_supervised(
-            result,
-            remaining,
-            spec=spec,
-            iterations_per_cell=iterations_per_cell,
-            journal=journal,
-            partials=partials,
-            workers=workers,
-            telemetry=telemetry,
-            strategy=strategy,
-            supervise=supervise,
-            containment=containment,
-            mode=mode,
-            sidecar_meta=meta,
-            steal_seed=steal_seed,
-            listen=listen,
-            spawn_workers=spawn_workers,
-            net_chaos=net_chaos,
-        )
-        if journal is not None:
-            remove_sidecars(journal.path)
-        return
-    quarantined = set()
-    seed_text_cache = {}
-    with ShardedPool(workers, spec) as pool:
-        for key, _solver, seeds in remaining:
-            cache_key = (key[1], key[2])  # (family, oracle): seeds shared by solvers
-            if cache_key not in seed_text_cache:
-                if telemetry is not None:
-                    # The print phase: seeds cross the spawn boundary
-                    # as SMT-LIB text.
-                    with telemetry.phase("print"):
-                        seed_text_cache[cache_key] = serialize_seeds(seeds)
-                else:
-                    seed_text_cache[cache_key] = serialize_seeds(seeds)
-            texts, logics = seed_text_cache[cache_key]
-            have = {
-                shard: report
-                for (shard, of), report in partials.get(key, {}).items()
-                if of == workers
-            }
-            futures = {}
-            for shard in range(workers):
-                if len(shard_indices(iterations_per_cell, shard, workers)) == 0:
-                    continue
-                if shard in have:
-                    continue
-                futures[shard] = pool.submit(
-                    ShardTask(
-                        oracle=key[2],
-                        seed_texts=texts,
-                        logics=logics,
-                        iterations=iterations_per_cell,
-                        shard=shard,
-                        of=workers,
-                        seed=config.seed,
-                        cell=key,
-                        solver_names=(key[0],),
-                        quarantined=tuple(sorted(quarantined)),
-                        strategy=strategy,
-                    )
-                )
-            shard_reports = dict(have)
-            counters = {
-                shard: {"shard": shard, "of": workers, "pid": None, "resumed": True}
-                for shard in have
-            }
-            for shard, future in futures.items():
-                payload = future.result()
-                shard_reports[shard] = collect_shard(payload)
-                if telemetry is not None and payload.get("telemetry") is not None:
-                    telemetry.merge_snapshot(payload["telemetry"])
-                counters[shard] = {
-                    "shard": shard,
-                    "of": workers,
-                    "pid": payload["pid"],
-                    "resumed": False,
-                }
-            for shard, report in shard_reports.items():
-                counters[shard].update(report.counters())
-                counters[shard]["elapsed"] = report.elapsed
-            merged = merge_shard_reports(
-                [shard_reports[shard] for shard in sorted(shard_reports)]
-            )
-            quarantined |= merged.quarantined
-            result.shard_counters[key] = [
-                counters[shard] for shard in sorted(counters)
-            ]
-            _absorb_cell(result, key, merged, journal, telemetry)
-    if journal is not None:
-        # Every cell is durably in the main journal now; the sidecar
-        # partials have served their purpose.
-        remove_sidecars(journal.path)
-
-
-def _run_cells_supervised(
-    result,
-    remaining,
-    spec,
-    iterations_per_cell,
-    journal,
-    partials,
-    workers,
-    telemetry=None,
-    strategy="fusion",
-    supervise=True,
-    containment=None,
-    mode="process",
-    sidecar_meta=None,
-    steal_seed=0,
-    listen=None,
-    spawn_workers=None,
-    net_chaos=None,
-):
-    """Run the remaining cells as supervised shard leases.
-
-    Builds the lease backend for ``mode`` — the in-process
-    :class:`~repro.core.parallel.SupervisedPoolBackend` or a socket
-    :class:`~repro.distributed.endpoint.TcpFleet` — and hands the cell
-    loop to the :class:`~repro.distributed.coordinator.Coordinator`:
-    one supervisor spans the campaign (restart budget and counters are
-    campaign-global), each cell's shards become leases whose
-    checkpoints live in lease progress files next to the journal, and
-    a lease re-executed after a worker death replays its completed
-    iterations — the merged cell report, and therefore the journal,
-    matches a failure-free run byte for byte. Poisoned iterations are
-    journaled as ``poison`` entries and collected on
-    ``result.poisoned``.
-    """
-    from repro.core.parallel import reconstruct_iteration_script
-    from repro.distributed.coordinator import Coordinator
-    from repro.robustness.supervisor import SupervisorPolicy
-
-    policy = supervise if isinstance(supervise, SupervisorPolicy) else SupervisorPolicy()
 
     def poison_artifact(task, index):
         return reconstruct_iteration_script(
-            spec.config,
+            config,
             task.strategy,
             task.oracle,
             task.seed_texts,
@@ -760,13 +598,11 @@ def _run_cells_supervised(
             telemetry=telemetry,
         )
     else:
-        from repro.core.parallel import SupervisedPoolBackend
-
         backend = SupervisedPoolBackend(workers, spec)
     with backend:
         coordinator = Coordinator(
             backend,
-            policy=policy,
+            policy=supervise,
             containment=containment,
             telemetry=telemetry,
             poison_artifact=poison_artifact,
@@ -784,3 +620,7 @@ def _run_cells_supervised(
             sidecar_meta=sidecar_meta,
             fleet_sidecar=(mode == "tcp"),
         )
+    if journal is not None:
+        # Every cell is durably in the main journal now; the sidecar
+        # partials and lease checkpoints have served their purpose.
+        remove_sidecars(journal.path)

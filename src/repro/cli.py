@@ -77,22 +77,12 @@ def _policy_from_args(args):
 
 
 def _supervision_from_args(args):
-    """(supervise, containment) when any supervision flag was given.
+    """(SupervisorPolicy or None, ContainmentPolicy or None) from the
+    supervision tuning and worker-limit flags.
 
-    Returns ``(None, None)`` otherwise. ``--supervise`` alone takes
-    the default policy; any tuning or containment flag implies
-    supervision (which in turn requires ``--mode process``).
+    Process and tcp campaigns are always supervised; ``None`` means
+    the default policy (respectively no rlimits).
     """
-    tuned = (
-        args.max_worker_restarts is not None
-        or args.max_shard_retries is not None
-        or args.heartbeat_timeout is not None
-    )
-    contained = (
-        args.worker_mem_limit is not None or args.worker_cpu_limit is not None
-    )
-    if not (args.supervise or tuned or contained):
-        return None, None
     from repro.robustness import ContainmentPolicy, SupervisorPolicy
 
     policy_kwargs = {}
@@ -102,9 +92,9 @@ def _supervision_from_args(args):
         policy_kwargs["max_shard_retries"] = args.max_shard_retries
     if args.heartbeat_timeout is not None:
         policy_kwargs["heartbeat_timeout"] = args.heartbeat_timeout
-    supervise = SupervisorPolicy(**policy_kwargs)
+    supervise = SupervisorPolicy(**policy_kwargs) if policy_kwargs else None
     containment = None
-    if contained:
+    if args.worker_mem_limit is not None or args.worker_cpu_limit is not None:
         containment = ContainmentPolicy(
             mem_limit_mb=args.worker_mem_limit,
             cpu_limit_seconds=args.worker_cpu_limit,
@@ -383,12 +373,6 @@ def _cmd_campaign(args):
         solver_factory = solver_factory_for_logic(logic)
     telemetry = _telemetry_from_args(args)
     supervise, containment = _supervision_from_args(args)
-    if supervise is not None and args.mode not in ("process", "tcp"):
-        print(
-            "--supervise and worker limits require --mode process or tcp",
-            file=sys.stderr,
-        )
-        return 2
     listen = None
     if args.listen:
         from repro.distributed.protocol import parse_address
@@ -458,19 +442,13 @@ def _cmd_test(args):
         telemetry=telemetry,
         strategy=args.strategy,
     )
-    mode = args.mode
-    workers = args.workers
-    if mode is None:
-        # Back-compat: --threads N alone selects thread mode.
-        mode = "thread" if args.threads > 1 else "serial"
-        workers = workers or args.threads
     report = tool.test(
         args.oracle,
         seeds,
         iterations=args.iterations,
-        mode=mode,
-        workers=workers or 1,
-        solver_factory=_solver_factory(args) if mode == "process" else None,
+        mode=args.mode,
+        workers=args.workers,
+        solver_factory=_solver_factory(args) if args.mode == "process" else None,
     )
     print(report.summary())
     print(f"throughput: {report.throughput:.1f} fused formulas/s")
@@ -577,17 +555,19 @@ def build_parser():
     )
     p_campaign.add_argument(
         "--mode",
-        choices=["serial", "thread", "process", "tcp"],
+        choices=["serial", "process", "tcp"],
         default="serial",
         help="execution mode: process shards each cell over a worker "
-        "pool; tcp leases shards to a socket worker fleet "
-        "(always supervised)",
+        "pool; tcp leases shards to a socket worker fleet (both "
+        "supervised: dead/hung workers are respawned, shard leases "
+        "resume from checkpoints, repeat-killer iterations are "
+        "quarantined)",
     )
     p_campaign.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="shard count for --mode thread/process/tcp",
+        help="shard count for --mode process/tcp",
     )
     p_campaign.add_argument(
         "--steal-seed",
@@ -627,19 +607,12 @@ def build_parser():
     _add_resilience_flags(p_campaign)
     _add_telemetry_flags(p_campaign, coverage=True)
     p_campaign.add_argument(
-        "--supervise",
-        action="store_true",
-        help="run --mode process under the self-healing coordinator: "
-        "dead/hung workers are respawned, shard leases resume from "
-        "checkpoints, repeat-killer iterations are quarantined",
-    )
-    p_campaign.add_argument(
         "--max-worker-restarts",
         type=int,
         default=None,
         metavar="N",
         help="worker-pool respawns allowed before the campaign gives up "
-        "(implies --supervise; default 8)",
+        "(--mode process/tcp; default 8)",
     )
     p_campaign.add_argument(
         "--max-shard-retries",
@@ -647,7 +620,7 @@ def build_parser():
         default=None,
         metavar="N",
         help="re-executions of a dying shard lease before its iteration "
-        "range is bisected to isolate the killer (implies --supervise; "
+        "range is bisected to isolate the killer (--mode process/tcp; "
         "default 2)",
     )
     p_campaign.add_argument(
@@ -656,7 +629,7 @@ def build_parser():
         default=None,
         metavar="SECONDS",
         help="kill a worker whose lease heartbeat goes stale this long "
-        "(implies --supervise; default off)",
+        "(--mode process/tcp; default off)",
     )
     p_campaign.add_argument(
         "--worker-mem-limit",
@@ -664,7 +637,7 @@ def build_parser():
         default=None,
         metavar="MB",
         help="RLIMIT_AS ceiling per worker process in megabytes "
-        "(implies --supervise)",
+        "(--mode process/tcp)",
     )
     p_campaign.add_argument(
         "--worker-cpu-limit",
@@ -672,7 +645,7 @@ def build_parser():
         default=None,
         metavar="SECONDS",
         help="RLIMIT_CPU ceiling per worker process in CPU-seconds "
-        "(implies --supervise)",
+        "(--mode process/tcp)",
     )
     p_campaign.add_argument(
         "--journal",
@@ -712,19 +685,14 @@ def build_parser():
     p_test.add_argument("--pairs", type=int, default=2)
     p_test.add_argument("--probability", type=float, default=0.5)
     p_test.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="legacy alias for --mode thread --workers N",
-    )
-    p_test.add_argument(
         "--mode",
-        choices=["serial", "thread", "process"],
-        default=None,
-        help="execution mode (process: per-worker solvers and caches)",
+        choices=["serial", "process"],
+        default="serial",
+        help="execution mode (process: supervised workers with their own "
+        "solvers and caches)",
     )
     p_test.add_argument(
-        "--workers", type=int, default=None, help="shard count for thread/process mode"
+        "--workers", type=int, default=1, help="shard count for process mode"
     )
     p_test.add_argument("--perf-threshold", type=float, default=0.3)
     p_test.add_argument("--show", type=int, default=2, help="bug scripts to print")

@@ -1,11 +1,11 @@
-"""Process-sharded execution of Algorithm 1: a persistent worker pool.
+"""Process-sharded execution of Algorithm 1: supervised worker leases.
 
 The paper's campaign is embarrassingly parallel — every fuse→solve→
 check iteration is independent — but the solvers under test here are
-pure Python, so :class:`~repro.core.yinyang.YinYang`'s thread mode is
-GIL-bound. This module shards the iteration index space across a
-persistent ``multiprocessing`` pool (spawn start method, so it is safe
-under any embedding) instead:
+pure Python, so one interpreter runs one iteration at a time. This
+module shards the iteration index space across a persistent
+``multiprocessing`` pool (spawn start method, so it is safe under any
+embedding):
 
 - each worker process builds its **own solver instances** once, from a
   picklable ``solver_factory`` (live solvers hold locks and caches and
@@ -31,17 +31,19 @@ notion, so the parent aggregates quarantined names from merged shard
 reports and re-broadcasts them to workers via
 :meth:`~repro.robustness.guard.GuardedSolver.force_quarantine`.
 
-Supervised mode (:class:`SupervisedPoolBackend` +
-:class:`~repro.robustness.supervisor.Supervisor`) extends the same
-invariant across worker *death*: a shard runs as a leased
+Every shard is a **lease** run under a
+:class:`~repro.robustness.supervisor.Supervisor`, whose process
+backend is :class:`SupervisedPoolBackend` (the socket backend is
+:class:`~repro.distributed.endpoint.TcpFleet`). A lease runs an
 iteration-by-iteration loop that heartbeats before each iteration,
 fires planned :class:`~repro.robustness.chaos.ProcessChaos` faults,
 and checkpoints every completed iteration to a crash-safe
-:class:`~repro.robustness.journal.ShardProgress` log. Because each
-iteration is a pure function of ``(strategy, seed, index)``, a lease
-re-executed on a respawned worker replays its checkpoints and re-runs
-only the missing iterations — the merged report (and therefore the
-campaign journal) is byte-identical to a failure-free run.
+:class:`~repro.robustness.journal.ShardProgress` log when it has one.
+Because each iteration is a pure function of ``(strategy, seed,
+index)``, a lease re-executed on a respawned worker replays its
+checkpoints and re-runs only the missing iterations — the merged
+report (and therefore the campaign journal) is byte-identical to a
+failure-free run.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import shutil
 import signal
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -108,13 +110,12 @@ class ShardTask:
     # boundary by name (live instances may hold caches/solver handles);
     # the worker rebuilds the instance from name + config.
     strategy: str = "fusion"
-    # Supervised-lease fields (stamped by the Supervisor; all None in
-    # bare pool mode). ``indices`` overrides the strided index set —
-    # bisected child leases carry an explicit slice of the parent
-    # shard's iterations. ``lease_id`` switches the worker to the
-    # per-iteration loop with heartbeats (``heartbeat_dir``) and
-    # crash-safe checkpoints (``progress_path``); ``attempt`` gates
-    # planned chaos faults so injected deaths stop on retry.
+    # Lease fields (stamped by the Supervisor). ``indices`` overrides
+    # the strided index set — bisected child leases carry an explicit
+    # slice of the parent shard's iterations. ``lease_id`` names the
+    # lease's heartbeat file in ``heartbeat_dir``; ``progress_path`` is
+    # its crash-safe checkpoint log; ``attempt`` gates planned chaos
+    # faults so injected deaths stop on retry.
     indices: tuple | None = None
     attempt: int = 0
     lease_id: int | None = None
@@ -262,16 +263,7 @@ def _run_shard(task):
             telemetry=telemetry,
             strategy=task.strategy,
         )
-        if task.lease_id is None:
-            report = tool.run_iterations(
-                task.oracle,
-                scripts,
-                list(task.logics),
-                shard_indices(task.iterations, task.shard, task.of),
-                seed=task.seed,
-            )
-        else:
-            report = _run_leased(state, tool, task, scripts)
+        report = _run_leased(state, tool, task, scripts)
         telemetry_snapshot = telemetry.snapshot() if telemetry is not None else None
     finally:
         if telemetry is not None:
@@ -293,7 +285,7 @@ def _run_shard(task):
 
 
 def _run_leased(state, tool, task, scripts):
-    """The supervised per-iteration loop for one shard lease.
+    """The per-iteration loop for one shard lease.
 
     Order per iteration: replay a checkpoint if one exists, else
     heartbeat (so a death at this iteration is attributable), fire any
@@ -335,6 +327,7 @@ def _run_leased(state, tool, task, scripts):
     session = tool.make_session(work)
     chaos = state.chaos_process
     reports = []
+    start = time.perf_counter()
     try:
         for index in indices:
             if progress is not None and index in progress.completed:
@@ -361,7 +354,11 @@ def _run_leased(state, tool, task, scripts):
     finally:
         if session is not None:
             session.close()
-    return merge_shard_reports(reports)
+    merged = merge_shard_reports(reports)
+    # The merge keeps the slowest *iteration*; the lease's busy time is
+    # its whole loop (what the shard counters and barrier figures mean).
+    merged.elapsed = time.perf_counter() - start
+    return merged
 
 
 def reconstruct_iteration_script(config, strategy, oracle, seed_texts, logics, seed, index):
@@ -398,84 +395,18 @@ def reconstruct_iteration_script(config, strategy, oracle, seed_texts, logics, s
 # ---------------------------------------------------------------------------
 
 
-class ShardedPool:
-    """A persistent pool of campaign workers (context manager).
+class SupervisedPoolBackend:
+    """The process backend a :class:`~repro.robustness.supervisor.Supervisor`
+    drives: a persistent, respawnable pool of campaign workers.
 
     Created once and reused across every cell of a campaign: worker
     startup (spawn + imports + solver construction) is paid once, and
     the per-worker parse cache keeps earning across cells that share
-    seed corpora.
-    """
-
-    def __init__(self, workers, spec):
-        self.workers = max(1, workers)
-        self.spec = spec
-        self._futures = []
-        self._closed = False
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=_spawn_context(),
-            initializer=_init_worker,
-            initargs=(spec,),
-        )
-
-    def submit(self, task):
-        if self._closed:
-            raise RuntimeError("cannot submit to a shut-down ShardedPool")
-        future = self._executor.submit(_run_shard, task)
-        self._futures.append(future)
-        return future
-
-    def worker_exitcodes(self):
-        """Exit codes of the pool's worker processes, by pid.
-
-        ``None`` means still alive. Reads the executor's process table —
-        there is no public API for this, but the attribute has been
-        stable across CPython versions and the supervisor needs it to
-        attribute deaths.
-        """
-        processes = getattr(self._executor, "_processes", None) or {}
-        return {pid: proc.exitcode for pid, proc in list(processes.items())}
-
-    def shutdown(self, wait=True):
-        # Idempotent: teardown can arrive twice (context-manager exit
-        # after an explicit coordinator shutdown, or an error path that
-        # already closed the pool) and the second call must be a no-op
-        # rather than re-killing a pool another owner may have replaced.
-        if self._closed:
-            return
-        self._closed = True
-        # cancel_futures: once the pool is coming down (error or exit),
-        # queued shards must be dropped, not left to run against a
-        # half-torn-down parent.
-        self._executor.shutdown(wait=wait, cancel_futures=True)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.shutdown()
-        if exc_type is None:
-            # Surface a worker failure the caller never gathered (e.g.
-            # a shard whose result was skipped): exiting cleanly while
-            # a shard silently died would hide real campaign failures.
-            for future in self._futures:
-                if future.done() and not future.cancelled():
-                    error = future.exception()
-                    if error is not None:
-                        raise error
-        return False
-
-
-class SupervisedPoolBackend:
-    """The process backend a :class:`~repro.robustness.supervisor.Supervisor`
-    drives: a :class:`ShardedPool` that can be respawned after it breaks.
-
-    Owns the heartbeat directory workers write into (a private temp dir
-    unless one is supplied) and translates pool breakage into the
-    supervisor's vocabulary: ``respawn()`` tears down the broken
-    executor, reports how every old worker exited (by pid), and stands
-    up a fresh pool so requeued leases have somewhere to run.
+    seed corpora. Owns the heartbeat directory workers write into (a
+    private temp dir unless one is supplied) and translates pool
+    breakage into the supervisor's vocabulary: ``respawn()`` tears down
+    the broken executor, reports how every old worker exited (by pid),
+    and stands up a fresh pool so requeued leases have somewhere to run.
     """
 
     broken_exceptions = (BrokenProcessPool,)
@@ -490,20 +421,32 @@ class SupervisedPoolBackend:
             if heartbeat_dir is None
             else os.fspath(heartbeat_dir)
         )
-        self.pool = ShardedPool(self.workers, spec)
+        self._executor = self._start()
+
+    def _start(self):
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=_spawn_context(),
+            initializer=_init_worker,
+            initargs=(self.spec,),
+        )
 
     def submit(self, task):
-        return self.pool.submit(task)
+        if self._closed:
+            raise RuntimeError("cannot submit to a closed SupervisedPoolBackend")
+        return self._executor.submit(_run_shard, task)
 
     def respawn(self):
         """Replace the broken pool; return {pid: exitcode} of old workers."""
         if self._closed:
             raise RuntimeError("cannot respawn a closed SupervisedPoolBackend")
-        old = self.pool
-        processes = getattr(old._executor, "_processes", None)
-        processes = dict(processes) if processes else {}
+        old = self._executor
+        # The executor's process table has no public API, but the
+        # attribute has been stable across CPython versions and is the
+        # only way to attribute deaths to pids.
+        processes = dict(getattr(old, "_processes", None) or {})
         try:
-            old._executor.shutdown(wait=False, cancel_futures=True)
+            old.shutdown(wait=False, cancel_futures=True)
         except Exception:
             pass
         exitcodes = {}
@@ -513,7 +456,7 @@ class SupervisedPoolBackend:
                 exitcodes[pid] = proc.exitcode
             except Exception:
                 exitcodes[pid] = None
-        self.pool = ShardedPool(self.workers, self.spec)
+        self._executor = self._start()
         return exitcodes
 
     def kill_worker(self, pid):
@@ -532,7 +475,10 @@ class SupervisedPoolBackend:
             return
         self._closed = True
         try:
-            self.pool.shutdown()
+            # cancel_futures: once the pool is coming down (error or
+            # exit), queued shards must be dropped, not left to run
+            # against a half-torn-down parent.
+            self._executor.shutdown(wait=True, cancel_futures=True)
         finally:
             if self._own_heartbeat_dir:
                 shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
@@ -572,7 +518,17 @@ def run_sharded_test(
     telemetry=None,
     strategy="fusion",
 ):
-    """``YinYang.test(mode="process")``: one run sharded over a pool."""
+    """``YinYang.test(mode="process")``: one run as supervised shard leases.
+
+    The same machinery as a process campaign with a single cell: a
+    worker death is healed by retry, and an iteration that keeps
+    failing its worker is bisected out. A single run has no journal to
+    quarantine it in, so any poisoned iteration is raised as a
+    :class:`~repro.errors.ReproError` once every other shard is done.
+    """
+    from repro.errors import ReproError
+    from repro.robustness.supervisor import Supervisor
+
     if solver_factory is None:
         raise ValueError(
             "process mode needs solver_factory: a picklable zero-argument "
@@ -590,10 +546,12 @@ def run_sharded_test(
         telemetry=telemetry.config() if telemetry is not None else None,
     )
     start = time.perf_counter()
-    with ShardedPool(workers, spec) as pool:
-        futures = {}
-        for shard in range(pool.workers):
-            if len(shard_indices(iterations, shard, pool.workers)) == 0:
+    with SupervisedPoolBackend(workers, spec) as backend:
+        supervisor = Supervisor(backend, telemetry=telemetry)
+        leases = []
+        for shard in range(backend.workers):
+            indices = shard_indices(iterations, shard, backend.workers)
+            if len(indices) == 0:
                 continue
             task = ShardTask(
                 oracle=oracle,
@@ -601,21 +559,20 @@ def run_sharded_test(
                 logics=logics,
                 iterations=iterations,
                 shard=shard,
-                of=pool.workers,
+                of=backend.workers,
                 seed=config.seed,
                 strategy=strategy,
             )
-            futures[pool.submit(task)] = shard
-        # Gather as shards finish, not in submission order: a failing
-        # shard surfaces the moment it dies instead of queueing behind
-        # every slower sibling (the pool's __exit__ then cancels the
-        # rest). Results are keyed by shard so downstream merging stays
-        # order-independent of completion timing.
-        by_shard = {}
-        for future in as_completed(futures):
-            by_shard[futures[future]] = future.result()
-        payloads = [by_shard[shard] for shard in sorted(by_shard)]
-        merged = merge_shard_reports([collect_shard(p) for p in payloads])
+            leases.append(supervisor.lease(shard, task, indices))
+        outcome = supervisor.run(leases)
+    if supervisor.poisoned:
+        detail = ", ".join(
+            f"{p.iteration} ({p.classification})" for p in supervisor.poisoned
+        )
+        raise ReproError(f"iterations kept failing their worker: {detail}")
+    # Keyed by shard, so the merge is blind to completion order.
+    payloads = [payload for shard in sorted(outcome) for _, payload in outcome[shard]]
+    merged = merge_shard_reports([collect_shard(p) for p in payloads])
     if telemetry is not None:
         for payload in payloads:
             if payload.get("telemetry") is not None:

@@ -24,24 +24,23 @@ Everything is deterministic given the config seed, *independent of the
 execution mode*: each iteration draws its randomness from a private RNG
 seeded by ``(campaign seed, iteration index)`` and builds its mutant
 inside its own fresh-name scope, so iteration ``k`` produces the same
-mutated script whether it runs alone, interleaved with others on a
-thread pool, or on shard 3 of a process pool. Parallel modes merely
-partition the index space ``range(iterations)`` across workers and
-merge the partial reports back in index order — the bug records of a
-run are a pure function of ``(strategy, seed, iterations)``.
+mutated script whether it runs alone or on shard 3 of a worker pool.
+Parallel runs merely partition the index space ``range(iterations)``
+across workers and merge the partial reports back in index order — the
+bug records of a run are a pure function of ``(strategy, seed,
+iterations)``.
 
-Two parallel modes are offered: ``thread`` (the paper's "YinYang is
-able to run in multiple-threaded mode"; cheap, but GIL-bound for the
-pure-Python solvers under test) and ``process`` (a persistent
-spawn-safe worker pool where each worker owns its solver instances and
-caches; see :mod:`repro.core.parallel`).
+:meth:`YinYang.test` runs ``serial`` (in this process) or ``process``:
+shards of the index space leased to a supervised, spawn-safe worker
+pool where each worker owns its solver instances and caches (see
+:mod:`repro.core.parallel`). Campaigns add a ``tcp`` worker fleet on
+the same lease machinery (:mod:`repro.campaign.runner`).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 # Classification constants and BugRecord moved to the shared checker;
@@ -64,8 +63,6 @@ from repro.observability.telemetry import NULL_TELEMETRY, attach_telemetry
 from repro.smtlib.ast import fresh_scope
 from repro.strategies.fusion import FusionStrategy, MixedFusionStrategy
 from repro.strategies.registry import make_strategy
-
-EXECUTION_MODES = ("serial", "thread", "process")
 
 
 def iteration_rng(seed, index):
@@ -281,9 +278,8 @@ class YinYang:
         oracle,
         seeds,
         iterations=None,
-        threads=1,
-        mode=None,
-        workers=None,
+        mode="serial",
+        workers=1,
         solver_factory=None,
     ):
         """Run the main loop over ``seeds`` (all labeled ``oracle``).
@@ -292,63 +288,38 @@ class YinYang:
         :class:`~repro.core.oracle.LabeledSeed`. Returns a
         :class:`YinYangReport`.
 
-        ``mode`` is ``"serial"``, ``"thread"``, or ``"process"`` (see
-        the module docstring); ``workers`` is the shard count. The
-        legacy ``threads=N`` spelling is kept as an alias for
-        ``mode="thread", workers=N``. All modes and worker counts yield
-        identical bug records for a fixed config seed. ``process`` mode
-        needs ``solver_factory`` — a picklable zero-argument callable
-        returning the solver list — because live solver objects (locks,
-        caches) do not cross a spawn boundary; the strategy crosses it
-        as its registry name.
+        ``mode`` is ``"serial"`` or ``"process"`` (see the module
+        docstring); ``workers`` is the shard count. Both modes and
+        every worker count yield identical bug records for a fixed
+        config seed. ``process`` mode needs ``solver_factory`` — a
+        picklable zero-argument callable returning the solver list —
+        because live solver objects (locks, caches) do not cross a
+        spawn boundary; the strategy crosses it as its registry name.
         """
         scripts = [getattr(s, "script", s) for s in seeds]
         logics = [getattr(s, "logic", "") for s in seeds]
         if len(scripts) < 1:
             raise ValueError("need at least one seed")
         iterations = iterations if iterations is not None else self.config.max_iterations
-        if mode is None:
-            mode = "thread" if threads > 1 else "serial"
-            workers = threads if workers is None else workers
-        if mode not in EXECUTION_MODES:
-            raise ValueError(f"mode must be one of {EXECUTION_MODES}, got {mode!r}")
-        workers = max(1, workers if workers is not None else 1)
-        if mode == "process":
-            from repro.core.parallel import run_sharded_test
-
-            return run_sharded_test(
-                solver_factory=solver_factory,
-                config=self.config,
-                performance_threshold=self.performance_threshold,
-                policy=self.policy,
-                oracle=oracle,
-                seeds=seeds,
-                iterations=iterations,
-                workers=workers,
-                telemetry=self.telemetry,
-                strategy=self.strategy.name,
-            )
-        work = self.strategy.prepare(oracle, scripts, logics)
-        if mode == "serial" or workers <= 1:
+        if mode == "serial":
+            work = self.strategy.prepare(oracle, scripts, logics)
             return self._run_prepared(self.strategy, work, range(iterations))
-        # Thread mode: partition the iteration index space (strided, so
-        # worker t runs iterations t, t+W, t+2W, ...) and merge the
-        # partial reports back in index order. Per-iteration RNGs and
-        # fresh-name scopes make every iteration self-contained, so the
-        # partition never changes what any iteration computes. The work
-        # item is immutable and shared across shards.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    self._run_prepared,
-                    self.strategy,
-                    work,
-                    shard_indices(iterations, t, workers),
-                )
-                for t in range(workers)
-                if len(shard_indices(iterations, t, workers)) > 0
-            ]
-            return merge_shard_reports([future.result() for future in futures])
+        if mode != "process":
+            raise ValueError(f"mode must be 'serial' or 'process', got {mode!r}")
+        from repro.core.parallel import run_sharded_test
+
+        return run_sharded_test(
+            solver_factory=solver_factory,
+            config=self.config,
+            performance_threshold=self.performance_threshold,
+            policy=self.policy,
+            oracle=oracle,
+            seeds=seeds,
+            iterations=iterations,
+            workers=max(1, workers),
+            telemetry=self.telemetry,
+            strategy=self.strategy.name,
+        )
 
     def run_iterations(
         self, oracle, scripts, logics, indices, seed=None, work=None, session=None

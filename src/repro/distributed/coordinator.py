@@ -1,6 +1,6 @@
 """The campaign-plan owner: cells → shard leases → a supervised fleet.
 
-Extracted from the runner's supervised path so the same cell loop
+Every process and tcp campaign runs through here: the same cell loop
 drives *any* lease backend — the in-process
 :class:`~repro.core.parallel.SupervisedPoolBackend` or a socket
 :class:`~repro.distributed.endpoint.TcpFleet`. The coordinator owns
@@ -31,7 +31,7 @@ from __future__ import annotations
 import os
 
 from repro.core.yinyang import merge_shard_reports, shard_indices
-from repro.robustness.supervisor import Supervisor, SupervisorPolicy
+from repro.robustness.supervisor import Supervisor
 
 
 class Coordinator:
@@ -56,7 +56,7 @@ class Coordinator:
         self.telemetry = telemetry
         self.supervisor = Supervisor(
             backend,
-            policy=policy if isinstance(policy, SupervisorPolicy) else None,
+            policy=policy,
             containment=containment,
             telemetry=telemetry,
             poison_artifact=poison_artifact,
@@ -125,15 +125,18 @@ class Coordinator:
     ):
         """Drive every remaining cell to completion; fold into ``result``.
 
-        Mirrors the runner's process path cell for cell: canonical
-        order, per-shard counters, quarantine aggregation between
-        cells, journal commits per completed cell. With
+        Cells run in canonical order, one at a time, with per-shard
+        counters, quarantine aggregation between cells (once any
+        shard's breaker trips for a solver, later cells pre-quarantine
+        it everywhere, mirroring serial mode where one guard object
+        spans the campaign) and a journal commit per completed cell. With
         ``fleet_sidecar`` each merged shard is also recorded in the
         coordinator-side fleet sidecar (resume support for remote
         workers that cannot write host sidecars themselves).
         """
         from repro.campaign.runner import _absorb_cell
         from repro.core.parallel import collect_shard, serialize_seeds
+        from repro.observability.telemetry import NULL_TELEMETRY
 
         telemetry = self.telemetry
         side = None
@@ -144,7 +147,9 @@ class Coordinator:
         for key, _solver, seeds in remaining:
             cache_key = (key[1], key[2])
             if cache_key not in seed_text_cache:
-                seed_text_cache[cache_key] = serialize_seeds(seeds)
+                # The print phase: seeds cross to workers as SMT-LIB text.
+                with (telemetry or NULL_TELEMETRY).phase("print"):
+                    seed_text_cache[cache_key] = serialize_seeds(seeds)
             texts, logics = seed_text_cache[cache_key]
             have = {
                 shard: report

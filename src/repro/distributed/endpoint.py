@@ -177,7 +177,7 @@ class TcpFleet:
         if task.lease_id is None:
             raise ValueError(
                 "TcpFleet only runs supervised leases (lease_id is stamped "
-                "by the Supervisor); use ShardedPool for bare shards"
+                "by the Supervisor); submit shards through a Supervisor"
             )
         with self._lock:
             if self._closed or self._broken:

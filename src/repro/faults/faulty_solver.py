@@ -46,8 +46,9 @@ class FaultySolver:
         self.faults = [
             f for f in faults if release in f.affected_releases
         ]
-        # Per-thread, so YinYang.test(threads=N) workers sharing this
-        # solver don't race each other's trigger lists.
+        # Per-thread: a guard's watchdog can abandon a timed-out check
+        # still running on its helper thread while the next check runs
+        # on another, and the two must not race one trigger list.
         self._local = threading.local()
 
     @property

@@ -1,10 +1,10 @@
 """The self-healing campaign coordinator: shard leases under supervision.
 
-PR 2's :class:`~repro.core.parallel.ShardedPool` gathers bare futures;
-one dead worker raises ``BrokenProcessPool`` and the whole campaign
-dies with it. This module turns each shard into a **lease** — a unit
-of work the supervisor hands to the pool, watches, and takes back when
-the worker holding it dies, hangs, or is resource-killed:
+A bare process pool gathers futures; one dead worker raises
+``BrokenProcessPool`` and the whole campaign dies with it. This module
+turns each shard into a **lease** — a unit of work the supervisor
+hands to the pool, watches, and takes back when the worker holding it
+dies, hangs, raises, or is resource-killed:
 
 - **worker supervision** — a broken pool is respawned (capped by
   ``max_worker_restarts``) and every in-flight lease is recovered;

@@ -34,12 +34,10 @@ def _shape(mode, workers, steal_seed=0, slow=False):
 #: lane (extra pools/processes, no new code paths).
 FLEET_MATRIX = [
     _shape("serial", 1),
-    _shape("thread", 2),
     _shape("process", 2),
     _shape("tcp", 1),
     _shape("tcp", 2, steal_seed=0),
     _shape("tcp", 2, steal_seed=3),
-    _shape("thread", 4, slow=True),
     _shape("process", 4, slow=True),
     _shape("tcp", 4, steal_seed=1, slow=True),
 ]

@@ -210,3 +210,54 @@ def test_operator_table_lint_detects_violations(tmp_path):
     )
     hits = _operator_tables(bad, {"bvadd", "bvsub", "bvmul"})
     assert hits == [(1, ("bvadd", "bvsub", "bvmul"))]
+
+
+# ---------------------------------------------------------------------------
+# Execution-path lint: one worker path, owned by repro/core/parallel.py.
+# ---------------------------------------------------------------------------
+
+# Every multi-worker run goes through supervised leases on the pool in
+# core/parallel.py; an executor anywhere else would be a second,
+# unsupervised way to run iterations.
+_EXECUTORS = {"ProcessPoolExecutor", "ThreadPoolExecutor"}
+_EXECUTOR_HOME = SRC / "core" / "parallel.py"
+
+
+def _executor_uses(path):
+    """(line, name) for every reference to a pool executor in ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            hits += [(node.lineno, a.name) for a in node.names if a.name in _EXECUTORS]
+        elif isinstance(node, ast.Name) and node.id in _EXECUTORS:
+            hits.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in _EXECUTORS:
+            hits.append((node.lineno, node.attr))
+    return sorted(hits)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.rglob("*.py") if p != _EXECUTOR_HOME),
+    ids=lambda p: str(p.relative_to(SRC)),
+)
+def test_pool_executors_only_in_parallel(path):
+    hits = _executor_uses(path)
+    assert not hits, (
+        f"{path.relative_to(SRC)} builds its own executor; run shards as "
+        f"supervised leases through repro.core.parallel instead: {hits}"
+    )
+
+
+def test_executor_lint_detects_violations(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import concurrent.futures as cf\n"
+        "pool = cf.ProcessPoolExecutor(2)\n"
+    )
+    assert _executor_uses(bad) == [
+        (1, "ThreadPoolExecutor"),
+        (3, "ProcessPoolExecutor"),
+    ]

@@ -232,17 +232,17 @@ class TestBVCampaign:
         assert path.read_bytes() == fusion_serial[1]
         assert _found(result) == _found(fusion_serial[0])
 
-    def test_thread_pool_matches_serial_bytes(
+    def test_opfuzz_process_pool_matches_serial_bytes(
         self, bv_corpora, opfuzz_serial, tmp_path
     ):
-        path = tmp_path / "opfuzz-thread3.jsonl"
+        path = tmp_path / "opfuzz-process3.jsonl"
         result = run_campaign(
             bv_corpora,
             journal=path,
             strategy="opfuzz",
             triage=TriagePolicy(),
             incremental=True,
-            mode="thread",
+            mode="process",
             workers=3,
             **_CAMPAIGN,
         )

@@ -216,9 +216,9 @@ class TestDemoRewriteFaults:
 
 class TestThreadSafety:
     def test_last_triggered_is_per_thread(self):
-        """Workers sharing one FaultySolver must each see their own
-        trigger list (regression: a shared mutable attribute was raced
-        under YinYang.test(threads=N))."""
+        """Threads sharing one FaultySolver must each see their own
+        trigger list (a guard's watchdog can leave an abandoned check
+        running on its helper thread while the next check starts)."""
         import threading
 
         from repro.faults.paper_samples import sample_by_figure

@@ -233,7 +233,7 @@ class TestInternedCampaignDeterminism:
         for workers in (1, 2, 4):
             path = tmp_path / f"w{workers}.jsonl"
             run_campaign(
-                corpora, journal=path, mode="thread", workers=workers, **campaign
+                corpora, journal=path, mode="process", workers=workers, **campaign
             )
             journals.append(path.read_bytes())
         assert journals[0] == journals[1] == journals[2]

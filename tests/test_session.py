@@ -417,8 +417,8 @@ class TestBugFindingPower:
 
 class TestSessionDeterminism:
     """Incremental journals across the fleet-shape matrix: warm solver
-    sessions live *inside* each worker, so any shape — thread pool,
-    process pool, tcp fleet, any steal order — partitions the cells
+    sessions live *inside* each worker, so any shape — process pool,
+    tcp fleet, any worker count or steal order — partitions the cells
     into different session lifetimes. The journal bytes must not
     notice."""
 

@@ -91,33 +91,102 @@ class TestChaosKillDeterminism:
         # Leases' progress checkpoints are cleaned up with the sidecars.
         assert list(tmp_path.glob("*.lease-*")) == []
 
-    def test_unsupervised_campaign_dies_on_the_same_faults(self, corpora, tmp_path):
-        from concurrent.futures.process import BrokenProcessPool
 
-        with pytest.raises(BrokenProcessPool):
-            run_campaign(
-                corpora,
-                mode="process",
-                workers=2,
-                chaos_process=None,  # bare pool, no supervision
-                **dict(CAMPAIGN, solver_factory=_killing_solvers),
-            )
+class _RaisesOnOneMutant:
+    """Answers ``unknown`` except on one mutant, where it raises a plain
+    Python exception — a harness bug, not a solver crash (picklable)."""
 
+    name = "raiser"
 
-class _KillOnFirstCheck:
-    """A solver whose first check SIGKILLs its own process (picklable)."""
-
-    name = "suicidal"
+    def __init__(self, target):
+        self.target = target
 
     def check_script(self, script):
-        import os
-        import signal as signal_mod
+        from repro.smtlib.printer import print_script
+        from repro.solver.result import CheckOutcome, SolverResult
 
-        os.kill(os.getpid(), signal_mod.SIGKILL)
+        if print_script(script) == self.target:
+            raise RuntimeError("unexpected failure inside the solver adapter")
+        return CheckOutcome(SolverResult.UNKNOWN)
 
 
-def _killing_solvers():
-    return [_KillOnFirstCheck()]
+def _raising_solvers(target):
+    return [_RaisesOnOneMutant(target)]
+
+
+class TestWorkerExceptions:
+    def test_removed_modes_and_switches_are_rejected(self, corpora):
+        with pytest.raises(ValueError, match="mode"):
+            run_campaign(corpora, mode="thread", workers=2, **CAMPAIGN)
+        with pytest.raises(TypeError, match="SupervisorPolicy"):
+            run_campaign(corpora, mode="process", supervise=True, **CAMPAIGN)
+
+    def test_worker_exception_is_poisoned_not_raised(self, corpora, tmp_path):
+        # Under the default supervision every process campaign gets, an
+        # exception raised inside a worker fails only its lease: the
+        # lease is retried, then bisected down to the one iteration
+        # that raises, which is quarantined while the campaign finishes.
+        from functools import partial
+
+        from repro.core.config import FusionConfig, YinYangConfig
+        from repro.core.parallel import reconstruct_iteration_script, serialize_seeds
+
+        texts, logics = serialize_seeds(corpora["QF_S"].by_oracle("sat"))
+        config = YinYangConfig(fusion=FusionConfig(), seed=CAMPAIGN["seed"])
+        mutants = [
+            reconstruct_iteration_script(
+                config, "fusion", "sat", texts, logics, CAMPAIGN["seed"], index
+            )
+            for index in range(CAMPAIGN["iterations_per_cell"])
+        ]
+        killer = next(
+            i for i, text in enumerate(mutants) if text and mutants.count(text) == 1
+        )
+        path = tmp_path / "raising.jsonl"
+        result = run_campaign(
+            corpora,
+            journal=path,
+            mode="process",
+            workers=2,
+            **dict(CAMPAIGN, solver_factory=partial(_raising_solvers, mutants[killer])),
+        )
+        [poison] = result.poisoned
+        assert poison.iteration == killer
+        assert poison.classification == "worker-error:RuntimeError"
+        assert poison.script == mutants[killer]
+        [entry] = CampaignJournal(path).poison_entries()
+        assert entry["iteration"] == killer
+        assert entry["classification"] == "worker-error:RuntimeError"
+        assert f"{killer} (worker-error:RuntimeError)" in result.summary()
+        [report] = list(result.reports.values())
+        assert report.iterations == CAMPAIGN["iterations_per_cell"] - 1
+        assert result.supervision["bisections"] >= 1
+
+    def test_process_test_run_names_the_poisoned_iteration(self, corpora):
+        # YinYang.test has no journal to quarantine into: it finishes
+        # the other shards, then raises naming the iteration.
+        from functools import partial
+
+        from repro.core.parallel import reconstruct_iteration_script, serialize_seeds
+        from repro.core.yinyang import YinYang
+        from repro.errors import ReproError
+
+        seeds = corpora["QF_S"].by_oracle("sat")
+        tool = YinYang(_RaisesOnOneMutant(None))
+        texts, logics = serialize_seeds(seeds)
+        target = reconstruct_iteration_script(
+            tool.config, "fusion", "sat", texts, logics, tool.config.seed, 1
+        )
+        assert target is not None
+        with pytest.raises(ReproError, match=r"1 \(worker-error:RuntimeError\)"):
+            tool.test(
+                "sat",
+                seeds,
+                iterations=4,
+                mode="process",
+                workers=2,
+                solver_factory=partial(_raising_solvers, target),
+            )
 
 
 @pytest.mark.chaos
@@ -193,13 +262,24 @@ class TestLeasedResume:
         return spec, ShardTask(**task)
 
     def test_leased_run_matches_bare_run(self, tmp_path):
+        # The reference arm is the in-process kernel over the lease's
+        # indices: heartbeats and checkpoints must not change a thing.
+        from repro.core.yinyang import YinYang
+        from repro.robustness.journal import serialize_report
+        from repro.smtlib.parser import parse_script
+
         spec, task = self._spec_and_task(tmp_path)
         _init_worker(spec)
         leased = _run_shard(task)
-        from dataclasses import replace
-
-        bare = _run_shard(replace(task, lease_id=None, progress_path=None))
-        assert leased["report"] == bare["report"]
+        tool = YinYang(one_deterministic_solver(), config=spec.config)
+        bare = tool.run_iterations(
+            task.oracle,
+            [parse_script(text) for text in task.seed_texts],
+            list(task.logics),
+            range(task.iterations),
+            seed=task.seed,
+        )
+        assert leased["report"] == serialize_report(bare, unknown_split=True)
 
     def test_truncated_progress_line_reruns_iteration_same_bytes(self, tmp_path):
         spec, task = self._spec_and_task(tmp_path)

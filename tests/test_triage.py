@@ -247,7 +247,7 @@ class TestTriageDeterminism:
                 corpora,
                 journal=path,
                 triage=TriagePolicy(),
-                mode="thread" if workers > 1 else "serial",
+                mode="process" if workers > 1 else "serial",
                 workers=workers,
                 **CAMPAIGN,
             )
@@ -258,7 +258,7 @@ class TestTriageDeterminism:
     def test_journal_bytes_identical(self, journals, workers):
         assert (
             journals[workers].read_bytes() == journals[1].read_bytes()
-        ), f"triage journal diverged at {workers} thread workers"
+        ), f"triage journal diverged at {workers} process workers"
 
     def test_policy_survives_pickling(self, corpora):
         # The spawn boundary: a policy pickled to a process worker must

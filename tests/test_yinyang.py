@@ -86,24 +86,14 @@ class TestAlgorithmOne:
         tool.test("sat", SAT_SEEDS, iterations=7)
         assert a.calls == c.calls == 7
 
-    def test_reports_merge_across_threads(self):
-        tool = YinYang(_StubSolver("always-unsat"), YinYangConfig(seed=3))
-        report = tool.test("sat", SAT_SEEDS, iterations=12, threads=3)
-        assert report.iterations == 12
-        assert len(report.incorrects) == 12
-
-    @pytest.mark.parametrize(
-        "iterations,threads",
-        [(100, 3), (7, 2), (5, 8), (1, 4), (13, 13)],
-    )
-    def test_thread_mode_never_drops_iterations(self, iterations, threads):
-        # Regression: iterations // threads silently lost the remainder
-        # (100 iterations on 3 threads used to run only 99).
-        solver = _StubSolver("always-sat")
-        tool = YinYang(solver, YinYangConfig(seed=3))
-        report = tool.test("sat", SAT_SEEDS, iterations=iterations, threads=threads)
-        assert report.iterations == iterations
-        assert report.fused == iterations
+    def test_thread_mode_is_gone(self):
+        # Threads bought nothing under the GIL; parallel runs go through
+        # supervised process leases instead.
+        tool = YinYang(_StubSolver("always-sat"), YinYangConfig(seed=3))
+        with pytest.raises(TypeError):
+            tool.test("sat", SAT_SEEDS, iterations=4, threads=2)
+        with pytest.raises(ValueError, match="mode"):
+            tool.test("sat", SAT_SEEDS, iterations=4, mode="thread", workers=2)
 
     def test_throughput_positive(self):
         tool = YinYang(_StubSolver("always-sat"), YinYangConfig(seed=1))

@@ -199,7 +199,7 @@ def test_watchdog_handoff_latency(benchmark):
     class NullSolver:
         name = "null"
 
-        def check_script(self, inner):
+        def check_script(self, inner, directive=None, session=None):
             return CheckOutcome(SolverResult.SAT)
 
     guard = GuardedSolver(NullSolver(), ResiliencePolicy(check_timeout=30.0))

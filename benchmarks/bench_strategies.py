@@ -9,8 +9,8 @@ definitions that historically burned the deterministic solvers' full
 budgets at ~0.4 iter/s; the solver-side fast paths (definition
 elimination, model guessing, incremental branch & bound, QuickXplain
 core shrinking) and the triage tier policy reclaim that wall clock.
-The ``fusion+triage`` row runs the same campaign with the default
-:class:`~repro.campaign.triage.TriagePolicy`; the
+The ``fusion+triage`` row runs the same campaign with
+:class:`~repro.campaign.triage.TriagePolicy` routing on; the
 ``fusion+triage+incremental`` row additionally turns on per-cell
 solver sessions (:mod:`repro.solver.session`) — warm SAT prototypes,
 theory-lemma memoization, per-iteration outcome dedup. The assertions
@@ -31,11 +31,9 @@ import time
 from _util import emit, emit_json, git_rev, once, smoke
 
 from repro.campaign.runner import deterministic_bv_solvers, deterministic_solvers
-from repro.campaign.triage import TriagePolicy
 from repro.core.config import YinYangConfig
 from repro.core.yinyang import YinYang
 from repro.seeds import build_corpus
-from repro.solver.session import SessionConfig
 from repro.strategies import make_strategy
 
 ITERATIONS = 6 if smoke() else 60
@@ -51,7 +49,7 @@ PRE_TRIAGE_BASELINE = 0.4
 TRIAGED_BASELINE = 7.0
 
 
-def _run_strategy(name, seeds, triage=None, incremental=None, solvers=None):
+def _run_strategy(name, seeds, triage=False, incremental=False, solvers=None):
     solvers = solvers or deterministic_solvers()
     tool = YinYang(
         solvers,
@@ -72,11 +70,9 @@ def _campaign():
     for name in ("fusion", "concatfuzz", "opfuzz"):
         report, elapsed = _run_strategy(name, seeds)
         rows[name] = (report, elapsed)
-    report, elapsed = _run_strategy("fusion", seeds, triage=TriagePolicy())
+    report, elapsed = _run_strategy("fusion", seeds, triage=True)
     rows["fusion+triage"] = (report, elapsed)
-    report, elapsed = _run_strategy(
-        "fusion", seeds, triage=TriagePolicy(), incremental=SessionConfig()
-    )
+    report, elapsed = _run_strategy("fusion", seeds, triage=True, incremental=True)
     rows["fusion+triage+incremental"] = (report, elapsed)
     # The pluggable-theory row: the identical fusion loop over QF_BV
     # seeds, solved by eager bit-blasting onto the same SAT core. Rates
@@ -86,8 +82,8 @@ def _campaign():
     report, elapsed = _run_strategy(
         "fusion",
         bv_corpus.by_oracle("sat"),
-        triage=TriagePolicy(),
-        incremental=SessionConfig(),
+        triage=True,
+        incremental=True,
         solvers=deterministic_bv_solvers(),
     )
     rows["fusion@QF_BV"] = (report, elapsed)

@@ -61,7 +61,7 @@ class NullSolver:
 
     name = "null"
 
-    def check_script(self, script):
+    def check_script(self, script, directive=None, session=None):
         from repro.solver.result import CheckOutcome, SolverResult
 
         return CheckOutcome(SolverResult.UNKNOWN)

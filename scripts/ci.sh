@@ -7,9 +7,11 @@
 #      constructors, the observability layer must never import random
 #      (telemetry cannot be allowed to perturb the campaign's RNG
 #      streams), the campaign core must stay strategy-agnostic (no
-#      fusion/concatfuzz imports in yinyang.py), and pool executors
+#      fusion/concatfuzz imports in yinyang.py), pool executors
 #      may only appear in core/parallel.py (every multi-worker run is
-#      a supervised lease; no second, bare pool path).
+#      a supervised lease; no second, bare pool path), and every
+#      check_script takes directive and session parameters (one call
+#      shape through every solver layer).
 #   2. Strategy determinism — the default fusion strategy must
 #      reproduce the pre-refactor golden journal byte-for-byte, and
 #      opfuzz must journal identically across modes/worker counts.
@@ -49,7 +51,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core, one pool path) =="
+echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core, one pool path, one check_script shape) =="
 python -m pytest tests/test_ast_lint.py \
     "tests/test_observability.py::TestHotPathHygiene" -q
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.campaign.classify import collect_found_faults, found_fault_objects
-from repro.campaign.triage import TriagePolicy, parse_budget_tiers
+from repro.campaign.triage import TRIAGE_SPEC
 from repro.core.config import FusionConfig, YinYangConfig
 from repro.core.yinyang import YinYang
 from repro.faults.catalog import bv_fault_catalog, cvc4_like_catalog, z3_like_catalog
@@ -49,6 +49,7 @@ from repro.robustness.journal import (
     remove_sidecars,
 )
 from repro.robustness.supervisor import SupervisorPolicy
+from repro.solver.session import SESSION_SPEC
 from repro.solver.solver import ReferenceSolver, SolverConfig
 from repro.solver.strings import StringConfig
 from repro.strategies.registry import make_strategy
@@ -73,6 +74,18 @@ def default_solvers(release="trunk", base_config=None):
     return [z3, cvc4]
 
 
+def _deterministic_config():
+    """:meth:`SolverConfig.fast` with the wall-clock deadline replaced by
+    tighter step-counted budgets (see :func:`deterministic_solvers`)."""
+    return replace(
+        SolverConfig.fast(),
+        timeout_seconds=0.0,
+        max_rounds=30,
+        nonlinear_budget=120,
+        strings=StringConfig(max_assignments=600, max_len_per_var=3, max_total_len=6),
+    )
+
+
 def deterministic_solvers(release="trunk"):
     """:func:`default_solvers` with all wall-clock dependence removed.
 
@@ -86,14 +99,7 @@ def deterministic_solvers(release="trunk"):
     ``--deterministic`` campaigns whose journals must be reproducible
     byte-for-byte across machines, modes and worker counts.
     """
-    config = replace(
-        SolverConfig.fast(),
-        timeout_seconds=0.0,
-        max_rounds=30,
-        nonlinear_budget=120,
-        strings=StringConfig(max_assignments=600, max_len_per_var=3, max_total_len=6),
-    )
-    return default_solvers(release=release, base_config=config)
+    return default_solvers(release=release, base_config=_deterministic_config())
 
 
 def bv_solvers(release="trunk", base_config=None):
@@ -116,14 +122,7 @@ def bv_solvers(release="trunk", base_config=None):
 def deterministic_bv_solvers(release="trunk"):
     """:func:`bv_solvers` with all wall-clock dependence removed (the
     QF_BV analogue of :func:`deterministic_solvers`)."""
-    config = replace(
-        SolverConfig.fast(),
-        timeout_seconds=0.0,
-        max_rounds=30,
-        nonlinear_budget=120,
-        strings=StringConfig(max_assignments=600, max_len_per_var=3, max_total_len=6),
-    )
-    return bv_solvers(release=release, base_config=config)
+    return bv_solvers(release=release, base_config=_deterministic_config())
 
 
 def solver_factory_for_logic(logic, deterministic=False):
@@ -265,8 +264,8 @@ def run_campaign(
     supervise=None,
     containment=None,
     chaos_process=None,
-    triage=None,
-    incremental=None,
+    triage=False,
+    incremental=False,
     logic=None,
     steal_seed=0,
     listen=None,
@@ -330,14 +329,12 @@ def run_campaign(
     worker-level faults for recovery testing. All three only act at
     the worker boundary, so serial campaigns do not consult them.
 
-    ``triage`` routes each mutant to a solve-budget tier before
-    checking: ``True`` (the default
-    :class:`~repro.campaign.triage.TriagePolicy`), a ``--budget-tiers``
-    spec string, or a ready policy. Routing is a pure function of the
-    mutant's formula, so journals stay identical across modes and
-    worker counts; the journal records the policy spec and the
-    unknown-kind split, and a resume refuses to mix triage and
-    non-triage shards. ``None`` keeps journal bytes identical to the
+    ``triage=True`` routes each mutant to a solve-budget tier before
+    checking (:class:`~repro.campaign.triage.TriagePolicy`). Routing is
+    a pure function of the mutant's formula, so journals stay identical
+    across modes and worker counts; the journal records the tier spec
+    and the unknown-kind split, and a resume refuses to mix triage and
+    non-triage shards. ``False`` keeps journal bytes identical to the
     pre-triage campaign.
 
     ``mode="tcp"`` runs the campaign over a socket worker fleet
@@ -352,16 +349,16 @@ def run_campaign(
     injects planned disconnects and seeded frame faults for recovery
     testing.
 
-    ``incremental`` switches on per-cell incremental solving: ``True``
-    (the default :class:`~repro.solver.session.SessionConfig`) or a
-    ready config. Each cell/shard builds a
+    ``incremental=True`` switches on per-cell incremental solving: each
+    cell/shard builds a
     :class:`~repro.solver.session.SolverSession` from its seed pool —
     outcome/theory caches plus assumption-guarded warm SAT starts —
     whose reuse is answer-invariant by construction, so journals stay
     byte-identical across modes and worker counts (the journal records
     the session spec; a resume refuses to mix incremental and cold
-    shards). ``None`` keeps the cold solve path and pre-session journal
-    bytes.
+    shards). ``False`` keeps the cold solve path and pre-session
+    journal bytes. A non-bool ``triage`` or ``incremental`` raises
+    :class:`TypeError`.
     """
     if mode not in CAMPAIGN_MODES:
         raise ValueError(f"mode must be one of {CAMPAIGN_MODES}, got {mode!r}")
@@ -371,16 +368,14 @@ def run_campaign(
         )
     if net_chaos is not None and mode != "tcp":
         raise ValueError("net_chaos needs mode='tcp': it faults the wire")
+    config = YinYangConfig(
+        fusion=fusion_config or FusionConfig(),
+        seed=seed,
+        triage=triage,
+        incremental=incremental,
+    )
     workers = max(1, workers)
     strategy_name = strategy if isinstance(strategy, str) else strategy.name
-    if triage is True:
-        triage = TriagePolicy()
-    elif isinstance(triage, str):
-        triage = parse_budget_tiers(triage)
-    if incremental is True:
-        from repro.solver.session import SessionConfig
-
-        incremental = SessionConfig()
     if mode != "serial" and solver_factory is None and solvers is not None:
         raise ValueError(
             f"{mode} mode needs solver_factory (a picklable callable); "
@@ -401,18 +396,12 @@ def run_campaign(
         workers=workers,
         strategy=strategy_name,
     )
-    config = YinYangConfig(
-        fusion=fusion_config or FusionConfig(),
-        seed=seed,
-        triage=triage,
-        incremental=incremental or None,
-    )
     journal_meta, sidecar_meta = _campaign_meta(
         config, iterations_per_cell, strategy_name, logic, workers
     )
     completed = {}
     if journal is not None:
-        if triage is not None:
+        if triage:
             # The split counters ride every cell report of a triage run.
             journal.unknown_split = True
         journal.ensure_meta(**journal_meta)
@@ -493,10 +482,10 @@ def _campaign_meta(config, iterations_per_cell, strategy, logic, workers):
     partition depends on.
     """
     meta = {"seed": config.seed, "iterations_per_cell": iterations_per_cell}
-    if config.triage is not None:
-        meta["triage"] = config.triage.describe()
+    if config.triage:
+        meta["triage"] = TRIAGE_SPEC
     if config.incremental:
-        meta["incremental"] = config.incremental.describe()
+        meta["incremental"] = SESSION_SPEC
     if logic:
         meta["logic"] = logic
     sidecar_meta = dict(meta, strategy=strategy, workers=workers)

@@ -224,35 +224,27 @@ HOPELESS_TIER = SolveDirective(
 )
 
 
-@dataclass(frozen=True)
-class TriagePolicy:
-    """Score thresholds and the directives of the three tiers.
+#: Score thresholds: a mutant scoring at least ``HARD_AT`` runs on the
+#: hard tier, at least ``HOPELESS_AT`` on the hopeless tier.
+HARD_AT = 4
+HOPELESS_AT = 9
 
-    Frozen and picklable: a policy rides
-    :class:`~repro.core.config.YinYangConfig` across the spawn
-    boundary, and every worker recomputes the tier per mutant — a pure
+#: The spec string triage campaigns journal in their meta
+#: (``hard@SCORE:NUM/DEN`` per reduced tier). Frozen as a literal:
+#: existing journals carry it and a resume refuses a meta value that
+#: differs.
+TRIAGE_SPEC = "hard@4:1/2,hopeless@9:1/8"
+
+
+class TriagePolicy:
+    """Routes each mutant to the tier its difficulty score selects.
+
+    Stateless: every worker recomputes the tier per mutant — a pure
     function of the formula, so the routing is identical at any worker
     count.
     """
 
-    hard_at: int = 4
-    hopeless_at: int = 9
-    easy: SolveDirective = EASY_TIER
-    hard: SolveDirective = HARD_TIER
-    hopeless: SolveDirective = HOPELESS_TIER
-
-    def __post_init__(self):
-        if self.hopeless_at < self.hard_at:
-            raise ValueError(
-                f"hopeless_at ({self.hopeless_at}) must be >= "
-                f"hard_at ({self.hard_at})"
-            )
-
-    def tier_for(self, script):
-        return self.route(script)[0]
-
-    def directive_for(self, script):
-        return self.route(script)[1]
+    __slots__ = ()
 
     def route(self, script, hint=None):
         """(tier name, directive) for one mutant script.
@@ -264,70 +256,8 @@ class TriagePolicy:
         if features is None:
             features = script_features(script)
         score = difficulty_score(features)
-        if score >= self.hopeless_at:
-            return "hopeless", self.hopeless
-        if score >= self.hard_at:
-            return "hard", self.hard
-        return "easy", self.easy
-
-    def describe(self):
-        """The canonical spec string (journal meta; round-trips through
-        :func:`parse_budget_tiers`)."""
-        return (
-            f"hard@{self.hard_at}:{self.hard.rounds[0]}/{self.hard.rounds[1]},"
-            f"hopeless@{self.hopeless_at}:"
-            f"{self.hopeless.rounds[0]}/{self.hopeless.rounds[1]}"
-        )
-
-
-def _tier_directive(name, numerator, denominator):
-    ratio = (numerator, denominator)
-    return SolveDirective(
-        tier=name,
-        rounds=ratio,
-        nonlinear=ratio,
-        strings=ratio,
-        timeout=numerator / denominator,
-        eliminate_definitions=True,
-        model_guess=True,
-    )
-
-
-def parse_budget_tiers(spec):
-    """Parse a ``--budget-tiers`` spec into a :class:`TriagePolicy`.
-
-    Format: ``hard@SCORE:NUM/DEN,hopeless@SCORE:NUM/DEN`` — each tier
-    names the score at which it starts and the rational budget scale it
-    applies (e.g. ``hard@4:1/2,hopeless@9:1/16``, the default policy).
-    Either tier may be omitted; the default for that tier is kept.
-    """
-    kwargs = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            name, rest = part.split("@", 1)
-            threshold, ratio = rest.split(":", 1)
-            numerator, denominator = ratio.split("/", 1)
-            name = name.strip()
-            threshold = int(threshold)
-            numerator = int(numerator)
-            denominator = int(denominator)
-        except ValueError:
-            raise ValueError(
-                f"bad --budget-tiers entry {part!r}: "
-                "expected tier@SCORE:NUM/DEN"
-            ) from None
-        if name not in ("hard", "hopeless"):
-            raise ValueError(f"unknown budget tier {name!r} in {spec!r}")
-        if denominator < 1 or numerator < 1 or numerator > denominator:
-            raise ValueError(
-                f"bad budget scale {numerator}/{denominator} in {part!r}: "
-                "need 1 <= NUM <= DEN"
-            )
-        kwargs[f"{name}_at"] = threshold
-        kwargs[name] = _tier_directive(name, numerator, denominator)
-    if not kwargs:
-        raise ValueError(f"empty --budget-tiers spec {spec!r}")
-    return TriagePolicy(**kwargs)
+        if score >= HOPELESS_AT:
+            return "hopeless", HOPELESS_TIER
+        if score >= HARD_AT:
+            return "hard", HARD_TIER
+        return "easy", EASY_TIER

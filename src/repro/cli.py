@@ -179,7 +179,7 @@ def _add_strategy_flag(parser):
     )
 
 
-def _add_triage_flags(parser):
+def _add_triage_flag(parser):
     parser.add_argument(
         "--triage",
         action="store_true",
@@ -188,26 +188,6 @@ def _add_triage_flags(parser):
         "size); hopeless mutants fail fast instead of burning the "
         "full budget",
     )
-    parser.add_argument(
-        "--budget-tiers",
-        default=None,
-        metavar="SPEC",
-        help="triage tier spec `hard@SCORE:NUM/DEN,hopeless@SCORE:NUM/DEN` "
-        "(default hard@4:1/2,hopeless@9:1/8); implies --triage",
-    )
-
-
-def _triage_from_args(args):
-    """A TriagePolicy when a triage flag was given, else None."""
-    if args.budget_tiers:
-        from repro.campaign.triage import parse_budget_tiers
-
-        return parse_budget_tiers(args.budget_tiers)
-    if args.triage:
-        from repro.campaign.triage import TriagePolicy
-
-        return TriagePolicy()
-    return None
 
 
 def _add_incremental_flag(parser):
@@ -219,15 +199,6 @@ def _add_incremental_flag(parser):
         "shared-seed mutant stream (answer-invariant; journals stay "
         "byte-identical across modes and worker counts)",
     )
-
-
-def _incremental_from_args(args):
-    """A SessionConfig when --incremental was given, else None."""
-    if getattr(args, "incremental", False):
-        from repro.solver.session import SessionConfig
-
-        return SessionConfig()
-    return None
 
 
 def _add_resilience_flags(parser):
@@ -398,8 +369,8 @@ def _cmd_campaign(args):
         strategy=args.strategy,
         supervise=supervise,
         containment=containment,
-        triage=_triage_from_args(args),
-        incremental=_incremental_from_args(args),
+        triage=args.triage,
+        incremental=args.incremental,
         logic=logic,
         steal_seed=args.steal_seed,
         listen=listen,
@@ -430,8 +401,8 @@ def _cmd_test(args):
             max_pairs=args.pairs, substitution_probability=args.probability
         ),
         seed=args.seed,
-        triage=_triage_from_args(args),
-        incremental=_incremental_from_args(args),
+        triage=args.triage,
+        incremental=args.incremental,
     )
     telemetry = _telemetry_from_args(args)
     tool = YinYang(
@@ -602,7 +573,7 @@ def build_parser():
         "(recovery testing; journals must stay byte-identical)",
     )
     _add_strategy_flag(p_campaign)
-    _add_triage_flags(p_campaign)
+    _add_triage_flag(p_campaign)
     _add_incremental_flag(p_campaign)
     _add_resilience_flags(p_campaign)
     _add_telemetry_flags(p_campaign, coverage=True)
@@ -697,7 +668,7 @@ def build_parser():
     p_test.add_argument("--perf-threshold", type=float, default=0.3)
     p_test.add_argument("--show", type=int, default=2, help="bug scripts to print")
     _add_strategy_flag(p_test)
-    _add_triage_flags(p_test)
+    _add_triage_flag(p_test)
     _add_incremental_flag(p_test)
     _add_resilience_flags(p_test)
     _add_telemetry_flags(p_test)

@@ -146,8 +146,7 @@ def check_mutant(
     fields, same ordering. ``directive`` (triage's per-mutant budget
     tier) and ``session`` (the cell's incremental
     :class:`~repro.solver.session.SolverSession`) are forwarded to each
-    solver; ``None`` for both keeps the exact pre-triage call shape, so
-    fakes with a one-argument ``check_script`` keep working."""
+    solver."""
     schemes = mutant.schemes
     if session is not None:
         # Iteration boundary: outcome entries deduplicate the several
@@ -165,16 +164,9 @@ def check_mutant(
         began = time.perf_counter()
         try:
             with tel.phase("solve"):
-                if session is not None:
-                    outcome = solver.check_script(
-                        mutant.script, directive=directive, session=session
-                    )
-                elif directive is None:
-                    outcome = solver.check_script(mutant.script)
-                else:
-                    outcome = solver.check_script(
-                        mutant.script, directive=directive
-                    )
+                outcome = solver.check_script(
+                    mutant.script, directive=directive, session=session
+                )
         except SolverCrash as crash:
             if crash.kind == QUARANTINED_KIND:
                 # The breaker tripped between our check above and

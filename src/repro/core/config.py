@@ -1,4 +1,9 @@
-"""Configuration for Semantic Fusion and the YinYang loop."""
+"""Configuration for Semantic Fusion and the YinYang loop.
+
+Both configs are plain picklable values: a process or tcp campaign
+ships its :class:`YinYangConfig` to every worker, which rebuilds the
+triage policy and solver sessions it switches on locally.
+"""
 
 from __future__ import annotations
 
@@ -46,17 +51,19 @@ class YinYangConfig:
     unknown_is_crash: bool = False
     max_iterations: int = 1000
     seed: int = 0
-    # Optional mutant triage: a frozen, picklable
-    # :class:`~repro.campaign.triage.TriagePolicy` that routes each
-    # mutant to a solve-budget tier before checking. ``None`` (the
-    # default) keeps the loop byte-identical to the pre-triage tool.
-    # Declared ``object`` to avoid a core -> campaign import cycle.
-    triage: object = None
-    # Optional incremental solving: a frozen, picklable
-    # :class:`~repro.solver.session.SessionConfig` that makes the loop
-    # build one :class:`~repro.solver.session.SolverSession` per
-    # cell/shard (outcome/theory caches, assumption-based warm SAT
-    # starts). ``None``/``False`` is the cold loop, byte-identical to
-    # the pre-session tool. Declared ``object`` to avoid a core ->
-    # solver import at config time.
-    incremental: object = None
+    # Mutant triage: route each mutant to a solve-budget tier
+    # (:class:`~repro.campaign.triage.TriagePolicy`) before checking.
+    # Off keeps the loop byte-identical to the pre-triage tool.
+    triage: bool = False
+    # Incremental solving: build one
+    # :class:`~repro.solver.session.SolverSession` per cell/shard
+    # (outcome/theory caches, assumption-based warm SAT starts). Off is
+    # the cold loop, byte-identical to the pre-session tool.
+    incremental: bool = False
+
+    def __post_init__(self):
+        for name in ("triage", "incremental"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(
+                    f"{name} must be True or False, got {getattr(self, name)!r}"
+                )

@@ -164,31 +164,11 @@ class _WorkerState:
         self.parse_cache = {}
         self.journal = None
         if spec.journal_path:
-            self.journal = self._open_sidecar(spec.journal_path, spec.journal_meta)
+            from repro.robustness.journal import open_sidecar
 
-    @staticmethod
-    def _open_sidecar(journal_path, meta):
-        from repro.robustness.journal import (
-            CampaignJournal,
-            JournalError,
-            sidecar_path,
-        )
-
-        path = sidecar_path(journal_path, os.getpid())
-        try:
-            journal = CampaignJournal(path)
-            journal.ensure_meta(**meta)
-        except JournalError:
-            # A stale sidecar from a differently-parameterized run (a
-            # recycled pid): its partials cannot line up — start over.
-            os.remove(path)
-            journal = CampaignJournal(path)
-            journal.ensure_meta(**meta)
-        # Sidecars are wire format, not archive: always carry the
-        # unknown-kind split so it survives a resume merge (the main
-        # journal still gates on the campaign's own flag).
-        journal.unknown_split = True
-        return journal
+            self.journal = open_sidecar(
+                spec.journal_path, os.getpid(), spec.journal_meta
+            )
 
     def scripts_for(self, seed_texts):
         """Parse (and thereby typecheck) seed texts, cached per worker."""

@@ -122,21 +122,6 @@ class YinYangReport:
             return 0.0
         return self.fused / self.elapsed
 
-    def merge(self, other):
-        self.iterations += other.iterations
-        self.fused += other.fused
-        self.elapsed = max(self.elapsed, other.elapsed)
-        self.bugs.extend(other.bugs)
-        self.fusion_failures += other.fusion_failures
-        self.unknowns += other.unknowns
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.contained_errors += other.contained_errors
-        self.quarantine_skips += other.quarantine_skips
-        self.quarantined |= other.quarantined
-        self.unknowns_budget += other.unknowns_budget
-        self.unknowns_genuine += other.unknowns_genuine
-
     def summary(self):
         text = (
             f"{self.iterations} iterations, {self.fused} fused formulas, "
@@ -219,7 +204,8 @@ class YinYang:
     """The YinYang testing tool.
 
     ``solvers`` is one solver or a list; each must expose ``name`` and
-    ``check_script(script) -> CheckOutcome`` and may raise
+    ``check_script(script, directive=None, session=None) ->
+    CheckOutcome`` and may raise
     :class:`~repro.solver.result.SolverCrash`.
 
     ``strategy`` selects the mutation workload: ``None`` (the default
@@ -270,6 +256,13 @@ class YinYang:
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
         if telemetry is not None:
             attach_telemetry(self.solvers, telemetry)
+        self._triage = None
+        if self.config.triage:
+            # Imported lazily: the triage policy lives in the campaign
+            # layer, which imports this module.
+            from repro.campaign.triage import TriagePolicy
+
+            self._triage = TriagePolicy()
 
     # -- Algorithm 1 -----------------------------------------------------
 
@@ -353,17 +346,15 @@ class YinYang:
         fusion, both pools): those are the assertions every mutant of
         the cell is built from, hence the reusable vocabulary.
         """
-        incremental = self.config.incremental
-        if not incremental:
+        if not self.config.incremental:
             return None
         # Imported lazily: the session layer is optional and pulls in
         # the solver stack, which the core driver otherwise doesn't.
-        from repro.solver.session import SessionConfig, SolverSession
+        from repro.solver.session import SolverSession
 
-        config = incremental if isinstance(incremental, SessionConfig) else None
         scripts = list(getattr(work, "scripts", ()) or ())
         scripts += list(getattr(work, "unsat_scripts", None) or ())
-        return SolverSession(scripts, config=config, telemetry=self._tel)
+        return SolverSession(scripts, telemetry=self._tel)
 
     def _run_prepared(self, strategy, work, indices, seed=None, session=None):
         """The shared shard loop: run ``indices`` of ``strategy`` over a
@@ -422,7 +413,7 @@ class YinYang:
                 tel.count("oracle_unresolved")
                 return
             directive = None
-            triage = self.config.triage
+            triage = self._triage
             if triage is not None:
                 # Routing is a pure function of the mutant's formula
                 # (plus an optional strategy-stamped feature hint), so

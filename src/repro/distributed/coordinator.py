@@ -28,9 +28,8 @@ campaign skip fleet-completed shards exactly as it skips pool ones.
 
 from __future__ import annotations
 
-import os
-
 from repro.core.yinyang import merge_shard_reports, shard_indices
+from repro.robustness.journal import open_sidecar
 from repro.robustness.supervisor import Supervisor
 
 
@@ -141,7 +140,7 @@ class Coordinator:
         telemetry = self.telemetry
         side = None
         if fleet_sidecar and journal is not None:
-            side = _open_fleet_sidecar(journal, sidecar_meta or {})
+            side = open_sidecar(journal.path, "fleet", sidecar_meta or {})
         quarantined = set()
         seed_text_cache = {}
         for key, _solver, seeds in remaining:
@@ -205,24 +204,3 @@ class Coordinator:
         result.poisoned = list(self.supervisor.poisoned)
         result.supervision = dict(self.supervisor.counters)
         return result
-
-
-def _open_fleet_sidecar(journal, meta):
-    """The coordinator's own sidecar journal for remote-worker shards.
-
-    Same stale-handling as a pool worker's pid sidecar: a leftover
-    fleet sidecar stamped with different campaign parameters cannot
-    line up with this run's shards, so it is removed and restarted.
-    """
-    from repro.robustness.journal import CampaignJournal, JournalError, sidecar_path
-
-    path = sidecar_path(journal.path, "fleet")
-    try:
-        side = CampaignJournal(path)
-        side.ensure_meta(**meta)
-    except JournalError:
-        os.remove(path)
-        side = CampaignJournal(path)
-        side.ensure_meta(**meta)
-    side.unknown_split = True
-    return side

@@ -27,7 +27,7 @@ Message types (the ``type`` key of every frame):
 ==============  =========================================================
 
 The ``spec`` frame carries arbitrary campaign objects (solver
-factories, triage policies, session configs) that are picklable but
+factories, the loop config, resilience policies) that are picklable but
 not JSON-able; they cross as a base64 pickle blob inside the JSON
 envelope — exactly the trust model of ``multiprocessing`` spawn
 workers, which deserialize parent pickles too. A worker should only

@@ -117,14 +117,9 @@ class FaultySolver:
         if slow_ids:
             line_probe("faulty.slow")
             time.sleep(self.slow_seconds)
-        if session is not None:
-            outcome = self.base.check_script(
-                working, directive=directive, session=session
-            )
-        elif directive is None:
-            outcome = self.base.check_script(working)
-        else:
-            outcome = self.base.check_script(working, directive=directive)
+        outcome = self.base.check_script(
+            working, directive=directive, session=session
+        )
         outcome.stats["triggered"] = [f.fault_id for f in triggered]
         if slow_ids:
             outcome.stats["slow_faults"] = slow_ids

@@ -73,7 +73,7 @@ def _header_lines(journal):
         parts.append(f"{meta['workers']} workers")
     if "triage" in meta:
         # Triage campaigns record the canonical policy spec so a stats
-        # reader can tell which budget tiers produced the numbers.
+        # reader can tell which tier budgets produced the numbers.
         parts.append(f"triage {meta['triage']}")
     if "incremental" in meta:
         # Incremental campaigns journal the session cap spec; cold
@@ -194,8 +194,6 @@ def session_rows(counters):
             ),
         ),
         ("warm solves skipped", counters.get("session.warm.skipped", 0)),
-        ("clauses replayed", counters.get("session.clauses.replayed", 0)),
-        ("clauses exported", counters.get("session.clauses.exported", 0)),
         ("evictions", counters.get("session.evictions", 0)),
     ]
     return rows

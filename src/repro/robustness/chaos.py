@@ -123,14 +123,9 @@ class ChaosSolver:
             )
         elif fault == EXCEPTION:
             raise ChaosError(f"{self.name}: injected harness exception")
-        if session is not None:
-            outcome = self.base.check_script(
-                script, directive=directive, session=session
-            )
-        elif directive is None:
-            outcome = self.base.check_script(script)
-        else:
-            outcome = self.base.check_script(script, directive=directive)
+        outcome = self.base.check_script(
+            script, directive=directive, session=session
+        )
         if fault == WRONG and outcome.result.is_definite:
             return CheckOutcome(
                 outcome.result.flipped(),

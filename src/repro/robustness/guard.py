@@ -200,14 +200,9 @@ class GuardedSolver:
         # The directive and session travel as explicit arguments (never
         # a thread-local): the watchdog runs the check on a helper
         # thread, where ambient state would silently not propagate.
-        if session is not None:
-            call = lambda: self.base.check_script(
-                script, directive=directive, session=session
-            )
-        elif directive is None:
-            call = lambda: self.base.check_script(script)
-        else:
-            call = lambda: self.base.check_script(script, directive=directive)
+        call = lambda: self.base.check_script(
+            script, directive=directive, session=session
+        )
         timeout = self.policy.check_timeout
         if timeout is None:
             return call()

@@ -358,6 +358,28 @@ def sidecar_path(journal_path, worker_id):
     return f"{os.fspath(journal_path)}.shard-{worker_id}.jsonl"
 
 
+def open_sidecar(journal_path, worker_id, meta):
+    """Open the sidecar journal of ``worker_id``, stamped with ``meta``.
+
+    A stale sidecar from a differently-parameterized run (a recycled
+    pid, a fleet sidecar of another campaign) cannot line up with this
+    run's shards, so it is removed and started over. Sidecars are wire
+    format, not archive: they always carry the unknown-kind split so it
+    survives a resume merge (the main journal still gates on the
+    campaign's own flag).
+    """
+    path = sidecar_path(journal_path, worker_id)
+    try:
+        sidecar = CampaignJournal(path)
+        sidecar.ensure_meta(**meta)
+    except JournalError:
+        os.remove(path)
+        sidecar = CampaignJournal(path)
+        sidecar.ensure_meta(**meta)
+    sidecar.unknown_split = True
+    return sidecar
+
+
 def sidecar_paths(journal_path):
     """All sidecar journals next to ``journal_path`` (any run's workers)."""
     return sorted(_glob.glob(f"{os.fspath(journal_path)}.shard-*.jsonl"))

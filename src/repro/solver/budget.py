@@ -3,10 +3,9 @@
 A :class:`SolveDirective` scales the reference solver's step-counted
 budgets (DPLL rounds, nonlinear enumeration, string assignments) and
 its optional wall-clock deadline, and switches on the fused-structure
-fast paths (definition elimination, model guessing). It is frozen and
-picklable, so a directive can ride a
-:class:`~repro.core.config.YinYangConfig` across the process-pool
-spawn boundary unchanged.
+fast paths (definition elimination, model guessing). It is frozen, so
+the three tier directives of :mod:`repro.campaign.triage` are shared
+module constants that every worker routes to identically.
 
 Budget scales are exact rationals ``(numerator, denominator)`` applied
 with :func:`scale_int` — deterministic integer arithmetic, never
@@ -52,16 +51,11 @@ class SolveDirective:
       DPLL(T);
     - ``model_guess`` — try cheap candidate assignments through the
       evaluator before building the abstraction (verified-sat only, so
-      it can never flip a definite verdict);
-    - ``shrink_cores`` — keep the DPLL(T) loop's deletion-based
-      conflict minimization (``False`` skips it; sound either way, but
-      on budget-burning mutants the minimization probes dominate the
-      solve, so reduced tiers turn it off);
-    - ``session`` — allow this tier to use the campaign cell's
-      incremental :class:`~repro.solver.session.SolverSession` when one
-      is active (``False`` forces the cold path for checks under this
-      directive; the default keeps sessions on for every tier, since
-      the session layer is answer-invariant by construction).
+      it can never flip a definite verdict).
+
+    Every tier keeps conflict minimization and the cell's incremental
+    session (when one is active): both are answer-invariant, so no
+    directive switches them off.
     """
 
     tier: str = "full"
@@ -71,8 +65,6 @@ class SolveDirective:
     timeout: float = 1.0
     eliminate_definitions: bool = False
     model_guess: bool = False
-    shrink_cores: bool = True
-    session: bool = True
 
     def scaled_rounds(self, max_rounds):
         return scale_int(max_rounds, self.rounds)

@@ -76,7 +76,6 @@ def check_assertions(
     deadline=None,
     eliminate_definitions=False,
     model_guess=False,
-    shrink_cores=True,
     session=None,
 ):
     """Decide the conjunction of ``assertions``; returns a CheckOutcome.
@@ -90,13 +89,6 @@ def check_assertions(
     :mod:`repro.solver.preprocess` and :func:`_guess_model`); both are
     sound, both default off, and the default path is byte-identical in
     behaviour to the pre-triage solver.
-
-    ``shrink_cores=False`` skips deletion-based conflict minimization
-    and blocks the whole theory assignment instead — weaker lemmas, but
-    no extra theory checks per conflict. Sound either way (shrinking is
-    a search heuristic, not a correctness step); reduced-budget tiers
-    turn it off because on budget-burning mutants most solve time goes
-    into the minimization probes.
 
     ``session`` is an optional
     :class:`~repro.solver.session.SolverSession`: the per-campaign-cell
@@ -121,7 +113,6 @@ def check_assertions(
             seed,
             eliminate_definitions,
             model_guess,
-            shrink_cores,
         )
         cached = session.lookup_outcome(outcome_key)
         if cached is not None:
@@ -136,7 +127,6 @@ def check_assertions(
         deadline,
         eliminate_definitions,
         model_guess,
-        shrink_cores,
         session,
     )
     if outcome_key is not None:
@@ -153,7 +143,6 @@ def _check_uncached(
     deadline,
     eliminate_definitions,
     model_guess,
-    shrink_cores,
     session,
 ):
     pre = preprocess(original, eliminate_definitions=eliminate_definitions)
@@ -180,16 +169,14 @@ def _check_uncached(
                 session.warm_rounds(max_rounds),
                 nonlinear_budget,
                 deadline,
-                shrink_cores,
                 session,
                 assumptions=warm.assumptions,
                 relevant=warm.relevant,
             )
-            session.export_learned(warm, wall_clock=deadline is not None)
             if outcome.result in (SolverResult.SAT, SolverResult.UNSAT):
                 # A warm ``sat`` was model-verified against the original
                 # assertions; a warm ``unsat`` holds because assumptions
-                # enforce exactly this mutant's assertions and replayed
+                # enforce exactly this mutant's assertions and presolve
                 # clauses are cell-valid (see session.py). Definite warm
                 # verdicts are therefore final.
                 line_probe("dpllt.warm_decided")
@@ -213,7 +200,6 @@ def _check_uncached(
         max_rounds,
         nonlinear_budget,
         deadline,
-        shrink_cores,
         session,
     )
 
@@ -228,7 +214,6 @@ def _search(
     max_rounds,
     nonlinear_budget,
     deadline,
-    shrink_cores,
     session,
     assumptions=(),
     relevant=None,
@@ -343,10 +328,7 @@ def _search(
         # blocking just those — shrunk to a small core — prunes the
         # search far more aggressively than blocking the assignment.
         if status == UNSAT and theory_literals:
-            if shrink_cores:
-                to_block = _shrink_core(theory_literals, probe_check)
-            else:
-                to_block = theory_literals
+            to_block = _shrink_core(theory_literals, probe_check)
         else:
             to_block = literals
         block = [

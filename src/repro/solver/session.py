@@ -31,34 +31,22 @@ sound to reuse across that cell's mutant stream:
   warm-start ordering), assumes the selectors of the seed assertions
   the mutant actually retained, guards mutant-specific assertions
   behind one fresh per-solve selector, and searches under assumptions.
-- a **learned-clause store**: clauses learned during a mutant solve
-  whose variables lie entirely in the prototype's shared vocabulary
-  are valid for every mutant of the cell (see the soundness argument
-  below) and are replayed into the next solve. Mutant-specific clauses
-  are discarded with the clone on reset.
 
-Soundness of clause reuse: every mutant-specific root assertion is
-guarded by the per-solve selector, which appears only negatively in
-clauses (positively only as an assumption *decision*), so any resolvent
-derived from a mutant root keeps the selector literal and is excluded
-by the shared-vocabulary variable filter. What survives the filter is a
-consequence of the prototype clauses (seed assertions, themselves
-selector-guarded), globally valid theory lemmas (blocking clauses), and
-Tseitin definitions — and any clause over base variables implied by
-definitional clauses alone is a tautology, since definitions extend
-every base assignment. Hence every retained clause holds for every
+Soundness of the warm path: every mutant-specific root assertion is
+guarded by the per-solve selector, and the selectors of the seed
+assertions the mutant dropped are simply not assumed, so a warm search
+constrains exactly the mutant's own assertions. Clauses the presolve
+learned are consequences of the selector-guarded seed clauses alone
+(assumptions are decisions, never clauses), hence valid for every
 mutant of the cell.
 
 Determinism: the prototype is built eagerly at session construction,
 inside its own fresh-name scope, from the seed scripts alone — a pure
-function of the cell. In deterministic runs (no wall-clock deadline)
-the clause store stays presolve-only, so a warm solve is a pure
-function of ``(cell, mutant, directive)`` and shard partitioning cannot
-observe cache state; cross-mutant clause accumulation is enabled only
-for wall-clock runs, which make no byte-identity promise. The theory
-cache is a pure-function memo either way, and the outcome cache is
-iteration-scoped — all three are invisible to any partition of the
-iteration space.
+function of the cell — and a warm solve only ever clones it, so a warm
+solve is a pure function of ``(cell, mutant, directive)`` and shard
+partitioning cannot observe session state. The theory cache is a
+pure-function memo, and the outcome cache is iteration-scoped — all
+three are invisible to any partition of the iteration space.
 
 Verdict safety: a warm solve may only *add* definite verdicts. A warm
 ``sat`` is model-verified, a warm ``unsat`` is derived from the
@@ -66,11 +54,14 @@ mutant's own assertions plus valid lemmas; a warm ``unknown`` falls
 back to the exact cold path (whose session theory-cache hits are
 result-identical), so versus incremental-off no definite verdict can be
 lost or flipped — only ``unknown`` → definite improvements remain.
+
+All caches evict in *insertion order* (the oldest entry goes first),
+never by clock: eviction order is then a pure function of the
+insertion sequence, which keeps memory bounds from introducing
+wall-clock dependence into an otherwise deterministic run.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.observability.telemetry import NULL_TELEMETRY
 from repro.smtlib.ast import fresh_scope
@@ -81,47 +72,28 @@ from repro.solver.sat import SatSolver
 from repro.solver.tseitin import Abstraction, is_theory_atom
 
 
-@dataclass(frozen=True)
-class SessionConfig:
-    """Caps and budgets of a :class:`SolverSession`.
+#: Entry caps of the session's caches.
+OUTCOME_CACHE_CAP = 256
+THEORY_CACHE_CAP = 4096
+ATOM_MEMO_CAP = 2048
+#: Conflict budget of the one-off prototype presolve under all selectors.
+PRESOLVE_CONFLICTS = 64
+#: DPLL(T) round cap of a warm attempt. Kept small: a warm attempt that
+#: cannot decide quickly falls back to the cold path, and the fallback
+#: re-pays theory checks only where the session cache misses.
+WARM_ROUNDS = 8
 
-    Frozen and picklable so it can ride a
-    :class:`~repro.core.config.YinYangConfig` across the process-pool
-    spawn boundary (the live session never travels — each worker builds
-    its own from the seed scripts it already holds).
-
-    All caches evict in *insertion order* (the oldest entry goes
-    first), never by clock: eviction order is then a pure function of
-    the insertion sequence, which keeps memory bounds from introducing
-    wall-clock dependence into an otherwise deterministic run.
-    """
-
-    outcome_cache: int = 256
-    theory_cache: int = 4096
-    clause_store: int = 256
-    atom_memo: int = 2048
-    #: Conflict budget of the one-off prototype presolve under all
-    #: selectors (0 disables the presolve).
-    presolve_conflicts: int = 64
-    #: DPLL(T) round cap of a warm attempt. Kept small: a warm attempt
-    #: that cannot decide quickly falls back to the cold path, and the
-    #: fallback re-pays theory checks only where the session cache
-    #: misses.
-    warm_rounds: int = 8
-
-    def describe(self):
-        """The canonical spec string journalled in campaign meta."""
-        return (
-            f"outcome={self.outcome_cache},theory={self.theory_cache},"
-            f"clauses={self.clause_store},presolve={self.presolve_conflicts},"
-            f"warm={self.warm_rounds}"
-        )
+#: The spec string incremental campaigns journal in their meta. Frozen
+#: as a literal: existing journals carry it and a resume refuses a meta
+#: value that differs, so it keeps the ``clauses=256`` cap of the
+#: retired learned-clause store.
+SESSION_SPEC = "outcome=256,theory=4096,clauses=256,presolve=64,warm=8"
 
 
 class _Prototype:
     """The cell's selector-guarded seed encoding (built once)."""
 
-    __slots__ = ("sat", "abstraction", "selectors", "by_id", "base_vars")
+    __slots__ = ("sat", "abstraction", "selectors", "by_id")
 
     def __init__(self, sat, abstraction, selectors, by_id):
         self.sat = sat
@@ -129,15 +101,14 @@ class _Prototype:
         # [(assertion term, selector var, frozenset of its theory atoms)]
         self.selectors = selectors
         self.by_id = by_id  # id(assertion term) -> index into selectors
-        self.base_vars = sat.num_vars
 
 
 class WarmCore:
     """One mutant's clone of the prototype, ready to solve."""
 
-    __slots__ = ("sat", "abstraction", "assumptions", "relevant", "export_base", "shared_vars")
+    __slots__ = ("sat", "abstraction", "assumptions", "relevant")
 
-    def __init__(self, sat, abstraction, assumptions, relevant, export_base, shared_vars):
+    def __init__(self, sat, abstraction, assumptions, relevant):
         self.sat = sat
         self.abstraction = abstraction
         self.assumptions = assumptions
@@ -146,8 +117,6 @@ class WarmCore:
         # filtering the SAT model to it makes warm theory queries range
         # over the same conjunctions the cold path would check.
         self.relevant = relevant
-        self.export_base = export_base
-        self.shared_vars = shared_vars
 
 
 class SolverSession:
@@ -159,12 +128,10 @@ class SolverSession:
     cell regardless of when or on which shard the session is created.
     """
 
-    def __init__(self, seed_scripts, config=None, telemetry=None):
-        self.config = config or SessionConfig()
+    def __init__(self, seed_scripts, telemetry=None):
         self.tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._outcome_cache = {}
         self._theory_cache = {}
-        self._clause_store = {}  # frozenset(lits) -> tuple(lits)
         self._atom_memo = {}  # term -> frozenset of theory atoms
         self._proto = self._build_prototype(seed_scripts or [])
 
@@ -209,16 +176,15 @@ class SolverSession:
                 selectors.append((term, selector, self._atoms_of(term)))
             if not selectors:
                 return None
-            if self.config.presolve_conflicts > 0:
-                # Presolve under the full seed conjunction: whatever the
-                # bounded search learns is a consequence of the guarded
-                # seed clauses alone, valid for every mutant, and rides
-                # every clone (assumptions are decisions, never clauses,
-                # so they cannot contaminate learned resolvents).
-                sat.solve(
-                    max_conflicts=self.config.presolve_conflicts,
-                    assumptions=tuple(sel for _, sel, _ in selectors),
-                )
+            # Presolve under the full seed conjunction: whatever the
+            # bounded search learns is a consequence of the guarded seed
+            # clauses alone, valid for every mutant, and rides every
+            # clone (assumptions are decisions, never clauses, so they
+            # cannot contaminate learned resolvents).
+            sat.solve(
+                max_conflicts=PRESOLVE_CONFLICTS,
+                assumptions=tuple(sel for _, sel, _ in selectors),
+            )
         return _Prototype(sat, abstraction, selectors, by_id)
 
     def _atoms_of(self, term):
@@ -229,14 +195,14 @@ class SolverSession:
                 for node in term.walk()
                 if node.sort == BOOL and is_theory_atom(node)
             )
-            self._bounded_put(self._atom_memo, term, cached, self.config.atom_memo)
+            self._bounded_put(self._atom_memo, term, cached, ATOM_MEMO_CAP)
         return cached
 
     # -- bounded caches ----------------------------------------------------
 
     def _bounded_put(self, cache, key, value, cap):
         if key not in cache:
-            while len(cache) >= cap > 0:
+            while len(cache) >= cap:
                 cache.pop(next(iter(cache)))
                 self.tel.count("session.evictions")
         cache[key] = value
@@ -246,7 +212,6 @@ class SolverSession:
         return {
             "outcome_cache": len(self._outcome_cache),
             "theory_cache": len(self._theory_cache),
-            "clause_store": len(self._clause_store),
             "atom_memo": len(self._atom_memo),
         }
 
@@ -265,7 +230,6 @@ class SolverSession:
         """Drop every cache (a lease ends, the session dies with it)."""
         self._outcome_cache.clear()
         self._theory_cache.clear()
-        self._clause_store.clear()
         self._atom_memo.clear()
 
     # -- outcome cache -----------------------------------------------------
@@ -289,7 +253,7 @@ class SolverSession:
             self._outcome_cache,
             key,
             (outcome.result, outcome.model, outcome.reason, dict(outcome.stats)),
-            self.config.outcome_cache,
+            OUTCOME_CACHE_CAP,
         )
 
     # -- theory-lemma cache ------------------------------------------------
@@ -314,13 +278,13 @@ class SolverSession:
         if not cacheable:
             return
         key = (tuple(literal_list), budget, seed, strings_key)
-        self._bounded_put(self._theory_cache, key, result, self.config.theory_cache)
+        self._bounded_put(self._theory_cache, key, result, THEORY_CACHE_CAP)
 
     # -- warm solves -------------------------------------------------------
 
     def warm_rounds(self, max_rounds):
         """The DPLL(T) round cap of a warm attempt under ``max_rounds``."""
-        return max(1, min(self.config.warm_rounds, max_rounds))
+        return max(1, min(WARM_ROUNDS, max_rounds))
 
     def should_warm(self, max_rounds):
         """Whether a warm attempt can pay for itself under ``max_rounds``.
@@ -332,7 +296,7 @@ class SolverSession:
         fallback would pay double. A pure function of the directive's
         budget, so the gate is shard-invisible.
         """
-        return max_rounds > self.config.warm_rounds
+        return max_rounds > WARM_ROUNDS
 
     def warm_start(self, pre_assertions):
         """Clone the prototype for one mutant; ``None`` if nothing is shared."""
@@ -356,12 +320,6 @@ class SolverSession:
             return None
         sat = proto.sat.clone()
         abstraction = proto.abstraction.clone_onto(sat)
-        replay = list(self._clause_store.values())
-        for clause in replay:
-            sat.add_clause(list(clause))
-        if replay:
-            self.tel.count("session.clauses.replayed", len(replay))
-        export_base = len(sat.clauses)
         relevant = set()
         assumptions = []
         for index in shared:
@@ -379,8 +337,6 @@ class SolverSession:
             abstraction=abstraction,
             assumptions=tuple(assumptions),
             relevant=relevant,
-            export_base=export_base,
-            shared_vars=proto.base_vars,
         )
 
     def note_warm_decided(self):
@@ -388,32 +344,3 @@ class SolverSession:
 
     def note_warm_fallback(self):
         self.tel.count("session.warm.fallback")
-
-    def export_learned(self, warm, wall_clock):
-        """Harvest shared-vocabulary clauses from a finished warm solve.
-
-        Only in wall-clock runs: deterministic campaigns promise
-        byte-identical journals for any shard partition, and a clause
-        store fed by *previous mutants of this shard* is exactly the
-        history a partition could observe. The presolve already gives
-        deterministic runs their (partition-independent) replayed
-        clauses via the prototype.
-        """
-        if not wall_clock:
-            return
-        limit = warm.shared_vars
-        exported = 0
-        for clause in warm.sat.clauses[warm.export_base:]:
-            if not clause:
-                continue
-            if any(abs(lit) > limit for lit in clause):
-                continue  # mentions a mutant-local variable: discarded
-            key = frozenset(clause)
-            if key in self._clause_store:
-                continue
-            self._bounded_put(
-                self._clause_store, key, tuple(clause), self.config.clause_store
-            )
-            exported += 1
-        if exported:
-            self.tel.count("session.clauses.exported", exported)

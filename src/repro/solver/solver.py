@@ -96,8 +96,7 @@ class ReferenceSolver:
         pre-triage behaviour.
 
         ``session`` (a :class:`~repro.solver.session.SolverSession`)
-        enables the incremental layer for this check; a directive with
-        ``session=False`` vetoes it for this tier.
+        enables the incremental layer for this check.
         """
         if not isinstance(script, Script):
             raise TypeError(f"expected a Script, got {type(script).__name__}")
@@ -107,7 +106,6 @@ class ReferenceSolver:
         strings = self.config.strings
         eliminate_definitions = False
         model_guess = False
-        shrink_cores = True
         if directive is not None:
             seconds = directive.scaled_timeout(seconds)
             max_rounds = directive.scaled_rounds(max_rounds)
@@ -115,9 +113,6 @@ class ReferenceSolver:
             strings = directive.scaled_strings(strings)
             eliminate_definitions = directive.eliminate_definitions
             model_guess = directive.model_guess
-            shrink_cores = directive.shrink_cores
-            if not directive.session:
-                session = None
         deadline = time.monotonic() + seconds if seconds > 0 else None
         tel = self.telemetry
         if tel is None:
@@ -130,7 +125,6 @@ class ReferenceSolver:
                 deadline=deadline,
                 eliminate_definitions=eliminate_definitions,
                 model_guess=model_guess,
-                shrink_cores=shrink_cores,
                 session=session,
             )
         with tel.phase("solver.check"):
@@ -143,7 +137,6 @@ class ReferenceSolver:
                 deadline=deadline,
                 eliminate_definitions=eliminate_definitions,
                 model_guess=model_guess,
-                shrink_cores=shrink_cores,
                 session=session,
             )
         tel.count("solver.checks")

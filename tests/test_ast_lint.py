@@ -261,3 +261,58 @@ def test_executor_lint_detects_violations(tmp_path):
         (1, "ThreadPoolExecutor"),
         (3, "ProcessPoolExecutor"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Solver-interface lint: one check_script call shape.
+# ---------------------------------------------------------------------------
+
+# Every layer (checker, fault injector, guard, chaos wrapper) calls
+# ``check_script(script, directive=..., session=...)``; a solver that
+# drops either parameter would need the call-shape fallbacks back.
+_CHECK_SCRIPT_PARAMS = ("directive", "session")
+
+
+def _check_script_signatures(path):
+    """(line, missing params) for every ``check_script`` defined in
+    ``path`` without a ``directive`` or ``session`` parameter."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "check_script":
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            missing = tuple(p for p in _CHECK_SCRIPT_PARAMS if p not in names)
+            if missing:
+                hits.append((node.lineno, missing))
+    return hits
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_check_script_takes_directive_and_session(path):
+    hits = _check_script_signatures(path)
+    assert not hits, (
+        f"{path.relative_to(SRC)} defines check_script without the "
+        f"directive/session parameters every caller passes: {hits}"
+    )
+
+
+def test_check_script_lint_detects_violations(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "class A:\n"
+        "    def check_script(self, script):\n"
+        "        pass\n"
+        "class B:\n"
+        "    def check_script(self, script, directive=None):\n"
+        "        pass\n"
+        "class C:\n"
+        "    def check_script(self, script, directive=None, session=None):\n"
+        "        pass\n"
+    )
+    assert _check_script_signatures(bad) == [
+        (2, ("directive", "session")),
+        (5, ("session",)),
+    ]

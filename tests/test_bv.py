@@ -14,7 +14,6 @@ from dataclasses import replace
 import pytest
 
 from repro.campaign.runner import deterministic_bv_solvers, run_campaign
-from repro.campaign.triage import TriagePolicy
 from repro.errors import SortError
 from repro.seeds import build_corpus
 from repro.seeds.bv_gen import generate_bv_seed
@@ -171,7 +170,7 @@ def fusion_serial(bv_corpora, tmp_path_factory):
         bv_corpora,
         journal=path,
         strategy="fusion",
-        triage=TriagePolicy(),
+        triage=True,
         incremental=True,
         **_CAMPAIGN,
     )
@@ -185,7 +184,7 @@ def opfuzz_serial(bv_corpora, tmp_path_factory):
         bv_corpora,
         journal=path,
         strategy="opfuzz",
-        triage=TriagePolicy(),
+        triage=True,
         incremental=True,
         **_CAMPAIGN,
     )
@@ -213,7 +212,7 @@ class TestBVCampaign:
 
         meta = json.loads(fusion_serial[1].splitlines()[0])
         assert meta["logic"] == "QF_BV"
-        assert meta["triage"] == TriagePolicy().describe()
+        assert meta["triage"] == "hard@4:1/2,hopeless@9:1/8"
 
     def test_process_pool_matches_serial_bytes(
         self, bv_corpora, fusion_serial, tmp_path
@@ -223,7 +222,7 @@ class TestBVCampaign:
             bv_corpora,
             journal=path,
             strategy="fusion",
-            triage=TriagePolicy(),
+            triage=True,
             incremental=True,
             mode="process",
             workers=2,
@@ -240,7 +239,7 @@ class TestBVCampaign:
             bv_corpora,
             journal=path,
             strategy="opfuzz",
-            triage=TriagePolicy(),
+            triage=True,
             incremental=True,
             mode="process",
             workers=3,

@@ -33,7 +33,7 @@ class SteadySolver:
     def active_faults(self):
         return []
 
-    def check_script(self, script):
+    def check_script(self, script, directive=None, session=None):
         return CheckOutcome(SolverResult.SAT)
 
 

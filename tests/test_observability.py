@@ -606,8 +606,6 @@ class TestStatsDashboard:
         registry.inc("session.warm.decided", 3)
         registry.inc("session.warm.fallback", 2)
         registry.inc("session.warm.skipped", 1)
-        registry.inc("session.clauses.replayed", 12)
-        registry.inc("session.clauses.exported", 4)
         registry.inc("session.evictions", 2)
         registry.gauge("session.theory_cache").track_max(96)
         text = render_stats(journal, registry.snapshot())

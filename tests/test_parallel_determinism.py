@@ -223,7 +223,7 @@ class _AlwaysUnsat:
 
     name = "always-unsat"
 
-    def check_script(self, script):
+    def check_script(self, script, directive=None, session=None):
         from repro.solver.result import CheckOutcome, SolverResult
 
         return CheckOutcome(SolverResult.UNSAT)

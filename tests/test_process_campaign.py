@@ -185,7 +185,7 @@ class CrashingSolver:
 
     name = "crashy"
 
-    def check_script(self, script):
+    def check_script(self, script, directive=None, session=None):
         raise SolverCrash("simulated segfault", kind="segfault")
 
 

@@ -34,7 +34,7 @@ class ScriptableSolver:
         self.behaviors = list(behaviors)
         self.calls = 0
 
-    def check_script(self, script):
+    def check_script(self, script, directive=None, session=None):
         self.calls += 1
         action = self.behaviors.pop(0) if self.behaviors else "sat"
         if action == "sat":
@@ -282,13 +282,13 @@ class TestYinYangIntegration:
         assert "4 retries" in report.summary()
 
     def test_report_merge_carries_counters(self):
-        from repro.core.yinyang import YinYangReport
+        from repro.core.yinyang import YinYangReport, merge_shard_reports
 
         a = YinYangReport(retries=1, timeouts=2, contained_errors=3)
         a.quarantined = {"s1"}
         b = YinYangReport(retries=10, quarantine_skips=4)
         b.quarantined = {"s2"}
-        a.merge(b)
+        a = merge_shard_reports([a, b])
         assert a.retries == 11
         assert a.timeouts == 2
         assert a.contained_errors == 3

@@ -28,6 +28,7 @@ import pickle
 import pytest
 
 from repro.campaign.runner import deterministic_solvers, run_campaign
+from repro.core.config import YinYangConfig
 from repro.core.yinyang import iteration_rng
 from repro.observability.telemetry import Telemetry
 from repro.seeds import build_corpus
@@ -35,7 +36,8 @@ from repro.smtlib.ast import fresh_scope
 from repro.smtlib.parser import parse_script
 from repro.solver.result import CheckOutcome, SolverResult
 from repro.solver.sat import SatSolver
-from repro.solver.session import SessionConfig, SolverSession
+from repro.solver import session as session_module
+from repro.solver.session import SolverSession
 from repro.solver.tseitin import Abstraction
 from repro.strategies import make_strategy
 
@@ -158,8 +160,8 @@ class TestSelectorGuard:
 # ---------------------------------------------------------------------------
 
 
-def _empty_session(**config):
-    return SolverSession([], config=SessionConfig(**config))
+def _empty_session():
+    return SolverSession([])
 
 
 class TestOutcomeCache:
@@ -216,26 +218,28 @@ class TestTheoryCache:
 
 
 class TestEviction:
-    def test_insertion_order_eviction(self):
-        session = _empty_session(outcome_cache=2)
+    # The caps are module constants; a small one keeps eviction visible.
+    def test_insertion_order_eviction(self, monkeypatch):
+        monkeypatch.setattr(session_module, "OUTCOME_CACHE_CAP", 2)
+        session = _empty_session()
         for key in ("a", "b", "c"):
             session.store_outcome(key, CheckOutcome(SolverResult.SAT))
         assert session.lookup_outcome("a") is None  # oldest went first
         assert session.lookup_outcome("b") is not None
         assert session.lookup_outcome("c") is not None
 
-    def test_evictions_counted(self):
+    def test_evictions_counted(self, monkeypatch):
+        monkeypatch.setattr(session_module, "OUTCOME_CACHE_CAP", 1)
         tel = Telemetry()
-        session = SolverSession(
-            [], config=SessionConfig(outcome_cache=1), telemetry=tel
-        )
+        session = SolverSession([], telemetry=tel)
         for key in ("a", "b", "c"):
             session.store_outcome(key, CheckOutcome(SolverResult.SAT))
         counters = tel.snapshot()["counters"]
         assert counters["session.evictions"] == 2
 
-    def test_restore_does_not_evict(self):
-        session = _empty_session(outcome_cache=2)
+    def test_restore_does_not_evict(self, monkeypatch):
+        monkeypatch.setattr(session_module, "OUTCOME_CACHE_CAP", 2)
+        session = _empty_session()
         session.store_outcome("a", CheckOutcome(SolverResult.SAT))
         session.store_outcome("b", CheckOutcome(SolverResult.SAT))
         session.store_outcome("a", CheckOutcome(SolverResult.UNSAT))
@@ -244,16 +248,26 @@ class TestEviction:
 
 class TestSessionConfig:
     def test_picklable(self):
-        config = SessionConfig(warm_rounds=5)
+        # Incremental solving crosses the spawn boundary as a plain
+        # switch on the loop config; each worker builds its own session.
+        config = YinYangConfig(incremental=True)
         assert pickle.loads(pickle.dumps(config)) == config
 
     def test_describe_mentions_every_cap(self):
-        spec = SessionConfig().describe()
-        for key in ("outcome=", "theory=", "clauses=", "presolve=", "warm="):
-            assert key in spec
+        # The journalled spec names the caps the session runs with
+        # (``clauses=256`` is the retired clause store's, kept for
+        # byte-identity with existing journals).
+        assert session_module.SESSION_SPEC == (
+            f"outcome={session_module.OUTCOME_CACHE_CAP},"
+            f"theory={session_module.THEORY_CACHE_CAP},"
+            "clauses=256,"
+            f"presolve={session_module.PRESOLVE_CONFLICTS},"
+            f"warm={session_module.WARM_ROUNDS}"
+        )
 
     def test_should_warm_gates_on_round_budget(self):
-        session = _empty_session(warm_rounds=8)
+        assert session_module.WARM_ROUNDS == 8
+        session = _empty_session()
         # At or below the warm cap a warm attempt costs as much as the
         # search it would prefilter; only larger budgets warrant one.
         assert not session.should_warm(8)
@@ -403,11 +417,18 @@ class TestBugFindingPower:
             (root / "incremental.jsonl").read_text().splitlines()[0]
         )
         assert meta["type"] == "meta"
-        assert meta["incremental"] == SessionConfig().describe()
+        assert (
+            meta["incremental"]
+            == "outcome=256,theory=4096,clauses=256,presolve=64,warm=8"
+        )
         base_meta = json.loads(
             (root / "base.jsonl").read_text().splitlines()[0]
         )
         assert "incremental" not in base_meta
+
+    def test_non_bool_switch_rejected(self, corpora):
+        with pytest.raises(TypeError, match="incremental"):
+            run_campaign(corpora, incremental=object(), **CAMPAIGN)
 
 
 # ---------------------------------------------------------------------------

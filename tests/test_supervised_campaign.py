@@ -101,7 +101,7 @@ class _RaisesOnOneMutant:
     def __init__(self, target):
         self.target = target
 
-    def check_script(self, script):
+    def check_script(self, script, directive=None, session=None):
         from repro.smtlib.printer import print_script
         from repro.solver.result import CheckOutcome, SolverResult
 

@@ -32,11 +32,13 @@ from hypothesis import strategies as st
 from repro.campaign.runner import deterministic_solvers, run_campaign
 from repro.campaign.triage import (
     EASY_TIER,
+    HARD_AT,
     HARD_TIER,
+    HOPELESS_AT,
     HOPELESS_TIER,
+    TRIAGE_SPEC,
     TriagePolicy,
     difficulty_score,
-    parse_budget_tiers,
     script_features,
     term_features,
 )
@@ -182,7 +184,7 @@ def campaign_pair(corpora, tmp_path_factory):
     triaged = run_campaign(
         corpora,
         journal=root / "triaged.jsonl",
-        triage=TriagePolicy(),
+        triage=True,
         **CAMPAIGN,
     )
     return base, triaged, root
@@ -213,7 +215,7 @@ class TestBugFindingPower:
         ]
         meta = lines[0]
         assert meta["type"] == "meta"
-        assert meta["triage"] == TriagePolicy().describe()
+        assert meta["triage"] == "hard@4:1/2,hopeless@9:1/8"
         base_meta = json.loads(
             (root / "base.jsonl").read_text().splitlines()[0]
         )
@@ -246,7 +248,7 @@ class TestTriageDeterminism:
             run_campaign(
                 corpora,
                 journal=path,
-                triage=TriagePolicy(),
+                triage=True,
                 mode="process" if workers > 1 else "serial",
                 workers=workers,
                 **CAMPAIGN,
@@ -276,8 +278,23 @@ class TestTriageDeterminism:
                 assert policy.route(mutant.script) == clone.route(mutant.script)
 
     def test_spec_string_round_trips(self):
-        policy = TriagePolicy()
-        assert parse_budget_tiers(policy.describe()) == policy
+        # The journalled spec must describe the tiers the policy runs.
+        assert TRIAGE_SPEC == (
+            f"hard@{HARD_AT}:{HARD_TIER.rounds[0]}/{HARD_TIER.rounds[1]},"
+            f"hopeless@{HOPELESS_AT}:"
+            f"{HOPELESS_TIER.rounds[0]}/{HOPELESS_TIER.rounds[1]}"
+        )
+
+    def test_non_bool_switch_rejected(self, corpora):
+        with pytest.raises(TypeError, match="triage"):
+            run_campaign(corpora, triage="hard@4:1/2", **CAMPAIGN)
+
+    def test_budget_tiers_flag_removed(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "--budget-tiers", "x"])
+        assert exit_info.value.code == 2
 
     def test_tier_rounds_never_floor_below_refutation(self):
         # Regression guard for the one verdict the harness ever lost:
@@ -420,10 +437,7 @@ class TestPredictorProperties:
         assert script_features(parse_script(print_script(script))) == first
 
     def test_score_thresholds_order_tiers(self):
-        policy = TriagePolicy()
-        assert policy.hard_at <= policy.hopeless_at
-        with pytest.raises(ValueError):
-            TriagePolicy(hard_at=9, hopeless_at=4)
+        assert HARD_AT <= HOPELESS_AT
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ class _StubSolver:
         self.behavior = behavior
         self.calls = 0
 
-    def check_script(self, script):
+    def check_script(self, script, directive=None, session=None):
         self.calls += 1
         mode = self.behavior
         if mode == "crash":

@@ -1,5 +1,6 @@
 """Tests for the probe-based coverage layer (the Gcov stand-in)."""
 
+from repro.campaign.runner import deterministic_bv_solvers, run_campaign
 from repro.coverage.probes import (
     CoverageSession,
     branch_probe,
@@ -10,6 +11,9 @@ from repro.coverage.probes import (
     registry_snapshot,
 )
 from repro.coverage.report import CoverageReport, average_reports
+from repro.seeds import build_corpus
+from repro.solver.bitblast import BitBlaster
+from repro.solver.sat import SatSolver
 
 
 class TestProbes:
@@ -123,3 +127,59 @@ class TestReports:
     def test_row_rounding(self):
         report = CoverageReport("r", 12.345, 67.891, 0.049)
         assert report.row() == (12.3, 67.9, 0.0)
+
+
+class TestSatKernelProbes:
+    """Figure 11 counts fired probes: kernel speed-ups must not move them.
+
+    The expected set was recorded with the straightforward CDCL kernel
+    (per-literal ``add_clause``, linear branching scan); a faster kernel
+    that searches identically must fire exactly the same probes.
+    """
+
+    EXPECTED = {
+        "bitblast.check_bv",
+        "bitblast.sat",
+        "bitblast.unsat",
+        "sat.add_clause",
+        "sat.analyze",
+        "sat.propagate",
+        "sat.propagate.conflict",
+        "sat.propagate.moved_watch",
+        "sat.solve",
+        "sat.solve.assume",
+        "sat.solve.assumption_conflict",
+        "sat.solve.sat",
+        "sat.solve.toplevel_conflict:F",
+        "sat.solve.toplevel_conflict:T",
+    }
+
+    def test_bv_opfuzz_campaign_fires_the_recorded_kernel_probes(self):
+        corpora = {"QF_BV": build_corpus("QF_BV", scale=0.02, seed=0)}
+        with coverage_session("bv-opfuzz") as session:
+            run_campaign(
+                corpora,
+                iterations_per_cell=20,
+                seed=0,
+                performance_threshold=None,
+                solver_factory=deterministic_bv_solvers,
+                logic="QF_BV",
+                strategy="opfuzz",
+                triage=True,
+                incremental=True,
+            )
+        fired = {
+            probe
+            for probes in session.fired.values()
+            for probe in probes
+            if probe.startswith(("sat.", "bitblast."))
+        }
+        assert fired == self.EXPECTED
+
+    def test_gate_clauses_fire_add_clause(self):
+        sat = SatSolver()
+        blaster = BitBlaster(sat)
+        a, b = sat.new_var(), sat.new_var()
+        with coverage_session("gate") as session:
+            blaster._and(a, b)
+        assert session.fired["function"] == {"sat.add_clause"}

@@ -79,35 +79,47 @@ class BitBlaster:
     def false_lit(self):
         return -self.true_lit()
 
+    def _gate(self, clauses, distinct):
+        """Add a gate's clauses; ``distinct``: its inputs are distinct
+        variables, so every clause is already clean (see
+        :meth:`SatSolver.add_gate_clauses`)."""
+        if distinct:
+            self.sat.add_gate_clauses(clauses)
+        else:
+            for clause in clauses:
+                self.sat.add_clause(clause)
+
     def _and(self, a, b):
         out = self.sat.new_var()
-        self.sat.add_clause([-a, -b, out])
-        self.sat.add_clause([a, -out])
-        self.sat.add_clause([b, -out])
+        self._gate(([-a, -b, out], [a, -out], [b, -out]), a != b and a != -b)
         return out
 
     def _or(self, a, b):
         out = self.sat.new_var()
-        self.sat.add_clause([a, b, -out])
-        self.sat.add_clause([-a, out])
-        self.sat.add_clause([-b, out])
+        self._gate(([a, b, -out], [-a, out], [-b, out]), a != b and a != -b)
         return out
 
     def _xor(self, a, b):
         out = self.sat.new_var()
-        self.sat.add_clause([-a, -b, -out])
-        self.sat.add_clause([a, b, -out])
-        self.sat.add_clause([a, -b, out])
-        self.sat.add_clause([-a, b, out])
+        self._gate(
+            ([-a, -b, -out], [a, b, -out], [a, -b, out], [-a, b, out]),
+            a != b and a != -b,
+        )
         return out
 
     def _mux(self, sel, then_lit, else_lit):
         """A literal equal to ``then_lit`` when ``sel`` else ``else_lit``."""
         out = self.sat.new_var()
-        self.sat.add_clause([-sel, -then_lit, out])
-        self.sat.add_clause([-sel, then_lit, -out])
-        self.sat.add_clause([sel, -else_lit, out])
-        self.sat.add_clause([sel, else_lit, -out])
+        # No clause holds both data inputs, so only ``sel`` must differ.
+        self._gate(
+            (
+                [-sel, -then_lit, out],
+                [-sel, then_lit, -out],
+                [sel, -else_lit, out],
+                [sel, else_lit, -out],
+            ),
+            abs(sel) != abs(then_lit) and abs(sel) != abs(else_lit),
+        )
         return out
 
     def _full_adder(self, a, b, cin):

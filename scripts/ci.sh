@@ -40,7 +40,11 @@
 #      real CLI: a two-worker localhost fleet under tiny budgets, plus
 #      the fleet chaos soak, must merge to the byte-identical serial
 #      journal (the nightly slow lane re-runs the 4-worker shapes).
-#   9. QF_BV theory — the pluggable-theory path end-to-end through the
+#   9. QF_BV theory — the SAT kernel's pinned search trajectories
+#      (tests/test_sat_solver.py: conflicts, decisions, propagations and
+#      models on seeded CNF and bit-blasting instances must match their
+#      golden values, so a kernel change that moves the search fails in
+#      seconds), then the pluggable-theory path end-to-end through the
 #      real CLI: deterministic bit-vector campaigns (fusion and opfuzz,
 #      --triage --incremental) run serially and on a two-worker
 #      supervised process pool, and the journals must be byte-identical.
@@ -93,8 +97,8 @@ if compgen -G "$fleetdir/fleet.jsonl.shard-*" > /dev/null; then
 fi
 echo "fleet smoke OK: tcp journal byte-identical to serial"
 
-echo "== stage 9/9: QF_BV theory (bit-blasting campaign, serial vs process byte-identity) =="
-python -m pytest tests/test_theory_registry.py tests/test_bv_properties.py -q
+echo "== stage 9/9: QF_BV theory (pinned SAT search, bit-blasting campaign, serial vs process byte-identity) =="
+python -m pytest tests/test_sat_solver.py tests/test_theory_registry.py tests/test_bv_properties.py -q
 bvdir="$(mktemp -d)"
 trap 'rm -rf "$fleetdir" "$bvdir"' EXIT
 for strategy in fusion opfuzz; do

@@ -11,9 +11,12 @@ elimination, model guessing, incremental branch & bound, QuickXplain
 core shrinking) and the triage tier policy reclaim that wall clock.
 The ``fusion+triage`` row runs the same campaign with
 :class:`~repro.campaign.triage.TriagePolicy` routing on; the
-``fusion+triage+incremental`` row additionally turns on per-cell
-solver sessions (:mod:`repro.solver.session`) — warm SAT prototypes,
-theory-lemma memoization, per-iteration outcome dedup. The assertions
+``fusion+triage+incremental`` row additionally turns on incremental
+solving (:mod:`repro.solver.session`) — a per-cell warm SAT prototype
+and per-iteration outcome dedup over a theory memo. A campaign shares
+one theory memo across all its cells and opfuzz's oracle; this row
+runs a single ``YinYang.test`` cell, so its memo spans that cell
+only. The assertions
 at the bottom pin both headline claims: triaged fusion sustains at
 least ten times the 0.4 iter/s pre-triage pipeline, and incremental
 sessions at least double the ~7 iter/s triaged baseline — so a
@@ -117,8 +120,8 @@ def test_strategy_throughput(benchmark):
         "additionally fail-fasts the budget-burning nonlinear mutants "
         f"(fusion+triage: {triage_rate:.1f} iter/s, "
         f"{triage_rate / PRE_TRIAGE_BASELINE:.0f}x the pre-triage "
-        "pipeline), and per-cell solver sessions reuse the seed "
-        "encoding and theory lemmas across the mutant stream "
+        "pipeline), and solver sessions reuse the seed encoding "
+        "and memoized theory checks across the mutant stream "
         f"(fusion+triage+incremental: {incremental_rate:.1f} iter/s, "
         f"{incremental_rate / TRIAGED_BASELINE:.1f}x the triaged "
         "baseline). concatfuzz/opfuzz mutants stay as easy as their "

@@ -22,7 +22,10 @@
 #      full-budget verdict must survive tiering (verdict equivalence),
 #      and a fault-injected campaign must find the same bugs with
 #      triage on and off; incremental sessions must uphold the same
-#      three properties versus the cold loop.
+#      three properties versus the cold loop, and the campaign-scoped
+#      theory memo (shared by every cell and opfuzz's oracle) must be
+#      a pure replay: golden opfuzz journals, oracle verdicts and
+#      gensym positions unchanged, no leakage between campaigns.
 #   5. Fast lane — the full suite minus the soak/slow markers
 #      (see pyproject.toml; run the slow and chaos lanes nightly:
 #      `pytest -m slow` / `pytest -m chaos`).
@@ -65,8 +68,8 @@ python -m pytest tests/test_strategies.py -q -m "not slow"
 echo "== stage 3/9: telemetry determinism (journal byte-identity) =="
 python -m pytest tests/test_parallel_determinism.py -q -m "not slow"
 
-echo "== stage 4/9: triage + session determinism (verdict equivalence, bug-finding power) =="
-python -m pytest tests/test_triage.py tests/test_session.py -q -m "not slow"
+echo "== stage 4/9: triage + session determinism (verdict equivalence, bug-finding power, theory memo replay) =="
+python -m pytest tests/test_triage.py tests/test_session.py tests/test_theory_memo.py -q -m "not slow"
 
 echo "== stage 5/9: fast lane (full suite minus slow/chaos) =="
 python -m pytest -m "not slow and not chaos" -q

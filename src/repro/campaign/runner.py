@@ -34,7 +34,7 @@ sharding is invisible to the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.campaign.classify import collect_found_faults, found_fault_objects
 from repro.campaign.triage import TRIAGE_SPEC
@@ -51,7 +51,6 @@ from repro.robustness.journal import (
 from repro.robustness.supervisor import SupervisorPolicy
 from repro.solver.session import SESSION_SPEC
 from repro.solver.solver import ReferenceSolver, SolverConfig
-from repro.solver.strings import StringConfig
 from repro.strategies.registry import make_strategy
 
 #: The modes ``run_campaign`` accepts: ``YinYang.test``'s two plus the
@@ -74,18 +73,6 @@ def default_solvers(release="trunk", base_config=None):
     return [z3, cvc4]
 
 
-def _deterministic_config():
-    """:meth:`SolverConfig.fast` with the wall-clock deadline replaced by
-    tighter step-counted budgets (see :func:`deterministic_solvers`)."""
-    return replace(
-        SolverConfig.fast(),
-        timeout_seconds=0.0,
-        max_rounds=30,
-        nonlinear_budget=120,
-        strings=StringConfig(max_assignments=600, max_len_per_var=3, max_total_len=6),
-    )
-
-
 def deterministic_solvers(release="trunk"):
     """:func:`default_solvers` with all wall-clock dependence removed.
 
@@ -99,7 +86,7 @@ def deterministic_solvers(release="trunk"):
     ``--deterministic`` campaigns whose journals must be reproducible
     byte-for-byte across machines, modes and worker counts.
     """
-    return default_solvers(release=release, base_config=_deterministic_config())
+    return default_solvers(release=release, base_config=SolverConfig.deterministic())
 
 
 def bv_solvers(release="trunk", base_config=None):
@@ -122,7 +109,7 @@ def bv_solvers(release="trunk", base_config=None):
 def deterministic_bv_solvers(release="trunk"):
     """:func:`bv_solvers` with all wall-clock dependence removed (the
     QF_BV analogue of :func:`deterministic_solvers`)."""
-    return bv_solvers(release=release, base_config=_deterministic_config())
+    return bv_solvers(release=release, base_config=SolverConfig.deterministic())
 
 
 def solver_factory_for_logic(logic, deterministic=False):
@@ -349,16 +336,17 @@ def run_campaign(
     injects planned disconnects and seeded frame faults for recovery
     testing.
 
-    ``incremental=True`` switches on per-cell incremental solving: each
+    ``incremental=True`` switches on incremental solving: each
     cell/shard builds a
     :class:`~repro.solver.session.SolverSession` from its seed pool —
-    outcome/theory caches plus assumption-guarded warm SAT starts —
-    whose reuse is answer-invariant by construction, so journals stay
-    byte-identical across modes and worker counts (the journal records
-    the session spec; a resume refuses to mix incremental and cold
-    shards). ``False`` keeps the cold solve path and pre-session
-    journal bytes. A non-bool ``triage`` or ``incremental`` raises
-    :class:`TypeError`.
+    an outcome cache plus assumption-guarded warm SAT starts — over one
+    theory memo per campaign process (serial: the campaign; process or
+    tcp: each worker), which opfuzz's oracle shares too. All reuse is
+    answer-invariant by construction, so journals stay byte-identical
+    across modes and worker counts (the journal records the session
+    spec; a resume refuses to mix incremental and cold shards).
+    ``False`` keeps the cold solve path and pre-session journal bytes.
+    A non-bool ``triage`` or ``incremental`` raises :class:`TypeError`.
     """
     if mode not in CAMPAIGN_MODES:
         raise ValueError(f"mode must be one of {CAMPAIGN_MODES}, got {mode!r}")
@@ -451,6 +439,10 @@ def run_campaign(
         if isinstance(strategy, str)
         else strategy
     )
+    # One theory memo for the whole serial campaign: every cell's
+    # session and the strategy's oracle replay each other's theory
+    # checks (cells of different solvers draw the same mutants).
+    theory_memo = {} if incremental else None
     tools = {}
     for key, solver, seeds in remaining:
         tool = tools.get(key[0])
@@ -462,6 +454,7 @@ def run_campaign(
                 policy=policy,
                 telemetry=telemetry,
                 strategy=strategy_obj,
+                theory_memo=theory_memo,
             )
         report = tool.test(key[2], seeds, iterations=iterations_per_cell)
         _absorb_cell(result, key, report, journal, telemetry)

@@ -57,7 +57,8 @@ class YinYangConfig:
     triage: bool = False
     # Incremental solving: build one
     # :class:`~repro.solver.session.SolverSession` per cell/shard
-    # (outcome/theory caches, assumption-based warm SAT starts). Off is
+    # (outcome cache, assumption-based warm SAT starts) over one theory
+    # memo per campaign process, which opfuzz's oracle shares. Off is
     # the cold loop, byte-identical to the pre-session tool.
     incremental: bool = False
 

@@ -162,6 +162,10 @@ class _WorkerState:
         self.telemetry_config = spec.telemetry
         self.chaos_process = spec.chaos_process
         self.parse_cache = {}
+        # The worker's theory memo, shared by every lease it runs: a
+        # memo hit replays the miss exactly, so which worker ran which
+        # cell before cannot show in any journal byte.
+        self.theory_memo = {} if spec.config.incremental else None
         self.journal = None
         if spec.journal_path:
             from repro.robustness.journal import open_sidecar
@@ -242,6 +246,7 @@ def _run_shard(task):
             performance_threshold=state.performance_threshold,
             telemetry=telemetry,
             strategy=task.strategy,
+            theory_memo=state.theory_memo,
         )
         report = _run_leased(state, tool, task, scripts)
         telemetry_snapshot = telemetry.snapshot() if telemetry is not None else None

@@ -220,6 +220,12 @@ class YinYang:
     exceptions as harness-error bug records, and quarantine of solvers
     that crash repeatedly. Without a policy the loop behaves exactly as
     before (no guard overhead).
+
+    ``theory_memo`` is the campaign's theory memo (a dict): with
+    ``config.incremental`` on, every session this tool builds and the
+    strategy's oracle memoize theory checks in it. Campaigns pass one
+    memo to all their tools; ``None`` gives the tool its own. With
+    incremental off the tool builds no memo and ignores this argument.
     """
 
     def __init__(
@@ -230,6 +236,7 @@ class YinYang:
         policy=None,
         telemetry=None,
         strategy=None,
+        theory_memo=None,
     ):
         solvers = solvers if isinstance(solvers, (list, tuple)) else [solvers]
         if policy is not None:
@@ -263,6 +270,10 @@ class YinYang:
             from repro.campaign.triage import TriagePolicy
 
             self._triage = TriagePolicy()
+        self._theory_memo = None
+        if self.config.incremental:
+            self._theory_memo = {} if theory_memo is None else theory_memo
+        strategy.attach_theory_memo(self._theory_memo, self._tel)
 
     # -- Algorithm 1 -----------------------------------------------------
 
@@ -344,7 +355,8 @@ class YinYang:
 
         The session is seeded from the work item's scripts (for mixed
         fusion, both pools): those are the assertions every mutant of
-        the cell is built from, hence the reusable vocabulary.
+        the cell is built from, hence the reusable vocabulary. Its
+        theory checks go to the tool's theory memo.
         """
         if not self.config.incremental:
             return None
@@ -354,7 +366,9 @@ class YinYang:
 
         scripts = list(getattr(work, "scripts", ()) or ())
         scripts += list(getattr(work, "unsat_scripts", None) or ())
-        return SolverSession(scripts, telemetry=self._tel)
+        return SolverSession(
+            scripts, telemetry=self._tel, theory_memo=self._theory_memo
+        )
 
     def _run_prepared(self, strategy, work, indices, seed=None, session=None):
         """The shared shard loop: run ``indices`` of ``strategy`` over a

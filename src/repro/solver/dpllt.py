@@ -91,10 +91,10 @@ def check_assertions(
     behaviour to the pre-triage solver.
 
     ``session`` is an optional
-    :class:`~repro.solver.session.SolverSession`: the per-campaign-cell
-    incremental layer (outcome/theory caches, warm SAT starts under
-    assumption literals). With ``session=None`` the code path is the
-    plain cold solve, unchanged.
+    :class:`~repro.solver.session.SolverSession`: the incremental layer
+    (a per-cell outcome cache and warm SAT starts under assumption
+    literals, plus the campaign's shared theory memo). With
+    ``session=None`` the code path is the plain cold solve, unchanged.
     """
     function_probe("dpllt.check")
     original = list(assertions)

@@ -1,10 +1,11 @@
-"""Per-cell solver sessions: cross-iteration incremental solving.
+"""Solver sessions: cross-iteration incremental solving.
 
 Semantic fusion generates thousands of mutants from the *same* seed
 pool, yet every check used to rebuild Tseitin encodings, preprocessing
 and DPLL(T) search from scratch. A :class:`SolverSession` is scoped to
 one campaign cell (seed pool × strategy) and carries the state that is
-sound to reuse across that cell's mutant stream:
+sound to reuse across that cell's mutant stream, plus a handle on the
+campaign's theory memo:
 
 - an **outcome cache** keyed on the full argument tuple of a check
   (assertion terms, scaled budgets, flags). Unchanged-from-seed
@@ -17,12 +18,18 @@ sound to reuse across that cell's mutant stream:
   "this exact check already ran *this iteration*" — and the
   iteration scoping is what makes hits provably independent of how a
   campaign is sharded (no shard can see another iteration's entries).
-- a **theory-lemma cache**: ``_check_theory`` is a pure function of
-  its ordered literal list, budgets and seed (it draws no gensyms and
-  no ambient randomness), so memoizing it on the *ordered* tuple is
+- a **theory memo**: ``_check_theory`` is a pure function of its
+  ordered literal list, budgets and seed (it draws no gensyms and no
+  ambient randomness), so memoizing it on the *ordered* tuple is
   result-identical — a hit returns exactly what the miss would have
-  computed. This cache is the one that legitimately spans iterations:
-  mutants of the same seeds keep re-asserting the same theory atoms.
+  computed. The memo is not the session's own: it is a plain dict
+  scoped to the campaign process (serial: the whole campaign; a pool
+  or tcp worker: the worker's lifetime), shared by every cell's
+  session and by opfuzz's differential oracle. Cells of different
+  solvers draw the same mutants, and mutants of the same seeds keep
+  re-asserting the same theory atoms, so the repeats span cells as
+  well as iterations. It is never module state: two campaigns in one
+  process build two memos.
 - a **warm SAT prototype**: the cell's seed assertions, Tseitin-encoded
   once with a *selector* (assumption) variable guarding each
   assertion's root literal, then presolved under all selectors for a
@@ -44,14 +51,15 @@ Determinism: the prototype is built eagerly at session construction,
 inside its own fresh-name scope, from the seed scripts alone — a pure
 function of the cell — and a warm solve only ever clones it, so a warm
 solve is a pure function of ``(cell, mutant, directive)`` and shard
-partitioning cannot observe session state. The theory cache is a
-pure-function memo, and the outcome cache is iteration-scoped — all
-three are invisible to any partition of the iteration space.
+partitioning cannot observe session state. The theory memo is a
+pure-function memo, so how a fleet shape splits it between processes
+changes only its hit rate, and the outcome cache is iteration-scoped —
+all three are invisible to any partition of the iteration space.
 
 Verdict safety: a warm solve may only *add* definite verdicts. A warm
 ``sat`` is model-verified, a warm ``unsat`` is derived from the
 mutant's own assertions plus valid lemmas; a warm ``unknown`` falls
-back to the exact cold path (whose session theory-cache hits are
+back to the exact cold path (whose theory-memo hits are
 result-identical), so versus incremental-off no definite verdict can be
 lost or flipped — only ``unknown`` → definite improvements remain.
 
@@ -126,12 +134,17 @@ class SolverSession:
     prototype is built from their assertions immediately, inside a
     private fresh-name scope, so its content is a pure function of the
     cell regardless of when or on which shard the session is created.
+    An empty pool builds no prototype: such a session only memoizes.
+
+    ``theory_memo`` is the campaign's theory memo, a dict shared by
+    every session of the campaign process; ``None`` gives the session
+    a private one.
     """
 
-    def __init__(self, seed_scripts, telemetry=None):
+    def __init__(self, seed_scripts, telemetry=None, theory_memo=None):
         self.tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._outcome_cache = {}
-        self._theory_cache = {}
+        self._theory_memo = {} if theory_memo is None else theory_memo
         self._atom_memo = {}  # term -> frozenset of theory atoms
         self._proto = self._build_prototype(seed_scripts or [])
 
@@ -211,7 +224,7 @@ class SolverSession:
         """Current entry counts, for the telemetry gauges."""
         return {
             "outcome_cache": len(self._outcome_cache),
-            "theory_cache": len(self._theory_cache),
+            "theory_cache": len(self._theory_memo),
             "atom_memo": len(self._atom_memo),
         }
 
@@ -227,9 +240,12 @@ class SolverSession:
         self._outcome_cache.clear()
 
     def close(self):
-        """Drop every cache (a lease ends, the session dies with it)."""
+        """Drop the cell's caches (a lease ends, the session dies with it).
+
+        The theory memo is left alone: it belongs to the campaign scope
+        and keeps serving the other cells and the oracle.
+        """
         self._outcome_cache.clear()
-        self._theory_cache.clear()
         self._atom_memo.clear()
 
     # -- outcome cache -----------------------------------------------------
@@ -256,11 +272,11 @@ class SolverSession:
             OUTCOME_CACHE_CAP,
         )
 
-    # -- theory-lemma cache ------------------------------------------------
+    # -- theory memo -------------------------------------------------------
 
     def theory_lookup(self, literal_list, budget, seed, strings_key):
         key = (tuple(literal_list), budget, seed, strings_key)
-        hit = self._theory_cache.get(key)
+        hit = self._theory_memo.get(key)
         if hit is None:
             self.tel.count("session.theory.miss")
             return None
@@ -278,7 +294,7 @@ class SolverSession:
         if not cacheable:
             return
         key = (tuple(literal_list), budget, seed, strings_key)
-        self._bounded_put(self._theory_cache, key, result, THEORY_CACHE_CAP)
+        self._bounded_put(self._theory_memo, key, result, THEORY_CACHE_CAP)
 
     # -- warm solves -------------------------------------------------------
 

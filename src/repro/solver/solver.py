@@ -48,6 +48,21 @@ class SolverConfig:
         )
 
     @classmethod
+    def deterministic(cls):
+        """:meth:`fast` with the wall-clock deadline replaced by tighter
+        step-counted budgets: every check is bounded identically on
+        every machine, so verdicts cannot flip with load. The
+        configuration of ``--deterministic`` campaigns' solvers and of
+        opfuzz's reference oracle; both share one theory memo, whose
+        key includes these budgets."""
+        return cls(
+            max_rounds=30,
+            nonlinear_budget=120,
+            timeout_seconds=0.0,
+            strings=StringConfig(max_assignments=600, max_len_per_var=3, max_total_len=6),
+        )
+
+    @classmethod
     def thorough(cls):
         """A higher-budget configuration for offline validation."""
         return cls(

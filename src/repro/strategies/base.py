@@ -114,6 +114,14 @@ class MutationStrategy:
         """
         raise NotImplementedError
 
+    def attach_theory_memo(self, memo, telemetry=NULL_TELEMETRY):
+        """Hand the strategy the campaign's theory memo (a dict, or
+        ``None`` when incremental solving is off).
+
+        Only strategies that solve while mutating (a differential
+        oracle) use it; the default ignores it.
+        """
+
     def expected_oracle(self, work):
         """The expected verdict for mutants of ``work``.
 

@@ -25,14 +25,21 @@ no randomness, so shard partitions and worker counts still reproduce
 bit-for-bit. Mutants the reference cannot decide carry an empty oracle
 and are skipped (counted as unknowns).
 
+With incremental solving on, the oracle solves through a session that
+holds the campaign's theory memo and nothing else: no warm prototype,
+and an outcome cache cleared before every solve. Theory checks are pure
+functions of their arguments, so a memo hit replays the miss exactly
+and the oracle's verdicts stay the cold reference's verdicts. The
+cells of every solver under test draw the same mutants (each runs the
+same ``iteration_rng`` stream over the same seed pool), so most of the
+oracle's theory checks are repeats the memo answers.
+
 Occurrences are counted in *tree* preorder (a shared DAG node occurring
 twice is two occurrences), skipping quantifier bodies; unmutated
 subtrees keep their interned identity, so sharing survives the rewrite.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from repro.errors import MutationError
 from repro.observability.telemetry import NULL_TELEMETRY
@@ -107,6 +114,7 @@ class OpFuzzStrategy(MutationStrategy):
         # Accepts (and ignores) a FusionConfig for registry uniformity.
         self.config = config
         self._oracle_solver = None
+        self._oracle_session = None
 
     def theories(self):
         """Operator mutation needs replacement candidates: only theories
@@ -129,33 +137,43 @@ class OpFuzzStrategy(MutationStrategy):
     def _reference(self):
         """The deterministic reference solver (built lazily, cached).
 
-        Mirrors :func:`repro.campaign.runner.deterministic_solvers`'
-        base configuration: wall-clock deadline off, purely step-counted
-        budgets — the same verdict on every machine, mode, and worker
-        count, which is what keeps the differential oracle shard-safe.
+        Runs :meth:`SolverConfig.deterministic`, the base configuration
+        of :func:`repro.campaign.runner.deterministic_solvers`:
+        wall-clock deadline off, purely step-counted budgets — the same
+        verdict on every machine, mode, and worker count, which is what
+        keeps the differential oracle shard-safe.
         """
         if self._oracle_solver is None:
             from repro.solver.solver import ReferenceSolver, SolverConfig
-            from repro.solver.strings import StringConfig
 
-            config = replace(
-                SolverConfig.fast(),
-                timeout_seconds=0.0,
-                max_rounds=30,
-                nonlinear_budget=120,
-                strings=StringConfig(
-                    max_assignments=600, max_len_per_var=3, max_total_len=6
-                ),
-            )
-            self._oracle_solver = ReferenceSolver(config)
+            self._oracle_solver = ReferenceSolver(SolverConfig.deterministic())
         return self._oracle_solver
+
+    def attach_theory_memo(self, memo, telemetry=NULL_TELEMETRY):
+        """Solve the oracle through the campaign's theory memo.
+
+        The oracle's session is built from no seeds, so it has no warm
+        prototype; ``memo=None`` restores the plain cold solve.
+        """
+        self._oracle_session = None
+        if memo is not None:
+            from repro.solver.session import SolverSession
+
+            self._oracle_session = SolverSession(
+                (), telemetry=telemetry, theory_memo=memo
+            )
 
     def resolve_oracle(self, script, tel=NULL_TELEMETRY):
         """Ground truth for one mutant: ``"sat"``/``"unsat"``, or ``""``
         when the reference cannot decide (the mutant is then skipped)."""
+        session = self._oracle_session
         with tel.phase("oracle"):
+            if session is not None:
+                # Outcomes stay scoped to one solve: a hit would skip
+                # the preprocess, and with it the gensyms it draws.
+                session.begin_iteration()
             try:
-                outcome = self._reference().check_script(script)
+                outcome = self._reference().check_script(script, session=session)
             except SolverCrash:
                 return ""
         result = outcome.result

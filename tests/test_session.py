@@ -188,12 +188,18 @@ class TestOutcomeCache:
         assert session.lookup_outcome("k") is None
         assert session.theory_lookup(["a"], 1, 0, None) is not None
 
-    def test_close_drops_everything(self):
-        session = _empty_session()
+    def test_close_keeps_the_theory_memo(self):
+        # The outcome cache and the atom memo die with the cell's
+        # session; the theory memo is the campaign's and outlives it.
+        memo = {}
+        session = SolverSession([], theory_memo=memo)
         session.store_outcome("k", CheckOutcome(SolverResult.SAT))
         session.theory_store(["a"], 1, 0, None, ("sat", None, None), True)
         session.close()
-        assert all(size == 0 for size in session.cache_sizes().values())
+        sizes = session.cache_sizes()
+        assert sizes["outcome_cache"] == sizes["atom_memo"] == 0
+        later = SolverSession([], theory_memo=memo)
+        assert later.theory_lookup(["a"], 1, 0, None) is not None
 
 
 class TestTheoryCache:

@@ -97,7 +97,7 @@ def test_supervised_loop_overhead(benchmark):
     call merged at the end. All of it must stay inside the same
     **< 5%** budget as the guard — supervision is always on, so it has
     to be affordable. Measured in-process (a pool's spawn cost would
-    only add noise): alternating leased ``_run_shard`` runs with plain
+    only add noise): alternating leased ``run_worker_task`` runs with plain
     ``YinYang.run_iterations`` over the same indices on the same
     solvers, overhead = median per-round time ratio.
     """
@@ -107,44 +107,38 @@ def test_supervised_loop_overhead(benchmark):
 
     from repro.campaign.runner import deterministic_solvers
     from repro.core import parallel
-    from repro.core.parallel import ShardTask, WorkerSpec, _init_worker, _run_shard
-    from repro.core.parallel import serialize_seeds
+    from repro.core.config import CampaignSpec
+    from repro.core.parallel import (
+        ShardTask,
+        install_worker_state,
+        run_worker_task,
+        serialize_seeds,
+    )
 
     corpus = build_corpus("QF_S", scale=0.0015, seed=5)
     texts, logics = serialize_seeds(corpus.by_oracle("sat"))
-    spec = WorkerSpec(
-        solver_factory=deterministic_solvers,
+    spec = CampaignSpec(
         config=YinYangConfig(seed=6),
+        iterations_per_cell=12,
+        solver_factory=deterministic_solvers,
+        mode="process",
     )
-    _init_worker(spec)
-    base = ShardTask(
-        oracle="sat",
-        seed_texts=texts,
-        logics=logics,
-        iterations=12,
-        shard=0,
-        of=1,
-        seed=6,
-        strategy="fusion",
-    )
+    install_worker_state(spec)
+    base = ShardTask(oracle="sat", seed_texts=texts, logics=logics, shard=0)
     state = parallel._STATE
-    kernel = YinYang(state.solvers, config=spec.config, strategy=base.strategy)
+    kernel = YinYang(state.solvers, config=spec.config, strategy=spec.strategy)
     scripts = state.scripts_for(base.seed_texts)
     rounds = 10
 
     def run_kernel():
         kernel.run_iterations(
-            base.oracle,
-            scripts,
-            list(base.logics),
-            range(base.iterations),
-            seed=base.seed,
+            base.oracle, scripts, list(base.logics), range(spec.iterations_per_cell)
         )
 
     def measure():
         with tempfile.TemporaryDirectory() as tmp:
             # Warmup: parse cache, strategy prepare.
-            _run_shard(dc_replace(base, lease_id=0, heartbeat_dir=tmp))
+            run_worker_task(dc_replace(base, lease_id=0, heartbeat_dir=tmp))
             run_kernel()
             kernel_times, leased_times = [], []
             for index in range(rounds):
@@ -156,7 +150,7 @@ def test_supervised_loop_overhead(benchmark):
                     # measure skipping the work, not doing it.
                     progress_path=os.path.join(tmp, f"round-{index}.jsonl"),
                 )
-                arms = [("kernel", run_kernel), ("leased", lambda: _run_shard(leased))]
+                arms = [("kernel", run_kernel), ("leased", lambda: run_worker_task(leased))]
                 if index % 2:
                     arms.reverse()
                 for label, run in arms:
@@ -171,8 +165,8 @@ def test_supervised_loop_overhead(benchmark):
     kernel_times, leased_times = once(benchmark, measure)
     ratios = [s / b for s, b in zip(leased_times, kernel_times)]
     overhead = statistics.median(ratios) - 1.0
-    kernel_rate = rounds * base.iterations / sum(kernel_times)
-    leased_rate = rounds * base.iterations / sum(leased_times)
+    kernel_rate = rounds * spec.iterations_per_cell / sum(kernel_times)
+    leased_rate = rounds * spec.iterations_per_cell / sum(leased_times)
 
     emit(
         "supervised_pool_overhead",

@@ -9,7 +9,9 @@
 #      streams), the campaign core must stay strategy-agnostic (no
 #      fusion/concatfuzz imports in yinyang.py), pool executors
 #      may only appear in core/parallel.py (every multi-worker run is
-#      a supervised lease; no second, bare pool path), and every
+#      a supervised lease; no second, bare pool path), Supervisor and
+#      ShardTask are only built by distributed/coordinator.py (plus the
+#      wire codec for tasks: one lease planner), and every
 #      check_script takes directive and session parameters (one call
 #      shape through every solver layer).
 #   2. Strategy determinism — the default fusion strategy must
@@ -58,7 +60,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core, one pool path, one check_script shape) =="
+echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core, one pool path, one lease planner, one check_script shape) =="
 python -m pytest tests/test_ast_lint.py \
     "tests/test_observability.py::TestHotPathHygiene" -q
 

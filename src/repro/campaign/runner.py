@@ -11,9 +11,12 @@ solvers; ``run_campaign`` therefore accepts a
 and a :class:`~repro.robustness.journal.CampaignJournal` (crash-safe
 per-cell journaling with ``resume=True`` skipping completed cells).
 
-Campaigns run in one of three execution modes:
+``run_campaign`` validates its keyword arguments once, into a frozen
+:class:`~repro.core.config.CampaignSpec`, and hands only the spec
+down. Campaigns run in one of three execution modes:
 
-- ``serial`` — one process, one thread (the default);
+- ``serial`` — one process, one thread (the default), on the
+  in-process kernel;
 - ``process`` — each cell's iterations sharded over a persistent
   spawn-safe worker pool (:mod:`repro.core.parallel`): per-worker
   solver instances, parse caches, and crash-safe sidecar journals the
@@ -37,8 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.campaign.classify import collect_found_faults, found_fault_objects
-from repro.campaign.triage import TRIAGE_SPEC
-from repro.core.config import FusionConfig, YinYangConfig
+from repro.core.config import CampaignSpec, FusionConfig, YinYangConfig
 from repro.core.yinyang import YinYang
 from repro.faults.catalog import bv_fault_catalog, cvc4_like_catalog, z3_like_catalog
 from repro.faults.faulty_solver import FaultySolver
@@ -48,15 +50,8 @@ from repro.robustness.journal import (
     load_sidecar_shards,
     remove_sidecars,
 )
-from repro.robustness.supervisor import SupervisorPolicy
-from repro.solver.session import SESSION_SPEC
 from repro.solver.solver import ReferenceSolver, SolverConfig
 from repro.strategies.registry import make_strategy
-
-#: The modes ``run_campaign`` accepts: ``YinYang.test``'s two plus the
-#: distributed socket fleet (campaign-level only — a fleet needs the
-#: campaign's lease machinery).
-CAMPAIGN_MODES = ("serial", "process", "tcp")
 
 
 def default_solvers(release="trunk", base_config=None):
@@ -297,10 +292,9 @@ def run_campaign(
     snapshots, exactly like sidecar journals.
 
     ``strategy`` selects the mutation workload by registry name
-    (``"fusion"``, ``"concatfuzz"``, ``"opfuzz"``, ...) or as a ready
-    :class:`~repro.strategies.base.MutationStrategy` instance; the
-    journal records it (non-default strategies only, to keep fusion
-    journal bytes stable) and a resume refuses to mix strategies.
+    (``"fusion"``, ``"concatfuzz"``, ``"opfuzz"``, ...); the journal
+    records it (non-default strategies only, to keep fusion journal
+    bytes stable) and a resume refuses to mix strategies.
 
     Process and tcp campaigns always run under the self-healing
     coordinator: dead or hung workers are respawned, their shard leases
@@ -313,8 +307,7 @@ def run_campaign(
     :class:`~repro.robustness.containment.ContainmentPolicy`) applies
     rlimits inside every worker; ``chaos_process`` (a
     :class:`~repro.robustness.chaos.ProcessChaos`) injects planned
-    worker-level faults for recovery testing. All three only act at
-    the worker boundary, so serial campaigns do not consult them.
+    worker-level faults for recovery testing.
 
     ``triage=True`` routes each mutant to a solve-budget tier before
     checking (:class:`~repro.campaign.triage.TriagePolicy`). Routing is
@@ -346,30 +339,46 @@ def run_campaign(
     across modes and worker counts (the journal records the session
     spec; a resume refuses to mix incremental and cold shards).
     ``False`` keeps the cold solve path and pre-session journal bytes.
-    A non-bool ``triage`` or ``incremental`` raises :class:`TypeError`.
+
+    Every argument but ``corpora``, ``solvers``, ``journal``,
+    ``resume`` and ``telemetry`` goes into one frozen
+    :class:`~repro.core.config.CampaignSpec`, validated before any
+    work starts. It raises :class:`~repro.errors.CampaignSpecError` (a
+    :class:`ValueError`) for an unknown ``mode``, ``workers < 1``, a
+    process or tcp campaign without a ``solver_factory`` (when
+    ``solvers`` is given), and any setting the chosen mode would
+    ignore: ``workers > 1``, ``supervise``, ``containment`` or
+    ``chaos_process`` in a serial campaign, and ``steal_seed``,
+    ``listen``, ``spawn_workers`` or ``net_chaos`` outside tcp. A
+    ``supervise`` that is not a ``SupervisorPolicy``, a strategy that
+    is not a registry name, and a non-bool ``triage`` or
+    ``incremental`` raise :class:`TypeError`.
     """
-    if mode not in CAMPAIGN_MODES:
-        raise ValueError(f"mode must be one of {CAMPAIGN_MODES}, got {mode!r}")
-    if supervise is not None and not isinstance(supervise, SupervisorPolicy):
-        raise TypeError(
-            f"supervise must be a SupervisorPolicy or None, got {supervise!r}"
-        )
-    if net_chaos is not None and mode != "tcp":
-        raise ValueError("net_chaos needs mode='tcp': it faults the wire")
-    config = YinYangConfig(
-        fusion=fusion_config or FusionConfig(),
-        seed=seed,
-        triage=triage,
-        incremental=incremental,
+    if solver_factory is None and solvers is None:
+        solver_factory = default_solvers
+    spec = CampaignSpec(
+        config=YinYangConfig(
+            fusion=fusion_config or FusionConfig(),
+            seed=seed,
+            triage=triage,
+            incremental=incremental,
+        ),
+        iterations_per_cell=iterations_per_cell,
+        strategy=strategy,
+        logic=logic,
+        performance_threshold=performance_threshold,
+        policy=policy,
+        solver_factory=solver_factory,
+        mode=mode,
+        workers=workers,
+        supervise=supervise,
+        containment=containment,
+        chaos_process=chaos_process,
+        steal_seed=steal_seed,
+        listen=listen,
+        spawn_workers=spawn_workers,
+        net_chaos=net_chaos,
     )
-    workers = max(1, workers)
-    strategy_name = strategy if isinstance(strategy, str) else strategy.name
-    if mode != "serial" and solver_factory is None and solvers is not None:
-        raise ValueError(
-            f"{mode} mode needs solver_factory (a picklable callable); "
-            "live solver objects cannot be shipped to worker processes"
-        )
-    solver_factory = solver_factory or default_solvers
     if solvers is None:
         solvers = solver_factory()
     if journal is not None and not isinstance(journal, CampaignJournal):
@@ -382,18 +391,15 @@ def run_campaign(
         },
         mode=mode,
         workers=workers,
-        strategy=strategy_name,
-    )
-    journal_meta, sidecar_meta = _campaign_meta(
-        config, iterations_per_cell, strategy_name, logic, workers
+        strategy=strategy,
     )
     completed = {}
     if journal is not None:
         if triage:
             # The split counters ride every cell report of a triage run.
             journal.unknown_split = True
-        journal.ensure_meta(**journal_meta)
-        journal.ensure_strategy(strategy_name)
+        journal.ensure_meta(**spec.describe()[0])
+        journal.ensure_strategy(strategy)
         if resume:
             completed = journal.completed_cells()
     cells = _campaign_cells(solvers, corpora)
@@ -406,39 +412,13 @@ def run_campaign(
             _absorb_cell(result, key, completed[key], journal=None)
         else:
             remaining.append((key, solver, seeds))
-    if mode in ("process", "tcp"):
-        _run_cells_supervised(
-            result,
-            remaining,
-            config=config,
-            iterations_per_cell=iterations_per_cell,
-            performance_threshold=performance_threshold,
-            policy=policy,
-            solver_factory=solver_factory,
-            journal=journal,
-            resume=resume,
-            workers=workers,
-            telemetry=telemetry,
-            strategy=strategy_name,
-            sidecar_meta=sidecar_meta,
-            supervise=supervise,
-            containment=containment,
-            chaos_process=chaos_process,
-            mode=mode,
-            steal_seed=steal_seed,
-            listen=listen,
-            spawn_workers=spawn_workers,
-            net_chaos=net_chaos,
-        )
+    if mode != "serial":
+        _run_cells_supervised(result, remaining, spec, journal, resume, telemetry)
         return result
     # One strategy instance shared across all cells and solvers: its
     # caches (e.g. opfuzz's reference solver) keep earning, and mutants
     # stay a pure function of (strategy, seed, index) regardless.
-    strategy_obj = (
-        make_strategy(strategy_name, config.fusion)
-        if isinstance(strategy, str)
-        else strategy
-    )
+    strategy_obj = make_strategy(strategy, spec.config.fusion)
     # One theory memo for the whole serial campaign: every cell's
     # session and the strategy's oracle replay each other's theory
     # checks (cells of different solvers draw the same mutants).
@@ -449,7 +429,7 @@ def run_campaign(
         if tool is None:
             tool = tools[key[0]] = YinYang(
                 solver,
-                config,
+                spec.config,
                 performance_threshold=performance_threshold,
                 policy=policy,
                 telemetry=telemetry,
@@ -461,147 +441,28 @@ def run_campaign(
     return result
 
 
-def _campaign_meta(config, iterations_per_cell, strategy, logic, workers):
-    """The campaign parameters a journal and its sidecars are stamped
-    with: ``(journal_meta, sidecar_meta)``.
-
-    Opt-in features (triage, incremental sessions, a logic restriction)
-    stamp their spec only when on, so default-campaign journal bytes
-    stay stable while a resume that would mix budgets, warm and cold
-    shards, or catalogs mismatches and is refused. Fusion journals
-    predate strategies and omit the strategy key. Sidecars are
-    transient (removed once the campaign lands in the main journal), so
-    they always carry the strategy, plus the worker count their shard
-    partition depends on.
-    """
-    meta = {"seed": config.seed, "iterations_per_cell": iterations_per_cell}
-    if config.triage:
-        meta["triage"] = TRIAGE_SPEC
-    if config.incremental:
-        meta["incremental"] = SESSION_SPEC
-    if logic:
-        meta["logic"] = logic
-    sidecar_meta = dict(meta, strategy=strategy, workers=workers)
-    if strategy != "fusion":
-        meta["strategy"] = strategy
-    return meta, sidecar_meta
-
-
-def _run_cells_supervised(
-    result,
-    remaining,
-    config,
-    iterations_per_cell,
-    performance_threshold,
-    policy,
-    solver_factory,
-    journal,
-    resume,
-    workers,
-    telemetry,
-    strategy,
-    sidecar_meta,
-    supervise,
-    containment,
-    chaos_process,
-    mode,
-    steal_seed,
-    listen,
-    spawn_workers,
-    net_chaos,
-):
+def _run_cells_supervised(result, remaining, spec, journal, resume, telemetry):
     """Run the remaining cells as supervised shard leases.
 
-    Builds the lease backend for ``mode`` — the in-process
-    :class:`~repro.core.parallel.SupervisedPoolBackend` or a socket
-    :class:`~repro.distributed.endpoint.TcpFleet` — and hands the cell
-    loop to the :class:`~repro.distributed.coordinator.Coordinator`:
-    one supervisor spans the campaign (restart budget and counters are
+    The :class:`~repro.distributed.coordinator.Coordinator` builds the
+    lease backend for ``spec.mode`` and drives the cell loop: one
+    supervisor spans the campaign (restart budget and counters are
     campaign-global), cells run one at a time in canonical order (each
-    sharded ``workers`` ways) and are journaled exactly as a serial run
-    would, each shard's checkpoints live in a lease progress file next
-    to the journal, and a lease re-executed after a worker death
-    replays its completed iterations — the merged cell report, and
-    therefore the journal, matches a failure-free run byte for byte.
-    Poisoned iterations are journaled as ``poison`` entries and
+    sharded ``spec.workers`` ways) and are journaled exactly as a
+    serial run would, each shard's checkpoints live in a lease progress
+    file next to the journal, and a lease re-executed after a worker
+    death replays its completed iterations — the merged cell report,
+    and therefore the journal, matches a failure-free run byte for
+    byte. Poisoned iterations are journaled as ``poison`` entries and
     collected on ``result.poisoned``.
     """
-    from repro.core.parallel import (
-        SupervisedPoolBackend,
-        WorkerSpec,
-        reconstruct_iteration_script,
-    )
     from repro.distributed.coordinator import Coordinator
 
     partials = {}
     if journal is not None and resume:
-        partials = load_sidecar_shards(journal.path, sidecar_meta)
-    spec = WorkerSpec(
-        solver_factory=solver_factory,
-        config=config,
-        performance_threshold=performance_threshold,
-        policy=policy,
-        # tcp workers never see the journal's host path — the
-        # coordinator records fleet shards in its own sidecar instead.
-        journal_path=(
-            journal.path if journal is not None and mode == "process" else None
-        ),
-        journal_meta=sidecar_meta if mode == "process" else {},
-        telemetry=telemetry.config() if telemetry is not None else None,
-        containment=containment,
-        chaos_process=chaos_process,
-    )
-
-    def poison_artifact(task, index):
-        return reconstruct_iteration_script(
-            config,
-            task.strategy,
-            task.oracle,
-            task.seed_texts,
-            task.logics,
-            task.seed,
-            index,
-        )
-
-    def on_poison(record):
-        if journal is not None and record.cell is not None:
-            journal.record_poison(tuple(record.cell), record.as_dict())
-
-    if mode == "tcp":
-        from repro.distributed.endpoint import TcpFleet
-
-        backend = TcpFleet(
-            workers,
-            spec,
-            listen=listen or ("127.0.0.1", 0),
-            steal_seed=steal_seed,
-            spawn_workers=spawn_workers,
-            net_chaos=net_chaos,
-            telemetry=telemetry,
-        )
-    else:
-        backend = SupervisedPoolBackend(workers, spec)
-    with backend:
-        coordinator = Coordinator(
-            backend,
-            policy=supervise,
-            containment=containment,
-            telemetry=telemetry,
-            poison_artifact=poison_artifact,
-            on_poison=on_poison,
-        )
-        coordinator.run_cells(
-            result,
-            remaining,
-            spec=spec,
-            iterations_per_cell=iterations_per_cell,
-            journal=journal,
-            partials=partials,
-            workers=workers,
-            strategy=strategy,
-            sidecar_meta=sidecar_meta,
-            fleet_sidecar=(mode == "tcp"),
-        )
+        partials = load_sidecar_shards(journal.path, spec.describe()[1])
+    with Coordinator(spec, journal, telemetry) as coordinator:
+        coordinator.run_cells(result, remaining, partials)
     if journal is not None:
         # Every cell is durably in the main journal now; the sidecar
         # partials and lease checkpoints have served their purpose.

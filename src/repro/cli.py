@@ -26,6 +26,7 @@ import sys
 from repro.core.config import FusionConfig, YinYangConfig
 from repro.core.fusion import fuse_scripts
 from repro.core.yinyang import YinYang
+from repro.errors import CampaignSpecError
 from repro.faults.catalog import catalog_for
 from repro.faults.faulty_solver import FaultySolver
 from repro.seeds import build_corpus
@@ -354,29 +355,34 @@ def _cmd_campaign(args):
         from repro.distributed import parse_net_chaos
 
         net_chaos = parse_net_chaos(args.net_chaos)
-    result = run_campaign(
-        corpora,
-        iterations_per_cell=args.iterations,
-        seed=args.seed,
-        performance_threshold=performance_threshold,
-        policy=_policy_from_args(args),
-        journal=args.journal,
-        resume=args.resume,
-        mode=args.mode,
-        workers=args.workers,
-        solver_factory=solver_factory,
-        telemetry=telemetry,
-        strategy=args.strategy,
-        supervise=supervise,
-        containment=containment,
-        triage=args.triage,
-        incremental=args.incremental,
-        logic=logic,
-        steal_seed=args.steal_seed,
-        listen=listen,
-        spawn_workers=args.spawn_workers,
-        net_chaos=net_chaos,
-    )
+    try:
+        result = run_campaign(
+            corpora,
+            iterations_per_cell=args.iterations,
+            seed=args.seed,
+            performance_threshold=performance_threshold,
+            policy=_policy_from_args(args),
+            journal=args.journal,
+            resume=args.resume,
+            mode=args.mode,
+            workers=args.workers,
+            solver_factory=solver_factory,
+            telemetry=telemetry,
+            strategy=args.strategy,
+            supervise=supervise,
+            containment=containment,
+            triage=args.triage,
+            incremental=args.incremental,
+            logic=logic,
+            steal_seed=args.steal_seed,
+            listen=listen,
+            spawn_workers=args.spawn_workers,
+            net_chaos=net_chaos,
+        )
+    except CampaignSpecError as exc:
+        # Raised before any work: flags the chosen --mode would ignore.
+        print(f"campaign: {exc}", file=sys.stderr)
+        return 2
     print(result.summary())
     _finish_telemetry(telemetry, args)
     shard_table = render_shard_table(result)

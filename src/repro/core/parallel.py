@@ -7,9 +7,13 @@ module shards the iteration index space across a persistent
 ``multiprocessing`` pool (spawn start method, so it is safe under any
 embedding):
 
-- each worker process builds its **own solver instances** once, from a
-  picklable ``solver_factory`` (live solvers hold locks and caches and
-  must not cross the spawn boundary);
+- each worker process receives the campaign's frozen
+  :class:`~repro.core.config.CampaignSpec` once, at startup, and every
+  lease it then runs carries only what differs per lease (the cell's
+  seeds, the shard, the lease bookkeeping);
+- each worker process builds its **own solver instances** once, from
+  the spec's picklable ``solver_factory`` (live solvers hold locks and
+  caches and must not cross the spawn boundary);
 - each worker keeps a **parse cache** for seed formulas: seeds travel
   to workers as SMT-LIB text and are parsed (which typechecks — the
   parser validates sorts as it goes) at most once per worker, no
@@ -56,7 +60,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.yinyang import YinYang, merge_shard_reports, shard_indices
 
@@ -66,50 +70,23 @@ def _spawn_context():
 
 
 @dataclass(frozen=True)
-class WorkerSpec:
-    """Everything a worker process needs to build its world.
-
-    Shipped once per worker at pool start; must stay picklable.
-    ``journal_meta`` carries the campaign parameters stamped into each
-    sidecar journal so a resume can tell matching partials from stale
-    ones.
-    """
-
-    solver_factory: object
-    config: object  # YinYangConfig
-    performance_threshold: float | None = None
-    policy: object = None  # ResiliencePolicy | None
-    journal_path: str | None = None
-    journal_meta: dict = field(default_factory=dict)
-    # A TelemetryConfig (picklable) — live registries must not cross
-    # the spawn boundary; each worker builds its own Telemetry and
-    # ships per-shard snapshots back with its results.
-    telemetry: object = None
-    # A ContainmentPolicy the worker applies to itself (setrlimit) at
-    # startup, and a ProcessChaos fault plan for supervised tests —
-    # both picklable, both optional.
-    containment: object = None
-    chaos_process: object = None
-
-
-@dataclass(frozen=True)
 class ShardTask:
-    """One shard of one cell: iterations ``range(shard, iterations, of)``."""
+    """One lease of one cell: shard ``shard`` of the cell's iterations.
+
+    The campaign constants (seed, strategy, iterations per cell, shard
+    count) are not here: the worker reads them from its
+    :class:`~repro.core.config.CampaignSpec`, which it receives once.
+    A root lease runs ``range(shard, spec.iterations_per_cell,
+    spec.workers)``.
+    """
 
     oracle: str
     seed_texts: tuple
     logics: tuple
-    iterations: int
     shard: int
-    of: int
-    seed: int
     cell: tuple | None = None  # (solver, family, oracle) for journaling
     solver_names: tuple | None = None  # None = all of the worker's solvers
     quarantined: tuple = ()  # names to pre-quarantine (cross-worker breaker)
-    # The mutation strategy's registry name: strategies cross the spawn
-    # boundary by name (live instances may hold caches/solver handles);
-    # the worker rebuilds the instance from name + config.
-    strategy: str = "fusion"
     # Lease fields (stamped by the Supervisor). ``indices`` overrides
     # the strided index set — bisected child leases carry an explicit
     # slice of the parent shard's iterations. ``lease_id`` names the
@@ -139,13 +116,14 @@ def serialize_seeds(seeds):
 # Worker side
 # ---------------------------------------------------------------------------
 
-_STATE = None  # per-process _WorkerState, set by _init_worker
+_STATE = None  # per-process _WorkerState, set by install_worker_state
 
 
 class _WorkerState:
     """What one worker process owns for its whole lifetime."""
 
-    def __init__(self, spec):
+    def __init__(self, spec, journal_path, telemetry):
+        self.spec = spec
         solvers = spec.solver_factory()
         solvers = list(solvers) if isinstance(solvers, (list, tuple)) else [solvers]
         if spec.policy is not None:
@@ -157,21 +135,18 @@ class _WorkerState:
             ]
         self.solvers = solvers
         self.by_name = {s.name: s for s in solvers}
-        self.config = spec.config
-        self.performance_threshold = spec.performance_threshold
-        self.telemetry_config = spec.telemetry
-        self.chaos_process = spec.chaos_process
+        self.telemetry_config = telemetry
         self.parse_cache = {}
         # The worker's theory memo, shared by every lease it runs: a
         # memo hit replays the miss exactly, so which worker ran which
         # cell before cannot show in any journal byte.
         self.theory_memo = {} if spec.config.incremental else None
         self.journal = None
-        if spec.journal_path:
+        if journal_path:
             from repro.robustness.journal import open_sidecar
 
             self.journal = open_sidecar(
-                spec.journal_path, os.getpid(), spec.journal_meta
+                journal_path, os.getpid(), spec.describe()[1]
             )
 
     def scripts_for(self, seed_texts):
@@ -187,42 +162,41 @@ class _WorkerState:
         return scripts
 
 
-def _init_worker(spec):
-    global _STATE
-    if spec.containment is not None:
-        # Before anything else allocates: the rlimits bound the whole
-        # worker lifetime, solver construction included.
-        spec.containment.apply()
-    _STATE = _WorkerState(spec)
-
-
-def install_worker_state(spec):
-    """Adopt the calling process as a campaign worker (the backend seam).
+def install_worker_state(spec, journal_path=None, telemetry=None):
+    """Adopt the calling process as a worker of campaign ``spec``.
 
     Pool children get here via the executor's initializer; a socket
     fleet worker (:mod:`repro.distributed.worker`) calls it directly
     after receiving its spec frame. Either way the process ends up with
     the same :class:`_WorkerState` — same solvers, caches, containment
     — so every transport runs leases through identical machinery.
+    Besides the spec, a worker needs only what it cannot derive from
+    it: ``journal_path``, the journal whose pid sidecar it appends
+    completed shards to (pool workers of a journaled campaign only),
+    and ``telemetry``, a picklable
+    :class:`~repro.observability.telemetry.TelemetryConfig` (live
+    registries must not cross the spawn boundary; each shard builds its
+    own Telemetry and ships a snapshot back with its results).
     """
-    _init_worker(spec)
+    global _STATE
+    if spec.containment is not None:
+        # Before anything else allocates: the rlimits bound the whole
+        # worker lifetime, solver construction included.
+        spec.containment.apply()
+    _STATE = _WorkerState(spec, journal_path, telemetry)
 
 
 def run_worker_task(task):
-    """Execute one :class:`ShardTask` against the installed worker state.
+    """Run one :class:`ShardTask` lease in this worker; return its payload.
 
-    The public name for :func:`_run_shard`, for callers outside the
-    executor (tcp fleet workers). The returned payload is JSON-clean:
-    it crosses pickling pipes and socket frames identically.
+    The entry point of pool children and tcp fleet workers alike. The
+    payload is JSON-clean: it crosses pickling pipes and socket frames
+    identically.
     """
-    return _run_shard(task)
-
-
-def _run_shard(task):
-    """Run one shard in this worker; return a picklable payload."""
     from repro.robustness.journal import serialize_report
 
     state = _STATE
+    spec = state.spec
     scripts = state.scripts_for(task.seed_texts)
     if task.solver_names is None:
         solvers = state.solvers
@@ -242,10 +216,10 @@ def _run_shard(task):
     try:
         tool = YinYang(
             solvers,
-            config=state.config,
-            performance_threshold=state.performance_threshold,
+            config=spec.config,
+            performance_threshold=spec.performance_threshold,
             telemetry=telemetry,
-            strategy=task.strategy,
+            strategy=spec.strategy,
             theory_memo=state.theory_memo,
         )
         report = _run_leased(state, tool, task, scripts)
@@ -257,7 +231,7 @@ def _run_shard(task):
     # sidecar: only a whole strided shard is a unit the campaign-resume
     # merge understands, and a child's partial report must not shadow it.
     if state.journal is not None and task.cell is not None and task.indices is None:
-        state.journal.record_shard(tuple(task.cell), task.shard, task.of, report)
+        state.journal.record_shard(tuple(task.cell), task.shard, spec.workers, report)
     return {
         "report": serialize_report(report, unknown_split=True),
         "elapsed": report.elapsed,
@@ -287,20 +261,23 @@ def _run_leased(state, tool, task, scripts):
     )
     from repro.robustness.supervisor import write_heartbeat
 
+    spec = state.spec
     if task.indices is not None:
         indices = list(task.indices)
     else:
-        indices = list(shard_indices(task.iterations, task.shard, task.of))
+        indices = list(
+            shard_indices(spec.iterations_per_cell, task.shard, spec.workers)
+        )
     progress = None
     if task.progress_path:
         progress = ShardProgress(
             task.progress_path,
             meta={
-                "seed": task.seed,
-                "iterations": task.iterations,
+                "seed": spec.seed,
+                "iterations": spec.iterations_per_cell,
                 "shard": task.shard,
-                "of": task.of,
-                "strategy": task.strategy,
+                "of": spec.workers,
+                "strategy": spec.strategy,
             },
         )
     work = tool.prepare_work(task.oracle, scripts, list(task.logics))
@@ -310,7 +287,7 @@ def _run_leased(state, tool, task, scripts):
     # builds a fresh session, and the session's reuse is answer-
     # invariant, so shard re-execution cannot observe cache state.
     session = tool.make_session(work)
-    chaos = state.chaos_process
+    chaos = spec.chaos_process
     reports = []
     start = time.perf_counter()
     try:
@@ -329,7 +306,6 @@ def _run_leased(state, tool, task, scripts):
                 scripts,
                 list(task.logics),
                 [index],
-                seed=task.seed,
                 work=work,
                 session=session,
             )
@@ -346,14 +322,15 @@ def _run_leased(state, tool, task, scripts):
     return merged
 
 
-def reconstruct_iteration_script(config, strategy, oracle, seed_texts, logics, seed, index):
+def reconstruct_iteration_script(spec, task, index):
     """Rebuild iteration ``index``'s mutated script text in the parent.
 
     Used for poison artifacts: the killer iteration's formula is a pure
-    function of ``(strategy, seed, index)``, so the coordinator can
-    regenerate it without any worker — mutation needs no solvers.
-    Returns ``None`` when the iteration's mutation draw failed (such an
-    iteration runs no solver and can only die to injected chaos).
+    function of ``(strategy, seed, index)`` over the task's seeds, so
+    the coordinator can regenerate it without any worker — mutation
+    needs no solvers. Returns ``None`` when the iteration's mutation
+    draw failed (such an iteration runs no solver and can only die to
+    injected chaos).
     """
     from repro.core.yinyang import iteration_rng
     from repro.errors import MutationError
@@ -363,10 +340,10 @@ def reconstruct_iteration_script(config, strategy, oracle, seed_texts, logics, s
     from repro.smtlib.printer import print_script
     from repro.strategies.registry import make_strategy
 
-    strat = make_strategy(strategy, config.fusion)
-    scripts = [parse_script(text) for text in seed_texts]
-    work = strat.prepare(oracle, scripts, list(logics))
-    rng = iteration_rng(seed, index)
+    strat = make_strategy(spec.strategy, spec.config.fusion)
+    scripts = [parse_script(text) for text in task.seed_texts]
+    work = strat.prepare(task.oracle, scripts, list(task.logics))
+    rng = iteration_rng(spec.seed, index)
     with fresh_scope():
         try:
             mutant = strat.mutate(rng, work, NULL_TELEMETRY)
@@ -387,39 +364,36 @@ class SupervisedPoolBackend:
     Created once and reused across every cell of a campaign: worker
     startup (spawn + imports + solver construction) is paid once, and
     the per-worker parse cache keeps earning across cells that share
-    seed corpora. Owns the heartbeat directory workers write into (a
-    private temp dir unless one is supplied) and translates pool
-    breakage into the supervisor's vocabulary: ``respawn()`` tears down
-    the broken executor, reports how every old worker exited (by pid),
-    and stands up a fresh pool so requeued leases have somewhere to run.
+    seed corpora. Each of the ``spec.workers`` workers is installed by
+    ``install_worker_state(spec, journal_path, telemetry)``. Owns the
+    heartbeat directory workers write into (a private temp dir) and
+    translates pool breakage into the supervisor's vocabulary:
+    ``respawn()`` tears down the broken executor, reports how every old
+    worker exited (by pid), and stands up a fresh pool so requeued
+    leases have somewhere to run.
     """
 
     broken_exceptions = (BrokenProcessPool,)
 
-    def __init__(self, workers, spec, heartbeat_dir=None):
-        self.workers = max(1, workers)
+    def __init__(self, spec, journal_path=None, telemetry=None):
         self.spec = spec
+        self._initargs = (spec, journal_path, telemetry)
         self._closed = False
-        self._own_heartbeat_dir = heartbeat_dir is None
-        self.heartbeat_dir = (
-            tempfile.mkdtemp(prefix="repro-heartbeat-")
-            if heartbeat_dir is None
-            else os.fspath(heartbeat_dir)
-        )
+        self.heartbeat_dir = tempfile.mkdtemp(prefix="repro-heartbeat-")
         self._executor = self._start()
 
     def _start(self):
         return ProcessPoolExecutor(
-            max_workers=self.workers,
+            max_workers=self.spec.workers,
             mp_context=_spawn_context(),
-            initializer=_init_worker,
-            initargs=(self.spec,),
+            initializer=install_worker_state,
+            initargs=self._initargs,
         )
 
     def submit(self, task):
         if self._closed:
             raise RuntimeError("cannot submit to a closed SupervisedPoolBackend")
-        return self._executor.submit(_run_shard, task)
+        return self._executor.submit(run_worker_task, task)
 
     def respawn(self):
         """Replace the broken pool; return {pid: exitcode} of old workers."""
@@ -465,8 +439,7 @@ class SupervisedPoolBackend:
             # against a half-torn-down parent.
             self._executor.shutdown(wait=True, cancel_futures=True)
         finally:
-            if self._own_heartbeat_dir:
-                shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
+            shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
 
     def __enter__(self):
         return self
@@ -489,78 +462,3 @@ def collect_shard(payload):
     report = deserialize_report(payload["report"])
     report.elapsed = payload["elapsed"]
     return report
-
-
-def run_sharded_test(
-    solver_factory,
-    config,
-    performance_threshold,
-    policy,
-    oracle,
-    seeds,
-    iterations,
-    workers,
-    telemetry=None,
-    strategy="fusion",
-):
-    """``YinYang.test(mode="process")``: one run as supervised shard leases.
-
-    The same machinery as a process campaign with a single cell: a
-    worker death is healed by retry, and an iteration that keeps
-    failing its worker is bisected out. A single run has no journal to
-    quarantine it in, so any poisoned iteration is raised as a
-    :class:`~repro.errors.ReproError` once every other shard is done.
-    """
-    from repro.errors import ReproError
-    from repro.robustness.supervisor import Supervisor
-
-    if solver_factory is None:
-        raise ValueError(
-            "process mode needs solver_factory: a picklable zero-argument "
-            "callable returning the solvers under test (live solver objects "
-            "cannot cross the spawn boundary)"
-        )
-    seed_texts, logics = serialize_seeds(seeds)
-    if not seed_texts:
-        raise ValueError("need at least one seed")
-    spec = WorkerSpec(
-        solver_factory=solver_factory,
-        config=config,
-        performance_threshold=performance_threshold,
-        policy=policy,
-        telemetry=telemetry.config() if telemetry is not None else None,
-    )
-    start = time.perf_counter()
-    with SupervisedPoolBackend(workers, spec) as backend:
-        supervisor = Supervisor(backend, telemetry=telemetry)
-        leases = []
-        for shard in range(backend.workers):
-            indices = shard_indices(iterations, shard, backend.workers)
-            if len(indices) == 0:
-                continue
-            task = ShardTask(
-                oracle=oracle,
-                seed_texts=seed_texts,
-                logics=logics,
-                iterations=iterations,
-                shard=shard,
-                of=backend.workers,
-                seed=config.seed,
-                strategy=strategy,
-            )
-            leases.append(supervisor.lease(shard, task, indices))
-        outcome = supervisor.run(leases)
-    if supervisor.poisoned:
-        detail = ", ".join(
-            f"{p.iteration} ({p.classification})" for p in supervisor.poisoned
-        )
-        raise ReproError(f"iterations kept failing their worker: {detail}")
-    # Keyed by shard, so the merge is blind to completion order.
-    payloads = [payload for shard in sorted(outcome) for _, payload in outcome[shard]]
-    merged = merge_shard_reports([collect_shard(p) for p in payloads])
-    if telemetry is not None:
-        for payload in payloads:
-            if payload.get("telemetry") is not None:
-                telemetry.merge_snapshot(payload["telemetry"])
-    merged.elapsed = time.perf_counter() - start
-    return merged

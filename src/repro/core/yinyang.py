@@ -57,8 +57,8 @@ from repro.core.checker import (  # noqa: F401
 )
 from repro.core.checker import HARNESS_ERROR_KIND as _HARNESS_ERROR_KIND  # noqa: F401
 from repro.core.checker import QUARANTINED_KIND as _QUARANTINED_KIND  # noqa: F401
-from repro.core.config import YinYangConfig
-from repro.errors import MutationError
+from repro.core.config import CampaignSpec, YinYangConfig
+from repro.errors import MutationError, ReproError
 from repro.observability.telemetry import NULL_TELEMETRY, attach_telemetry
 from repro.smtlib.ast import fresh_scope
 from repro.strategies.fusion import FusionStrategy, MixedFusionStrategy
@@ -299,6 +299,16 @@ class YinYang:
         picklable zero-argument callable returning the solver list —
         because live solver objects (locks, caches) do not cross a
         spawn boundary; the strategy crosses it as its registry name.
+
+        A process run is a one-cell campaign without a journal, through
+        the same supervised
+        :class:`~repro.distributed.coordinator.Coordinator` path as a
+        process campaign: a worker death is healed by retry, and an
+        iteration that keeps failing its worker is bisected out. The
+        cell names no solver, so every solver ``solver_factory`` builds
+        checks each mutant. With no journal to quarantine a poisoned
+        iteration in, it is raised as a
+        :class:`~repro.errors.ReproError` once every other shard is done.
         """
         scripts = [getattr(s, "script", s) for s in seeds]
         logics = [getattr(s, "logic", "") for s in seeds]
@@ -310,20 +320,34 @@ class YinYang:
             return self._run_prepared(self.strategy, work, range(iterations))
         if mode != "process":
             raise ValueError(f"mode must be 'serial' or 'process', got {mode!r}")
-        from repro.core.parallel import run_sharded_test
+        # Imported lazily: the campaign and distributed layers import
+        # this module.
+        from repro.campaign.runner import CampaignResult
+        from repro.distributed.coordinator import Coordinator
 
-        return run_sharded_test(
-            solver_factory=solver_factory,
+        spec = CampaignSpec(
             config=self.config,
+            iterations_per_cell=iterations,
+            strategy=self.strategy.name,
             performance_threshold=self.performance_threshold,
             policy=self.policy,
-            oracle=oracle,
-            seeds=seeds,
-            iterations=iterations,
-            workers=max(1, workers),
-            telemetry=self.telemetry,
-            strategy=self.strategy.name,
+            solver_factory=solver_factory,
+            mode="process",
+            workers=workers,
         )
+        key = (None, None, oracle)
+        result = CampaignResult()
+        start = time.perf_counter()
+        with Coordinator(spec, telemetry=self.telemetry) as coordinator:
+            coordinator.run_cells(result, [(key, None, seeds)])
+        if result.poisoned:
+            detail = ", ".join(
+                f"{p.iteration} ({p.classification})" for p in result.poisoned
+            )
+            raise ReproError(f"iterations kept failing their worker: {detail}")
+        report = result.reports[key]
+        report.elapsed = time.perf_counter() - start
+        return report
 
     def run_iterations(
         self, oracle, scripts, logics, indices, seed=None, work=None, session=None

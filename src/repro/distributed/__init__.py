@@ -13,8 +13,9 @@ The pieces:
   speaks, plus the wire codecs for :class:`~repro.core.parallel.ShardTask`
   and worker result payloads;
 - :mod:`~repro.distributed.worker` — the worker side: connect, receive
-  the campaign spec once, then pull leases and run them through the
-  *exact* worker path process mode uses (:func:`repro.core.parallel._run_shard`
+  the campaign's :class:`~repro.core.config.CampaignSpec` once, then
+  pull leases and run them through the *exact* worker path process
+  mode uses (:func:`repro.core.parallel.run_worker_task`
   — sessions, triage, containment, heartbeats and progress checkpoints
   all intact), shipping reports + telemetry snapshots back as frames;
 - :mod:`~repro.distributed.endpoint` — the coordinator side of the
@@ -34,7 +35,7 @@ The pieces:
 
 The headline invariant is inherited, not re-proven per backend:
 deterministic-mode journals are byte-identical for any fleet shape —
-serial, thread, process, tcp, any worker count, any steal order (see
+serial, process, tcp, any worker count, any steal order (see
 ``tests/test_distributed.py``).
 """
 

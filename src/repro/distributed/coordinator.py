@@ -28,80 +28,96 @@ campaign skip fleet-completed shards exactly as it skips pool ones.
 
 from __future__ import annotations
 
+from functools import partial
+
+from repro.core.parallel import (
+    ShardTask,
+    SupervisedPoolBackend,
+    collect_shard,
+    reconstruct_iteration_script,
+    serialize_seeds,
+)
 from repro.core.yinyang import merge_shard_reports, shard_indices
-from repro.robustness.journal import open_sidecar
+from repro.distributed.endpoint import TcpFleet
+from repro.observability.telemetry import NULL_TELEMETRY
+from repro.robustness.journal import lease_progress_path, open_sidecar
 from repro.robustness.supervisor import Supervisor
 
 
 class Coordinator:
-    """Runs campaign cells as supervised shard leases over a backend.
+    """Runs the cells of campaign ``spec`` as supervised shard leases.
 
-    ``backend`` is anything the Supervisor can drive; the coordinator
-    does not know (or care) whether leases execute in pool children or
-    across sockets. ``poison_artifact`` / ``on_poison`` are forwarded
-    to the supervisor unchanged.
+    Builds the lease backend ``spec.mode`` names — a process pool or a
+    socket fleet — and the one supervisor that drives it; leaving the
+    ``with`` block closes the backend. Past construction the
+    coordinator does not know (or care) whether leases execute in pool
+    children or across sockets. With a ``journal``, cells are committed
+    to it, poisoned iterations are journaled as ``poison`` entries, and
+    leases checkpoint next to it; without one (``YinYang.test``) the
+    caller reads the cells off the result.
     """
 
-    def __init__(
-        self,
-        backend,
-        policy=None,
-        containment=None,
-        telemetry=None,
-        poison_artifact=None,
-        on_poison=None,
-    ):
-        self.backend = backend
+    def __init__(self, spec, journal=None, telemetry=None):
+        self.spec = spec
+        self.journal = journal
         self.telemetry = telemetry
+        if spec.mode == "tcp":
+            self.backend = TcpFleet(spec, telemetry=telemetry)
+        else:
+            self.backend = SupervisedPoolBackend(
+                spec,
+                # Only pool workers write pid sidecars next to the
+                # journal; tcp workers never see its host path, so the
+                # coordinator records fleet shards itself.
+                journal_path=journal.path if journal is not None else None,
+                telemetry=telemetry.config() if telemetry is not None else None,
+            )
         self.supervisor = Supervisor(
-            backend,
-            policy=policy,
-            containment=containment,
+            self.backend,
+            spec,
             telemetry=telemetry,
-            poison_artifact=poison_artifact,
-            on_poison=on_poison,
+            poison_artifact=partial(reconstruct_iteration_script, spec),
+            on_poison=self._on_poison,
         )
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.backend.close()
+        return False
+
+    def _on_poison(self, record):
+        if self.journal is not None:
+            self.journal.record_poison(tuple(record.cell), record.as_dict())
 
     # -- planning ---------------------------------------------------------
 
-    def plan_cell(
-        self,
-        key,
-        texts,
-        logics,
-        iterations_per_cell,
-        workers,
-        seed,
-        strategy,
-        quarantined,
-        journal=None,
-        skip_shards=(),
-    ):
-        """The cell's shard leases (skipping resumed ``skip_shards``)."""
-        from repro.core.parallel import ShardTask
+    def plan_cell(self, key, texts, logics, quarantined, skip_shards=()):
+        """The cell's shard leases (skipping resumed ``skip_shards``).
 
+        A cell whose key names no solver (``YinYang.test``'s one cell)
+        is checked by every solver the workers build.
+        """
+        workers = self.spec.workers
         leases = []
         for shard in range(workers):
-            indices = shard_indices(iterations_per_cell, shard, workers)
+            indices = shard_indices(self.spec.iterations_per_cell, shard, workers)
             if len(indices) == 0 or shard in skip_shards:
                 continue
             progress_path = None
-            if journal is not None:
-                from repro.robustness.journal import lease_progress_path
-
-                progress_path = lease_progress_path(journal.path, key, shard, workers)
+            if self.journal is not None:
+                progress_path = lease_progress_path(
+                    self.journal.path, key, shard, workers
+                )
             task = ShardTask(
                 oracle=key[2],
                 seed_texts=texts,
                 logics=logics,
-                iterations=iterations_per_cell,
                 shard=shard,
-                of=workers,
-                seed=seed,
                 cell=key,
-                solver_names=(key[0],),
+                solver_names=None if key[0] is None else (key[0],),
                 quarantined=tuple(sorted(quarantined)),
-                strategy=strategy,
                 progress_path=progress_path,
             )
             leases.append(self.supervisor.lease((key, shard), task, indices))
@@ -109,38 +125,28 @@ class Coordinator:
 
     # -- the cell loop ----------------------------------------------------
 
-    def run_cells(
-        self,
-        result,
-        remaining,
-        spec,
-        iterations_per_cell,
-        journal,
-        partials,
-        workers,
-        strategy="fusion",
-        sidecar_meta=None,
-        fleet_sidecar=False,
-    ):
+    def run_cells(self, result, remaining, partials=None):
         """Drive every remaining cell to completion; fold into ``result``.
 
         Cells run in canonical order, one at a time, with per-shard
         counters, quarantine aggregation between cells (once any
         shard's breaker trips for a solver, later cells pre-quarantine
         it everywhere, mirroring serial mode where one guard object
-        spans the campaign) and a journal commit per completed cell. With
-        ``fleet_sidecar`` each merged shard is also recorded in the
+        spans the campaign) and a journal commit per completed cell.
+        ``partials`` holds resumed shard reports by cell. A journaled
+        tcp campaign also records each merged shard in the
         coordinator-side fleet sidecar (resume support for remote
         workers that cannot write host sidecars themselves).
         """
         from repro.campaign.runner import _absorb_cell
-        from repro.core.parallel import collect_shard, serialize_seeds
-        from repro.observability.telemetry import NULL_TELEMETRY
 
         telemetry = self.telemetry
+        workers = self.spec.workers
+        journal = self.journal
+        partials = partials or {}
         side = None
-        if fleet_sidecar and journal is not None:
-            side = open_sidecar(journal.path, "fleet", sidecar_meta or {})
+        if self.spec.mode == "tcp" and journal is not None:
+            side = open_sidecar(journal.path, "fleet", self.spec.describe()[1])
         quarantined = set()
         seed_text_cache = {}
         for key, _solver, seeds in remaining:
@@ -155,18 +161,7 @@ class Coordinator:
                 for (shard, of), report in partials.get(key, {}).items()
                 if of == workers
             }
-            leases = self.plan_cell(
-                key,
-                texts,
-                logics,
-                iterations_per_cell,
-                workers,
-                spec.config.seed,
-                strategy,
-                quarantined,
-                journal=journal,
-                skip_shards=have,
-            )
+            leases = self.plan_cell(key, texts, logics, quarantined, skip_shards=have)
             outcome = self.supervisor.run(leases)
             shard_reports = dict(have)
             counters = {

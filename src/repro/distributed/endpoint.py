@@ -99,11 +99,13 @@ class _Remote:
 class TcpFleet:
     """A supervisable lease backend over a socket worker fleet.
 
-    ``spawn_workers`` local ``yinyang worker`` processes are started
-    against the listen address (default: ``workers``, i.e. a
-    self-contained fleet); pass 0 to only serve externally-started
-    workers (the two-terminal setup). ``net_chaos`` ships to every
-    worker in its spec frame. The fleet is a context manager and
+    The fleet's shape comes from the campaign ``spec``: it listens on
+    ``spec.listen`` (default 127.0.0.1, an ephemeral port) and starts
+    ``spec.spawn_workers`` local ``yinyang worker`` processes against
+    it (default ``spec.workers``, a self-contained fleet; 0 serves only
+    externally-started workers, the two-terminal setup). Every worker
+    receives the spec (net chaos plan included) and the ``telemetry``
+    config in its spec frame. The fleet is a context manager and
     teardown is idempotent — ``close`` may be called any number of
     times, including after a failed construction.
     """
@@ -112,30 +114,16 @@ class TcpFleet:
 
     def __init__(
         self,
-        workers,
         spec,
-        listen=("127.0.0.1", 0),
-        steal_seed=0,
-        spawn_workers=None,
-        net_chaos=None,
-        heartbeat_dir=None,
         telemetry=None,
         codec="json",
         max_worker_respawns=16,
     ):
-        self.workers = max(1, workers)
         self.spec = spec
-        self.net_chaos = net_chaos
         self.telemetry = telemetry
         self.codec = codec
-        self.steal_seed = steal_seed
         self.max_worker_respawns = max_worker_respawns
-        self._own_heartbeat_dir = heartbeat_dir is None
-        self.heartbeat_dir = (
-            tempfile.mkdtemp(prefix="repro-heartbeat-")
-            if heartbeat_dir is None
-            else os.fspath(heartbeat_dir)
-        )
+        self.heartbeat_dir = tempfile.mkdtemp(prefix="repro-heartbeat-")
         self._lock = threading.Lock()
         self._queue = []  # [(task, future)] — pending leases, steal pool
         self._ready = deque()  # _Remote instances asking for work
@@ -150,22 +138,22 @@ class TcpFleet:
         # One RNG for the whole campaign's steal decisions: the seed
         # names an interleaving family, and the determinism matrix runs
         # several seeds to prove journals are interleaving-blind.
-        self._steal_rng = Random(f"fleet-steal:{steal_seed}")
-        host, port = listen
+        self._steal_rng = Random(f"fleet-steal:{spec.steal_seed}")
+        host, port = spec.listen or ("127.0.0.1", 0)
         try:
             self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._listener.bind((host, port))
-            self._listener.listen(max(8, 2 * self.workers))
+            self._listener.listen(max(8, 2 * spec.workers))
             self.address = self._listener.getsockname()
             accept = threading.Thread(
                 target=self._accept_loop, name="fleet-accept", daemon=True
             )
             accept.start()
             self._threads.append(accept)
-            target = self.workers if spawn_workers is None else spawn_workers
-            self._spawn_target = target
-            for _ in range(target):
+            target = spec.spawn_workers
+            self._spawn_target = spec.workers if target is None else target
+            for _ in range(self._spawn_target):
                 self._spawn_one()
         except BaseException:
             self.close()
@@ -263,8 +251,7 @@ class TcpFleet:
                     proc.kill()
                     proc.wait(timeout=5)
         finally:
-            if self._own_heartbeat_dir:
-                shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
+            shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
 
     def __enter__(self):
         return self
@@ -347,10 +334,8 @@ class TcpFleet:
                 {
                     "type": "spec",
                     "blob": pack_blob(self.spec),
-                    "net_chaos": (
-                        pack_blob(self.net_chaos)
-                        if self.net_chaos is not None
-                        else None
+                    "telemetry": pack_blob(
+                        self.telemetry.config() if self.telemetry is not None else None
                     ),
                     "worker_index": remote.index,
                 }

@@ -14,7 +14,8 @@ Message types (the ``type`` key of every frame):
 
 ==============  =========================================================
 ``hello``       worker → coordinator: ``pid``, ``protocol`` version
-``spec``        coordinator → worker: the campaign WorkerSpec (sent once)
+``spec``        coordinator → worker: the campaign's CampaignSpec and
+                telemetry config (sent once)
 ``ready``       worker → coordinator: pull request — "I want a lease"
 ``lease``       coordinator → worker: one ShardTask to run
 ``result``      worker → coordinator: the lease's payload (report,
@@ -26,9 +27,13 @@ Message types (the ``type`` key of every frame):
 ``shutdown``    coordinator → worker: drain and exit 0
 ==============  =========================================================
 
-The ``spec`` frame carries arbitrary campaign objects (solver
-factories, the loop config, resilience policies) that are picklable but
-not JSON-able; they cross as a base64 pickle blob inside the JSON
+The ``spec`` frame carries the frozen
+:class:`~repro.core.config.CampaignSpec`: every campaign constant
+(seed, strategy, iterations per cell, shard count, the loop config,
+solver factory, resilience and chaos policies), so a ``lease`` frame
+carries only what differs per lease (the cell's seeds, the shard and
+the lease bookkeeping). Those campaign objects are picklable but not
+JSON-able; they cross as a base64 pickle blob inside the JSON
 envelope — exactly the trust model of ``multiprocessing`` spawn
 workers, which deserialize parent pickles too. A worker should only
 ever connect to a coordinator it trusts (they are one campaign, one
@@ -43,10 +48,13 @@ import json
 import pickle
 import struct
 import threading
+from dataclasses import fields
 
 from repro.errors import ReproError
 
-PROTOCOL_VERSION = 1
+#: Version 2: lease frames carry no campaign constants (seed, strategy,
+#: iterations, shard count); workers read them from the spec frame.
+PROTOCOL_VERSION = 2
 
 #: Hard ceiling on one frame's payload (64 MiB). Real frames are a few
 #: KiB (tasks) to a few MiB (shard reports with bug scripts); anything
@@ -247,62 +255,36 @@ def unpack_blob(text):
         raise ProtocolError(f"undecodable blob: {exc}") from None
 
 
-def _opt_tuple(value):
-    return None if value is None else tuple(value)
-
-
 def task_to_wire(task):
     """A :class:`~repro.core.parallel.ShardTask` as a JSON-ready dict.
 
-    Every field is already a scalar, string tuple, or int tuple — the
-    lease machinery was built picklable, which is a superset of
-    JSON-able here. Tuples flatten to lists on the wire and are
-    restored by :func:`task_from_wire` (``_run_shard`` relies on
-    ``cell`` being a tuple and ``indices`` supporting ``is None``).
+    Every field is a scalar, ``None``, or a tuple of strings or ints;
+    tuples flatten to lists on the wire and :func:`task_from_wire`
+    restores them (``run_worker_task`` relies on ``cell`` being a tuple
+    and ``indices`` supporting ``is None``).
     """
-    return {
-        "oracle": task.oracle,
-        "seed_texts": list(task.seed_texts),
-        "logics": list(task.logics),
-        "iterations": task.iterations,
-        "shard": task.shard,
-        "of": task.of,
-        "seed": task.seed,
-        "cell": None if task.cell is None else list(task.cell),
-        "solver_names": (
-            None if task.solver_names is None else list(task.solver_names)
-        ),
-        "quarantined": list(task.quarantined),
-        "strategy": task.strategy,
-        "indices": None if task.indices is None else list(task.indices),
-        "attempt": task.attempt,
-        "lease_id": task.lease_id,
-        "heartbeat_dir": task.heartbeat_dir,
-        "progress_path": task.progress_path,
-    }
+    wire = {}
+    for f in fields(task):
+        value = getattr(task, f.name)
+        wire[f.name] = list(value) if isinstance(value, tuple) else value
+    return wire
 
 
 def task_from_wire(data):
+    """The :class:`~repro.core.parallel.ShardTask` of a lease frame.
+
+    Every field must be on the wire: a frame that lacks one is a
+    :class:`ProtocolError`, never a default.
+    """
     from repro.core.parallel import ShardTask
 
     try:
+        values = {f.name: data[f.name] for f in fields(ShardTask)}
         return ShardTask(
-            oracle=data["oracle"],
-            seed_texts=tuple(data["seed_texts"]),
-            logics=tuple(data["logics"]),
-            iterations=data["iterations"],
-            shard=data["shard"],
-            of=data["of"],
-            seed=data["seed"],
-            cell=_opt_tuple(data.get("cell")),
-            solver_names=_opt_tuple(data.get("solver_names")),
-            quarantined=tuple(data.get("quarantined", ())),
-            strategy=data.get("strategy", "fusion"),
-            indices=_opt_tuple(data.get("indices")),
-            attempt=data.get("attempt", 0),
-            lease_id=data.get("lease_id"),
-            heartbeat_dir=data.get("heartbeat_dir"),
-            progress_path=data.get("progress_path"),
+            **{
+                name: tuple(value) if isinstance(value, list) else value
+                for name, value in values.items()
+            }
         )
     except (KeyError, TypeError) as exc:
         raise ProtocolError(f"malformed lease frame: {exc}") from None

@@ -1,7 +1,8 @@
 """The fleet worker: pull leases over a socket, run them locally.
 
 ``yinyang worker --connect HOST:PORT`` runs :func:`run_worker`: connect
-to a coordinator, receive the campaign :class:`~repro.core.parallel.WorkerSpec`
+to a coordinator, receive the campaign's frozen
+:class:`~repro.core.config.CampaignSpec` (and the telemetry config)
 once, adopt this process as a campaign worker via the same
 ``install_worker_state`` seam the spawn pool uses, then loop —
 ``ready`` → ``lease`` → run → ``result``.
@@ -91,8 +92,8 @@ def run_worker(address, net_chaos=None, codec="json", connect_timeout=30.0):
     """Serve one coordinator until it shuts the fleet down; return exit code.
 
     ``address`` is ``HOST:PORT`` (or a ``(host, port)`` pair);
-    ``net_chaos`` optionally overrides the plan shipped in the spec
-    frame (the CLI's ``--net-chaos``). A coordinator that disappears
+    ``net_chaos`` optionally overrides the campaign spec's plan (the
+    CLI's ``--net-chaos``). A coordinator that disappears
     without a ``shutdown`` frame is treated as normal teardown — the
     worker exits 0 rather than paging anyone about a campaign that is
     simply over.
@@ -118,20 +119,17 @@ def run_worker(address, net_chaos=None, codec="json", connect_timeout=30.0):
                 f"expected a spec frame, got {message.get('type')!r}"
             )
         spec = unpack_blob(message["blob"])
-        plan = net_chaos
-        if plan is None and message.get("net_chaos"):
-            plan = unpack_blob(message["net_chaos"])
+        plan = net_chaos if net_chaos is not None else spec.net_chaos
         if plan is not None:
             stream.chaos = plan.bind(message.get("worker_index", 0))
             spec = replace(
                 spec, chaos_process=_WireChaos(plan, stream, spec.chaos_process)
             )
-        # Remote workers never write host-path sidecars: the journal
-        # lives on the coordinator, which records fleet shards itself.
-        spec = replace(spec, journal_path=None, journal_meta={})
         from repro.core.parallel import install_worker_state, run_worker_task
 
-        install_worker_state(spec)
+        # No sidecar path: the journal lives on the coordinator, which
+        # records fleet shards itself.
+        install_worker_state(spec, telemetry=unpack_blob(message["telemetry"]))
         return _serve(stream, run_worker_task)
     finally:
         stream.close()

@@ -51,3 +51,8 @@ class FusionError(MutationError):
 
 class ReductionError(ReproError):
     """The formula reducer was driven with an inconsistent oracle."""
+
+
+class CampaignSpecError(ReproError, ValueError):
+    """A campaign's settings contradict each other, or its mode would
+    ignore one of them (raised before any work starts)."""

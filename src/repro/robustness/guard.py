@@ -131,8 +131,9 @@ class GuardedSolver:
         # through __getattr__ to the wrapped solver's handle.
         self.telemetry = telemetry
         self._lock = threading.Lock()
-        # One watchdog per calling thread: concurrent checks (YinYang's
-        # thread mode) must not serialize behind a single helper.
+        # One watchdog per calling thread: a campaign checks from one
+        # thread, but a guard shared by two callers must not make their
+        # checks queue behind a single helper.
         self._local = threading.local()
 
     def __getattr__(self, attr):

@@ -207,27 +207,31 @@ class Supervisor:
     - ``broken_exceptions`` — exception types meaning "the pool died"
       (``BrokenProcessPool`` for the real backend).
 
-    ``containment`` (a :class:`~repro.robustness.containment.ContainmentPolicy`)
-    is only consulted for death classification; applying the rlimits is
-    the worker's job. ``poison_artifact(task, index)`` optionally
-    reconstructs the killer iteration's formula text for the quarantine
-    record; ``on_poison(record)`` lets the campaign journal it durably
-    the moment it is isolated. One supervisor instance spans a whole
+    ``spec`` is the campaign's :class:`~repro.core.config.CampaignSpec`:
+    the supervisor runs under its ``supervise`` policy (``None``: the
+    default :class:`SupervisorPolicy`), consults its ``containment``
+    only for death classification (applying the rlimits is the
+    worker's job), and names its strategy and seed in every poison
+    record.
+    ``poison_artifact(task, index)`` optionally reconstructs the killer
+    iteration's formula text for the quarantine record;
+    ``on_poison(record)`` lets the campaign journal it durably the
+    moment it is isolated. One supervisor instance spans a whole
     campaign, so the restart budget and counters are campaign-global.
     """
 
     def __init__(
         self,
         backend,
-        policy=None,
-        containment=None,
+        spec,
         telemetry=None,
         poison_artifact=None,
         on_poison=None,
     ):
         self.backend = backend
-        self.policy = policy or SupervisorPolicy()
-        self.containment = containment
+        self.spec = spec
+        self.policy = spec.supervise or SupervisorPolicy()
+        self.containment = spec.containment
         self.telemetry = telemetry
         self.poison_artifact = poison_artifact
         self.on_poison = on_poison
@@ -426,8 +430,8 @@ class Supervisor:
             iteration=index,
             classification=lease.last_classification or "unknown",
             attempts=lease.attempt,
-            strategy=getattr(task, "strategy", ""),
-            seed=getattr(task, "seed", 0),
+            strategy=self.spec.strategy,
+            seed=self.spec.seed,
             oracle=getattr(task, "oracle", ""),
             script=script,
             rlimits=(

@@ -293,9 +293,10 @@ class Quantifier(Term):
 # ---------------------------------------------------------------------------
 
 # The intern tables are thread-local for the same reason the gensym
-# counter is (see below): YinYang's thread mode builds formulas
-# concurrently, and process-global tables would need locking and would
-# let one thread's allocations retain another thread's garbage. Worker
+# counter is (see below): the guard's watchdog runs solver checks on a
+# helper thread, and a check it abandons keeps running there. Process-
+# global tables would need locking and would let that thread's
+# allocations retain garbage in the main loop's tables. Worker
 # processes (spawn) start with clean tables. One table per node class
 # keeps the keys small (no class marker to hash on every lookup).
 _INTERN_STATE = threading.local()
@@ -733,11 +734,13 @@ def substitute_selected_occurrences(term, var, replacement, selected):
     return out[0]
 
 
-# The fresh-name counter is thread-local: YinYang's thread mode builds
-# formulas concurrently, and a process-global counter would make the
-# names one thread draws depend on what every other thread has done so
-# far (a gensym race that breaks shard-count determinism). Each thread
-# lazily gets its own counter; worker processes (spawn) start clean.
+# The fresh-name counter is thread-local because of the guard's
+# watchdog (repro.robustness.guard): it runs each solver check on a
+# helper thread, and a hung check it abandons keeps running there. With
+# a process-global counter, names drawn by that thread would shift the
+# names the main loop draws next (a gensym race that breaks shard-count
+# determinism). Each thread lazily gets its own counter; worker
+# processes (spawn) start clean.
 # The counter is a plain int (not itertools.count) so callers can
 # observe and replay draw positions — the fusion layer's renamed-view
 # cache needs both.

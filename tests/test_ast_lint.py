@@ -264,6 +264,61 @@ def test_executor_lint_detects_violations(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Lease-planner lint: one planner, owned by repro/distributed/coordinator.py.
+# ---------------------------------------------------------------------------
+
+# Cells become leases in exactly one place: the Coordinator builds the
+# one Supervisor and every ShardTask (the wire codec rebuilds tasks it
+# receives). A Supervisor or ShardTask built anywhere else would be a
+# second lease planner beside the campaign's.
+_COORDINATOR = SRC / "distributed" / "coordinator.py"
+_LEASE_BUILDERS = {
+    "Supervisor": {_COORDINATOR},
+    "ShardTask": {_COORDINATOR, SRC / "distributed" / "protocol.py"},
+}
+
+
+def _lease_constructions(path, name):
+    """(line,) for every ``name(...)`` call in ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            called = fn.id if isinstance(fn, ast.Name) else (
+                fn.attr if isinstance(fn, ast.Attribute) else None
+            )
+            if called == name:
+                hits.append((node.lineno,))
+    return hits
+
+
+@pytest.mark.parametrize("name", sorted(_LEASE_BUILDERS))
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_leases_are_planned_only_by_the_coordinator(path, name):
+    if path in _LEASE_BUILDERS[name]:
+        return
+    hits = _lease_constructions(path, name)
+    assert not hits, (
+        f"{path.relative_to(SRC)} constructs {name} objects; plan leases "
+        f"through repro.distributed.coordinator.Coordinator instead: {hits}"
+    )
+
+
+def test_lease_planner_lint_detects_violations(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "sup = Supervisor(backend)\n"
+        "task = parallel.ShardTask(oracle='sat')\n"
+        "lease = sup.lease(key, task, indices)\n"
+    )
+    assert _lease_constructions(bad, "Supervisor") == [(1,)]
+    assert _lease_constructions(bad, "ShardTask") == [(2,)]
+
+
+# ---------------------------------------------------------------------------
 # Solver-interface lint: one check_script call shape.
 # ---------------------------------------------------------------------------
 

@@ -37,12 +37,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.runner import deterministic_solvers, run_campaign
-from repro.core.config import FusionConfig, YinYangConfig
-from repro.core.parallel import (
-    ShardTask,
-    SupervisedPoolBackend,
-    WorkerSpec,
-)
+import dataclasses
+
+from repro.core.config import CampaignSpec, FusionConfig, YinYangConfig
+from repro.core.parallel import ShardTask, SupervisedPoolBackend
 from repro.distributed import (
     FleetBroken,
     NetChaos,
@@ -76,7 +74,7 @@ CAMPAIGN = dict(
 NO_BACKOFF = dict(backoff_base=0.0, backoff_cap=0.0)
 
 #: The sidecar meta stamped by every supervised run of CAMPAIGN at
-#: workers=2 (see ``_campaign_meta``) — fabricated-sidecar tests
+#: workers=2 (see ``CampaignSpec.describe``) — fabricated-sidecar tests
 #: must match it exactly to exercise the "matching but empty" path.
 SIDECAR_META = dict(
     seed=6, iterations_per_cell=6, workers=2, strategy="fusion"
@@ -348,14 +346,10 @@ class TestTaskWireCodec:
             oracle="sat",
             seed_texts=("(assert true)", "(assert false)"),
             logics=("QF_S", "QF_S"),
-            iterations=6,
             shard=1,
-            of=2,
-            seed=6,
             cell=("z3-like", "QF_S", "sat"),
             solver_names=("z3-like",),
             quarantined=("cvc4-like",),
-            strategy="fusion",
             indices=(1, 3, 5),
             attempt=2,
             lease_id=17,
@@ -367,7 +361,12 @@ class TestTaskWireCodec:
 
     def test_round_trip_is_identity(self):
         task = self._task()
-        assert task_from_wire(task_to_wire(task)) == task
+        wire = task_to_wire(task)
+        restored = task_from_wire(wire)
+        # Field by field, so a field the codec forgets fails here.
+        for field in dataclasses.fields(ShardTask):
+            assert field.name in wire
+            assert getattr(restored, field.name) == getattr(task, field.name)
 
     def test_round_trip_preserves_optional_nones(self):
         task = self._task(
@@ -395,6 +394,13 @@ class TestTaskWireCodec:
     def test_malformed_lease_is_a_protocol_error(self):
         with pytest.raises(ProtocolError, match="malformed"):
             task_from_wire({"oracle": "sat"})
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ShardTask)])
+    def test_missing_field_is_a_protocol_error(self, name):
+        wire = task_to_wire(self._task())
+        del wire[name]
+        with pytest.raises(ProtocolError, match="malformed"):
+            task_from_wire(wire)
 
 
 # ---------------------------------------------------------------------------
@@ -642,103 +648,79 @@ class TestNetChaosSoak:
 # ---------------------------------------------------------------------------
 
 
-def _spec():
-    return WorkerSpec(
-        solver_factory=one_deterministic_solver,
+def _spec(mode="process", **overrides):
+    return CampaignSpec(
         config=YinYangConfig(fusion=FusionConfig(), seed=6),
+        iterations_per_cell=1,
+        solver_factory=one_deterministic_solver,
+        mode=mode,
+        **overrides,
     )
+
+
+def _tcp_spec(workers=1):
+    return _spec("tcp", workers=workers, spawn_workers=0)
+
+
+_TASK = dict(oracle="sat", seed_texts=("(assert true)",), logics=("QF_S",), shard=0)
 
 
 class TestTeardownIdempotence:
     def test_sharded_pool_shutdown_twice(self):
         """The pool process shards run on closes cleanly after a respawn
         and a context-manager exit, and a later close is a no-op."""
-        with SupervisedPoolBackend(1, _spec()) as backend:
+        with SupervisedPoolBackend(_spec()) as backend:
             heartbeat_dir = backend.heartbeat_dir
             assert backend.respawn() is not None
         backend.close()  # must not raise
         assert not os.path.exists(heartbeat_dir)
 
     def test_supervised_backend_rejects_submit_after_close(self):
-        backend = SupervisedPoolBackend(1, _spec())
+        backend = SupervisedPoolBackend(_spec())
         backend.close()
-        task = ShardTask(
-            oracle="sat",
-            seed_texts=("(assert true)",),
-            logics=("QF_S",),
-            iterations=1,
-            shard=0,
-            of=1,
-            seed=6,
-        )
+        task = ShardTask(**_TASK)
         with pytest.raises(RuntimeError, match="closed"):
             backend.submit(task)
 
     def test_supervised_backend_close_twice(self, tmp_path):
-        backend = SupervisedPoolBackend(1, _spec())
+        backend = SupervisedPoolBackend(_spec())
         heartbeat_dir = backend.heartbeat_dir
         backend.close()
         backend.close()  # idempotent: no double-rmtree, no executor error
         assert not os.path.exists(heartbeat_dir)
 
     def test_supervised_backend_rejects_respawn_after_close(self):
-        backend = SupervisedPoolBackend(1, _spec())
+        backend = SupervisedPoolBackend(_spec())
         backend.close()
         with pytest.raises(RuntimeError, match="closed"):
             backend.respawn()
 
     def test_tcp_fleet_close_twice(self):
-        fleet = TcpFleet(2, _spec(), spawn_workers=0)
+        fleet = TcpFleet(_tcp_spec(workers=2))
         heartbeat_dir = fleet.heartbeat_dir
         fleet.close()
         fleet.close()
         assert not os.path.exists(heartbeat_dir)
 
     def test_tcp_fleet_rejects_submit_after_close(self):
-        fleet = TcpFleet(1, _spec(), spawn_workers=0)
+        fleet = TcpFleet(_tcp_spec())
         fleet.close()
-        task = ShardTask(
-            oracle="sat",
-            seed_texts=("(assert true)",),
-            logics=("QF_S",),
-            iterations=1,
-            shard=0,
-            of=1,
-            seed=6,
-            lease_id=1,
-        )
+        task = ShardTask(**_TASK, lease_id=1)
         with pytest.raises(FleetBroken):
             fleet.submit(task)
 
     def test_tcp_fleet_requires_leases(self):
-        with TcpFleet(1, _spec(), spawn_workers=0) as fleet:
-            task = ShardTask(
-                oracle="sat",
-                seed_texts=("(assert true)",),
-                logics=("QF_S",),
-                iterations=1,
-                shard=0,
-                of=1,
-                seed=6,
-            )
+        with TcpFleet(_tcp_spec()) as fleet:
+            task = ShardTask(**_TASK)
             with pytest.raises(ValueError, match="lease"):
                 fleet.submit(task)
 
     def test_tcp_fleet_close_fails_inflight_leases(self):
         """A fleet closed with a lease in flight fails that lease's
         future instead of leaving a waiter hanging forever."""
-        fleet = TcpFleet(1, _spec(), spawn_workers=0)
+        fleet = TcpFleet(_tcp_spec())
         try:
-            task = ShardTask(
-                oracle="sat",
-                seed_texts=("(assert true)",),
-                logics=("QF_S",),
-                iterations=1,
-                shard=0,
-                of=1,
-                seed=6,
-                lease_id=1,
-            )
+            task = ShardTask(**_TASK, lease_id=1)
             future = fleet.submit(task)  # queued: no worker will connect
         finally:
             fleet.close()
@@ -747,14 +729,16 @@ class TestTeardownIdempotence:
         )
 
     def test_handshake_rejects_wrong_protocol_version(self):
-        """A peer speaking another protocol version is turned away at
-        the door — its connection closes without ever joining the
-        fleet."""
-        with TcpFleet(1, _spec(), spawn_workers=0) as fleet:
+        """A peer speaking another protocol version — the previous one,
+        whose leases carried the campaign constants, or a future one —
+        is turned away at the door: its connection closes without ever
+        joining the fleet."""
+        with TcpFleet(_tcp_spec()) as fleet:
             host, port = fleet.address
-            with socket.create_connection((host, port), timeout=5) as sock:
-                sock.sendall(
-                    encode_frame({"type": "hello", "pid": 1, "protocol": 999})
-                )
-                assert sock.recv(1) == b""  # coordinator hung up
+            for protocol in (1, 999):
+                with socket.create_connection((host, port), timeout=5) as sock:
+                    sock.sendall(
+                        encode_frame({"type": "hello", "pid": 1, "protocol": protocol})
+                    )
+                    assert sock.recv(1) == b""  # coordinator hung up
             assert fleet._remotes == {}

@@ -17,7 +17,14 @@ import json
 import pytest
 
 from repro.campaign.runner import deterministic_solvers, run_campaign
-from repro.core.parallel import ShardTask, WorkerSpec, _init_worker, _run_shard
+from repro.core.config import CampaignSpec, FusionConfig, YinYangConfig
+from repro.core.parallel import (
+    ShardTask,
+    install_worker_state,
+    reconstruct_iteration_script,
+    run_worker_task,
+    serialize_seeds,
+)
 from repro.robustness import (
     CampaignJournal,
     ContainmentPolicy,
@@ -128,15 +135,11 @@ class TestWorkerExceptions:
         # that raises, which is quarantined while the campaign finishes.
         from functools import partial
 
-        from repro.core.config import FusionConfig, YinYangConfig
-        from repro.core.parallel import reconstruct_iteration_script, serialize_seeds
-
         texts, logics = serialize_seeds(corpora["QF_S"].by_oracle("sat"))
-        config = YinYangConfig(fusion=FusionConfig(), seed=CAMPAIGN["seed"])
+        spec = CampaignSpec(config=YinYangConfig(seed=CAMPAIGN["seed"]))
+        task = ShardTask(oracle="sat", seed_texts=texts, logics=logics, shard=0)
         mutants = [
-            reconstruct_iteration_script(
-                config, "fusion", "sat", texts, logics, CAMPAIGN["seed"], index
-            )
+            reconstruct_iteration_script(spec, task, index)
             for index in range(CAMPAIGN["iterations_per_cell"])
         ]
         killer = next(
@@ -167,7 +170,6 @@ class TestWorkerExceptions:
         # the other shards, then raises naming the iteration.
         from functools import partial
 
-        from repro.core.parallel import reconstruct_iteration_script, serialize_seeds
         from repro.core.yinyang import YinYang
         from repro.errors import ReproError
 
@@ -175,7 +177,9 @@ class TestWorkerExceptions:
         tool = YinYang(_RaisesOnOneMutant(None))
         texts, logics = serialize_seeds(seeds)
         target = reconstruct_iteration_script(
-            tool.config, "fusion", "sat", texts, logics, tool.config.seed, 1
+            CampaignSpec(config=tool.config),
+            ShardTask(oracle="sat", seed_texts=texts, logics=logics, shard=0),
+            1,
         )
         assert target is not None
         with pytest.raises(ReproError, match=r"1 \(worker-error:RuntimeError\)"):
@@ -235,25 +239,20 @@ class TestLeasedResume:
     these run in the fast lane."""
 
     def _spec_and_task(self, tmp_path, **task_overrides):
-        from repro.core.config import FusionConfig, YinYangConfig
-        from repro.core.parallel import serialize_seeds
-
         corpus = build_corpus("QF_S", scale=0.0015, seed=5)
         texts, logics = serialize_seeds(corpus.by_oracle("sat"))
-        spec = WorkerSpec(
-            solver_factory=one_deterministic_solver,
+        spec = CampaignSpec(
             config=YinYangConfig(fusion=FusionConfig(), seed=6),
+            iterations_per_cell=5,
+            solver_factory=one_deterministic_solver,
+            mode="process",
         )
         task = dict(
             oracle="sat",
             seed_texts=texts,
             logics=logics,
-            iterations=5,
             shard=0,
-            of=1,
-            seed=6,
             cell=("z3-like", "QF_S", "sat"),
-            strategy="fusion",
             lease_id=1,
             attempt=0,
             progress_path=str(tmp_path / "j.jsonl.lease-cell-0of1.jsonl"),
@@ -269,55 +268,54 @@ class TestLeasedResume:
         from repro.smtlib.parser import parse_script
 
         spec, task = self._spec_and_task(tmp_path)
-        _init_worker(spec)
-        leased = _run_shard(task)
+        install_worker_state(spec)
+        leased = run_worker_task(task)
         tool = YinYang(one_deterministic_solver(), config=spec.config)
         bare = tool.run_iterations(
             task.oracle,
             [parse_script(text) for text in task.seed_texts],
             list(task.logics),
-            range(task.iterations),
-            seed=task.seed,
+            range(spec.iterations_per_cell),
         )
         assert leased["report"] == serialize_report(bare, unknown_split=True)
 
     def test_truncated_progress_line_reruns_iteration_same_bytes(self, tmp_path):
         spec, task = self._spec_and_task(tmp_path)
-        _init_worker(spec)
-        full = _run_shard(task)
+        install_worker_state(spec)
+        full = run_worker_task(task)
         progress_path = tmp_path / "j.jsonl.lease-cell-0of1.jsonl"
         lines = progress_path.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert len(lines) == 1 + task.iterations  # meta + one line per iteration
+        assert len(lines) == 1 + spec.iterations_per_cell  # meta + one per iteration
         # A worker died mid-append: the final line is half-written.
         progress_path.write_text(
             "".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2], encoding="utf-8"
         )
         from dataclasses import replace
 
-        resumed = _run_shard(replace(task, attempt=1))
+        resumed = run_worker_task(replace(task, attempt=1))
         assert resumed["report"] == full["report"]
         # The torn iteration was re-executed and re-checkpointed.
         healed = progress_path.read_text(encoding="utf-8").splitlines()
         recorded = [json.loads(line)["i"] for line in healed[1:]]
-        assert sorted(recorded) == list(range(task.iterations))
+        assert sorted(recorded) == list(range(spec.iterations_per_cell))
 
     def test_resume_replays_checkpoints_without_rerunning(self, tmp_path):
         spec, task = self._spec_and_task(tmp_path)
-        _init_worker(spec)
-        full = _run_shard(task)
+        install_worker_state(spec)
+        full = run_worker_task(task)
         progress_path = tmp_path / "j.jsonl.lease-cell-0of1.jsonl"
         before = progress_path.read_text(encoding="utf-8")
         from dataclasses import replace
 
-        resumed = _run_shard(replace(task, attempt=1))
+        resumed = run_worker_task(replace(task, attempt=1))
         assert resumed["report"] == full["report"]
         # Nothing was re-executed: the log gained no new lines.
         assert progress_path.read_text(encoding="utf-8") == before
 
     def test_bisected_child_lease_runs_exact_indices(self, tmp_path):
         spec, task = self._spec_and_task(tmp_path, indices=(1, 3))
-        _init_worker(spec)
-        payload = _run_shard(task)
+        install_worker_state(spec)
+        payload = run_worker_task(task)
         from repro.robustness.journal import deserialize_report
 
         report = deserialize_report(payload["report"])

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.core.config import CampaignSpec, YinYangConfig
 from repro.core.parallel import ShardTask
 from repro.robustness.chaos import ProcessChaos
 from repro.robustness.containment import (
@@ -45,17 +46,29 @@ class FakeBroken(RuntimeError):
 NO_SLEEP = SupervisorPolicy(sleep=lambda _s: None)
 
 
+def campaign(**overrides):
+    """A two-worker process campaign of 8 iterations per cell, seed 6:
+    the spec a supervisor takes its policy, containment, strategy and
+    seed from."""
+    base = dict(
+        config=YinYangConfig(seed=6),
+        iterations_per_cell=8,
+        solver_factory=list,
+        mode="process",
+        workers=2,
+        supervise=NO_SLEEP,
+    )
+    base.update(overrides)
+    return CampaignSpec(**base)
+
+
 def make_task(**overrides):
     base = dict(
         oracle="sat",
         seed_texts=("(check-sat)",),
         logics=("",),
-        iterations=8,
         shard=0,
-        of=2,
-        seed=6,
         cell=("z3-like", "QF_S", "sat"),
-        strategy="fusion",
     )
     base.update(overrides)
     return ShardTask(**base)
@@ -164,7 +177,7 @@ class TestHeartbeat:
 class TestSupervisorRun:
     def test_all_leases_succeed(self):
         backend = FakeBackend(lambda task: ("ok", {"shard": task.shard}))
-        sup = Supervisor(backend, policy=NO_SLEEP)
+        sup = Supervisor(backend, campaign())
         leases = [
             sup.lease(("cell", shard), make_task(shard=shard), (shard, shard + 2))
             for shard in range(2)
@@ -185,7 +198,7 @@ class TestSupervisorRun:
             return ("ok", {"attempt": task.attempt})
 
         backend = FakeBackend(plan, heartbeat_dir=str(tmp_path))
-        sup = Supervisor(backend, policy=NO_SLEEP)
+        sup = Supervisor(backend, campaign())
         leases = [
             sup.lease(("cell", shard), make_task(shard=shard), (shard,))
             for shard in range(2)
@@ -210,7 +223,7 @@ class TestSupervisorRun:
             return ("ok", {})
 
         backend = FakeBackend(plan, heartbeat_dir=str(tmp_path))
-        sup = Supervisor(backend, policy=NO_SLEEP)
+        sup = Supervisor(backend, campaign())
         results = sup.run([sup.lease("k", make_task(), (0, 2))])
         assert results["k"]
         assert sup.counters["requeues"] == 1
@@ -227,7 +240,7 @@ class TestSupervisorRun:
 
         backend = FakeBackend(plan)
         sup = Supervisor(
-            backend, policy=NO_SLEEP, containment=ContainmentPolicy(mem_limit_mb=64)
+            backend, campaign(containment=ContainmentPolicy(mem_limit_mb=64))
         )
         results = sup.run([sup.lease("k", make_task(), (0,))])
         [(lease, _payload)] = results["k"]
@@ -239,7 +252,7 @@ class TestSupervisorRun:
             indices = (
                 task.indices
                 if task.indices is not None
-                else tuple(range(task.shard, task.iterations, task.of))
+                else tuple(range(task.shard, 8, 2))
             )
             if 5 in indices:
                 return ("broken", 333, -signal.SIGKILL)
@@ -249,8 +262,10 @@ class TestSupervisorRun:
         artifacts = []
         sup = Supervisor(
             backend,
-            policy=SupervisorPolicy(
-                max_shard_retries=0, max_worker_restarts=20, sleep=lambda _s: None
+            campaign(
+                supervise=SupervisorPolicy(
+                    max_shard_retries=0, max_worker_restarts=20, sleep=lambda _s: None
+                )
             ),
             poison_artifact=lambda task, index: f"script-{index}",
             on_poison=artifacts.append,
@@ -277,7 +292,9 @@ class TestSupervisorRun:
         )
         sup = Supervisor(
             backend,
-            policy=SupervisorPolicy(max_worker_restarts=2, sleep=lambda _s: None),
+            campaign(
+                supervise=SupervisorPolicy(max_worker_restarts=2, sleep=lambda _s: None)
+            ),
         )
         with pytest.raises(SupervisionExhausted):
             sup.run([sup.lease("k", make_task(), (0,))])
@@ -289,10 +306,12 @@ class TestSupervisorRun:
         )
         sup = Supervisor(
             backend,
-            policy=SupervisorPolicy(
-                max_shard_retries=0, max_worker_restarts=20, sleep=lambda _s: None
+            campaign(
+                supervise=SupervisorPolicy(
+                    max_shard_retries=0, max_worker_restarts=20, sleep=lambda _s: None
+                ),
+                containment=ContainmentPolicy(mem_limit_mb=128, cpu_limit_seconds=30),
             ),
-            containment=ContainmentPolicy(mem_limit_mb=128, cpu_limit_seconds=30),
         )
         sup.run([sup.lease("k", make_task(), (4,))])
         [poison] = sup.poisoned
@@ -319,8 +338,10 @@ class TestHangSweep:
         backend = HangingBackend(None, heartbeat_dir=str(tmp_path))
         sup = Supervisor(
             backend,
-            policy=SupervisorPolicy(
-                heartbeat_timeout=0.01, poll_interval=0.01, sleep=lambda _s: None
+            campaign(
+                supervise=SupervisorPolicy(
+                    heartbeat_timeout=0.01, poll_interval=0.01, sleep=lambda _s: None
+                )
             ),
         )
 
@@ -387,11 +408,8 @@ class TestProcessChaos:
     def test_picklable_in_worker_spec(self):
         import pickle
 
-        from repro.core.parallel import WorkerSpec
-
-        spec = WorkerSpec(
-            solver_factory=None,
-            config=None,
+        spec = campaign(
+            supervise=None,
             containment=ContainmentPolicy(mem_limit_mb=64, cpu_limit_seconds=10),
             chaos_process=ProcessChaos(kill_at=(1, 2)),
         )

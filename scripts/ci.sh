@@ -27,7 +27,10 @@
 #      three properties versus the cold loop, and the campaign-scoped
 #      theory memo (shared by every cell and opfuzz's oracle) must be
 #      a pure replay: golden opfuzz journals, oracle verdicts and
-#      gensym positions unchanged, no leakage between campaigns.
+#      gensym positions unchanged, no leakage between campaigns; so
+#      must the string solver's per-check literal verdict memo: golden
+#      string-family journals and fired probes, one fold per literal
+#      and assignment of its variables.
 #   5. Fast lane — the full suite minus the soak/slow markers
 #      (see pyproject.toml; run the slow and chaos lanes nightly:
 #      `pytest -m slow` / `pytest -m chaos`).
@@ -70,8 +73,9 @@ python -m pytest tests/test_strategies.py -q -m "not slow"
 echo "== stage 3/9: telemetry determinism (journal byte-identity) =="
 python -m pytest tests/test_parallel_determinism.py -q -m "not slow"
 
-echo "== stage 4/9: triage + session determinism (verdict equivalence, bug-finding power, theory memo replay) =="
-python -m pytest tests/test_triage.py tests/test_session.py tests/test_theory_memo.py -q -m "not slow"
+echo "== stage 4/9: triage + session determinism (verdict equivalence, bug-finding power, theory memo replay, string verdict memo: tests/test_strings_memo.py) =="
+python -m pytest tests/test_triage.py tests/test_session.py tests/test_theory_memo.py \
+    tests/test_strings_memo.py -q -m "not slow"
 
 echo "== stage 5/9: fast lane (full suite minus slow/chaos) =="
 python -m pytest -m "not slow and not chaos" -q

@@ -183,7 +183,7 @@ def _analyze(literals, config):
         if len(chars) >= config.alphabet_size:
             break
         chars.add(filler)
-    analysis.alphabet = "".join(sorted(chars))[: max(config.alphabet_size, len(chars))]
+    analysis.alphabet = "".join(sorted(chars))
 
     for term, polarity in literals:
         # Arithmetic atoms whose only string content is ``str.len`` of a
@@ -350,6 +350,15 @@ def check_strings(literals, config=None, seed=0, deadline=None):
     ``(status, Model or None)``. ``deadline`` (an absolute
     ``time.monotonic()`` timestamp) truncates the bounded search the
     same way the assignment budget does, so overruns answer ``unknown``.
+
+    The conflict pruner decides each closed literal once per assignment
+    of its variables, in a verdict memo that lives for this call only.
+    A hit replays the fold it skips, and the budget is charged before
+    pruning, so the memo changes no visited node, status or model. Each
+    entry stands for a fold the pruner once made, and every pruner call
+    (one per length vector or DFS candidate) is charged to
+    ``max_assignments`` first, so the memo holds at most
+    ``max_assignments`` x ``len(literals)`` entries.
     """
     function_probe("strings.check")
     config = config or StringConfig()
@@ -414,21 +423,30 @@ def check_strings(literals, config=None, seed=0, deadline=None):
 
     # A literal can only fold to a constant once every variable in it is
     # assigned (_fold evaluates bottom-up, no short-circuiting), so the
-    # conflict pruner need not re-fold the still-open ones.
-    literal_vars = [
-        {node.name for node in term.walk() if isinstance(node, Var)}
-        for term, _ in literals
-    ]
+    # pruner skips open literals. A closed literal's fold depends on
+    # nothing but its variables' values, so its verdict is memoized
+    # under (literal index, those values in sorted-name order).
+    literal_vars = []
+    for term, _ in literals:
+        names = sorted({node.name for node in term.walk() if isinstance(node, Var)})
+        literal_vars.append((frozenset(names), tuple(names)))
+    decided_false = {}
 
     def prune_conflict(assigned):
         """True if some literal is already decided false under ``assigned``."""
-        model = Model(assigned)
-        for (term, polarity), names in zip(literals, literal_vars):
-            if not names <= assigned.keys():
+        model = None
+        for index, (term, polarity) in enumerate(literals):
+            name_set, names = literal_vars[index]
+            if not name_set <= assigned.keys():
                 continue
-            folded = _fold(term, model)
-            kind, payload = _residual_atom(folded, polarity)
-            if kind == "decided" and not payload:
+            key = (index, tuple([assigned[name] for name in names]))
+            verdict = decided_false.get(key)
+            if verdict is None:
+                if model is None:
+                    model = Model(assigned)
+                kind, payload = _residual_atom(_fold(term, model), polarity)
+                verdict = decided_false[key] = kind == "decided" and not payload
+            if verdict:
                 return True
         return False
 

@@ -11,12 +11,17 @@ families, with triage on, and the fired probe set of one of them.
 """
 
 import hashlib
+import sys
+from collections import Counter
 
 import pytest
 
 from repro.campaign.runner import deterministic_solvers, run_campaign
 from repro.observability.telemetry import Telemetry
 from repro.seeds import build_corpus
+from repro.smtlib import builder as b
+from repro.smtlib.ast import free_vars
+from repro.solver import strings
 
 # family -> (corpus scale, corpus seed, iterations per cell, campaign seed)
 GOLDEN_CAMPAIGNS = {
@@ -149,3 +154,55 @@ class TestCoverageGolden:
             kind: sorted(sets[f"coverage.{kind}.fired"]) for kind in GOLDEN_FIRED
         }
         assert fired == GOLDEN_FIRED
+
+
+A, B, C = (b.string_var(name) for name in "abc")
+
+# Three free string variables, enumerated in the order a, b, c (equal
+# occurrence counts, so names break the tie), and a first literal over
+# ``a`` alone: the pruner meets it again at every node below each value
+# of ``a``. The solution needs ab = ca with b != c.
+LITERALS = [
+    (b.prefixof(b.lift("x"), A), True),
+    (b.eq(b.concat(A, B), b.concat(C, A)), True),
+    (b.eq(B, C), False),
+]
+
+# (status, model) of check_strings(LITERALS), recorded before the memo.
+PINNED_RESULT = ("sat", {"a": "x", "b": "0x", "c": "x0"})
+
+
+class TestWorkSaved:
+    def test_each_literal_assignment_folds_once_per_check(self, monkeypatch):
+        # (literal, polarity, values of its variables) -> the number of
+        # times the conflict pruner handed its fold to _residual_atom.
+        # The fold alone no longer names the literal or the values, so
+        # they are read from the pruner's frame; the leaf's own folds
+        # (try_assignment) are not the memo's and are not counted.
+        folds = Counter()
+        residual_atom = strings._residual_atom
+
+        def counting(folded, polarity):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "prune_conflict":
+                term, assigned = caller.f_locals["term"], caller.f_locals["assigned"]
+                values = tuple(
+                    sorted((v.name, assigned[v.name]) for v in free_vars(term))
+                )
+                folds[(term, polarity, values)] += 1
+            return residual_atom(folded, polarity)
+
+        monkeypatch.setattr(strings, "_residual_atom", counting)
+
+        def check():
+            folds.clear()
+            status, model = strings.check_strings(LITERALS)
+            result = (status, {name: model[name] for name in model.names()})
+            return result, Counter(folds)
+
+        result, first = check()
+        assert result == PINNED_RESULT
+        assert max(first.values()) == 1
+        assert sum(1 for key in first if key[0] == LITERALS[0][0]) > 1
+        # The memo lives for one call: a second check folds it all again.
+        assert check() == (result, first)

@@ -100,8 +100,8 @@ python -m repro.cli campaign \
     --journal "$fleetdir/serial.jsonl" > /dev/null
 cmp "$fleetdir/fleet.jsonl" "$fleetdir/serial.jsonl" \
     || { echo "tcp fleet journal differs from serial journal" >&2; exit 1; }
-if compgen -G "$fleetdir/fleet.jsonl.shard-*" > /dev/null; then
-    echo "fleet sidecar journals left behind" >&2
+if compgen -G "$fleetdir/*.jsonl.*" > /dev/null; then
+    echo "transient files (lease logs, .tmp) left beside a journal" >&2
     exit 1
 fi
 echo "fleet smoke OK: tcp journal byte-identical to serial"
@@ -124,8 +124,8 @@ for strategy in fusion opfuzz; do
         --journal "$bvdir/$strategy-process2.jsonl" > /dev/null
     cmp "$bvdir/$strategy-serial.jsonl" "$bvdir/$strategy-process2.jsonl" \
         || { echo "QF_BV $strategy process journal differs from serial" >&2; exit 1; }
-    if compgen -G "$bvdir/$strategy-process2.jsonl.shard-*" > /dev/null; then
-        echo "QF_BV $strategy sidecar journals left behind" >&2
+    if compgen -G "$bvdir/$strategy-*.jsonl.*" > /dev/null; then
+        echo "QF_BV $strategy transient files (lease logs, .tmp) left beside a journal" >&2
         exit 1
     fi
 done

@@ -43,7 +43,7 @@ assert process == serial, "process-mode journal differs from serial journal"
 print(f"smoke OK: {len(cells)} cells, journals byte-identical across modes")
 EOF
 
-if compgen -G "$workdir/process.jsonl.shard-*" > /dev/null; then
-    echo "sidecar journals left behind" >&2
+if compgen -G "$workdir/*.jsonl.*" > /dev/null; then
+    echo "transient files (lease logs, .tmp) left beside a journal" >&2
     exit 1
 fi

@@ -133,8 +133,8 @@ def shard_counter_rows(campaign):
     """Per-shard counter rows of a process-mode campaign.
 
     One row per (cell, shard): how the cell's iterations were split,
-    what each shard found, and which worker ran it (``resumed`` marks
-    shards reloaded from a sidecar journal instead of re-run).
+    what each shard found, and which worker ran it (on a resume, the
+    worker that replayed its lease log).
     """
     rows = []
     for key in sorted(campaign.shard_counters):
@@ -149,7 +149,7 @@ def shard_counter_rows(campaign):
                     c.get("fusion_failures", 0),
                     c.get("bugs", 0),
                     f"{c.get('elapsed', 0.0):.2f}s",
-                    "resumed" if c.get("resumed") else f"pid {c.get('pid')}",
+                    f"pid {c.get('pid')}",
                 )
             )
     return rows

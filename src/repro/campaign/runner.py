@@ -19,20 +19,21 @@ down. Campaigns run in one of three execution modes:
   in-process kernel;
 - ``process`` — each cell's iterations sharded over a persistent
   spawn-safe worker pool (:mod:`repro.core.parallel`): per-worker
-  solver instances, parse caches, and crash-safe sidecar journals the
-  parent merges into the main journal;
+  solver instances and parse caches;
 - ``tcp`` — each cell's iterations leased to a socket worker fleet
   (:mod:`repro.distributed`): separate ``yinyang worker`` processes
   pull leases by work stealing, and the coordinator merges their
-  shipped shard payloads (plus a coordinator-side fleet sidecar for
-  resume).
+  shipped shard payloads.
 
 Process and tcp campaigns take one path: every shard is a lease that
 the :class:`~repro.distributed.coordinator.Coordinator` drives through
 a :class:`~repro.robustness.supervisor.Supervisor`, so dead or hung
-workers are always healed. All modes and worker counts produce
-identical bug records and identical journal bytes for a fixed seed;
-sharding is invisible to the oracle.
+workers are always healed. Every lease of a journaled campaign
+checkpoints its iterations to a lease progress log next to the
+journal; a resume leases the unjournaled cells again and replays those
+logs, so no completed iteration is solved twice. All modes and worker
+counts produce identical bug records and identical journal bytes for a
+fixed seed; sharding is invisible to the oracle.
 """
 
 from __future__ import annotations
@@ -45,11 +46,7 @@ from repro.core.yinyang import YinYang
 from repro.faults.catalog import bv_fault_catalog, cvc4_like_catalog, z3_like_catalog
 from repro.faults.faulty_solver import FaultySolver
 from repro.observability.telemetry import NULL_TELEMETRY
-from repro.robustness.journal import (
-    CampaignJournal,
-    load_sidecar_shards,
-    remove_sidecars,
-)
+from repro.robustness.journal import CampaignJournal, JournalError, remove_lease_logs
 from repro.solver.solver import ReferenceSolver, SolverConfig
 from repro.strategies.registry import make_strategy
 
@@ -267,6 +264,10 @@ def run_campaign(
     each completed (solver, corpus, oracle) cell; with ``resume=True``
     completed cells are loaded from the journal instead of re-run, so a
     campaign interrupted by ^C or a crash continues where it stopped.
+    A journal is refused (:class:`~repro.robustness.journal.JournalError`)
+    when it was written with other campaign settings, or when it holds
+    completed work and ``resume`` is False (a second run would journal
+    every cell twice).
     Cells are deterministic given ``seed``, so an interrupted-and-
     resumed campaign produces the same records as an uninterrupted one
     — even when the resume uses a different ``mode`` or ``workers``
@@ -289,7 +290,7 @@ def run_campaign(
     with telemetry off, on, or traced (see
     ``tests/test_parallel_determinism.py``). In process mode each
     worker runs its own telemetry and the parent merges per-shard
-    snapshots, exactly like sidecar journals.
+    snapshots, exactly like shard reports.
 
     ``strategy`` selects the mutation workload by registry name
     (``"fusion"``, ``"concatfuzz"``, ``"opfuzz"``, ...); the journal
@@ -399,9 +400,13 @@ def run_campaign(
             # The split counters ride every cell report of a triage run.
             journal.unknown_split = True
         journal.ensure_meta(**spec.describe()[0])
-        journal.ensure_strategy(strategy)
         if resume:
             completed = journal.completed_cells()
+        elif any(e.get("type") in ("cell", "poison") for e in journal.entries):
+            raise JournalError(
+                f"journal {journal.path} already holds completed cells; "
+                "resume it or start a new journal"
+            )
     cells = _campaign_cells(solvers, corpora)
     # Resumed cells are folded in first, in canonical order, so the
     # in-memory result (not just the journal) is shard- and
@@ -413,7 +418,7 @@ def run_campaign(
         else:
             remaining.append((key, solver, seeds))
     if mode != "serial":
-        _run_cells_supervised(result, remaining, spec, journal, resume, telemetry)
+        _run_cells_supervised(result, remaining, spec, journal, telemetry)
         return result
     # One strategy instance shared across all cells and solvers: its
     # caches (e.g. opfuzz's reference solver) keep earning, and mutants
@@ -438,10 +443,14 @@ def run_campaign(
             )
         report = tool.test(key[2], seeds, iterations=iterations_per_cell)
         _absorb_cell(result, key, report, journal, telemetry)
+    if journal is not None:
+        # A serial resume of an interrupted process or tcp campaign
+        # finishes the journal too; its lease logs are spent.
+        remove_lease_logs(journal.path)
     return result
 
 
-def _run_cells_supervised(result, remaining, spec, journal, resume, telemetry):
+def _run_cells_supervised(result, remaining, spec, journal, telemetry):
     """Run the remaining cells as supervised shard leases.
 
     The :class:`~repro.distributed.coordinator.Coordinator` builds the
@@ -451,19 +460,16 @@ def _run_cells_supervised(result, remaining, spec, journal, resume, telemetry):
     sharded ``spec.workers`` ways) and are journaled exactly as a
     serial run would, each shard's checkpoints live in a lease progress
     file next to the journal, and a lease re-executed after a worker
-    death replays its completed iterations — the merged cell report,
-    and therefore the journal, matches a failure-free run byte for
-    byte. Poisoned iterations are journaled as ``poison`` entries and
-    collected on ``result.poisoned``.
+    death (or a resumed campaign) replays its completed iterations —
+    the merged cell report, and therefore the journal, matches a
+    failure-free run byte for byte. Poisoned iterations are journaled
+    as ``poison`` entries and collected on ``result.poisoned``.
     """
     from repro.distributed.coordinator import Coordinator
 
-    partials = {}
-    if journal is not None and resume:
-        partials = load_sidecar_shards(journal.path, spec.describe()[1])
     with Coordinator(spec, journal, telemetry) as coordinator:
-        coordinator.run_cells(result, remaining, partials)
+        coordinator.run_cells(result, remaining)
     if journal is not None:
-        # Every cell is durably in the main journal now; the sidecar
-        # partials and lease checkpoints have served their purpose.
-        remove_sidecars(journal.path)
+        # Every cell is durably in the main journal now; the lease
+        # checkpoints have served their purpose.
+        remove_lease_logs(journal.path)

@@ -29,6 +29,7 @@ from repro.core.yinyang import YinYang
 from repro.errors import CampaignSpecError
 from repro.faults.catalog import catalog_for
 from repro.faults.faulty_solver import FaultySolver
+from repro.robustness.journal import JournalError
 from repro.seeds import build_corpus
 from repro.smtlib.parser import parse_script
 from repro.smtlib.printer import print_script
@@ -379,8 +380,9 @@ def _cmd_campaign(args):
             spawn_workers=args.spawn_workers,
             net_chaos=net_chaos,
         )
-    except CampaignSpecError as exc:
-        # Raised before any work: flags the chosen --mode would ignore.
+    except (CampaignSpecError, JournalError) as exc:
+        # Raised before any work: flags the chosen --mode would ignore,
+        # or a --journal this run must not append to.
         print(f"campaign: {exc}", file=sys.stderr)
         return 2
     print(result.summary())

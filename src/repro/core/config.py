@@ -171,17 +171,18 @@ class CampaignSpec:
         return self.config.seed
 
     def describe(self):
-        """The campaign parameters a journal and its sidecars are
-        stamped with: ``(journal_meta, sidecar_meta)``.
+        """The campaign parameters a journal and its lease logs are
+        stamped with: ``(journal_meta, lease_meta)``.
 
         Opt-in features (triage, incremental sessions, a logic
         restriction) stamp their spec only when on, so default-campaign
         journal bytes stay stable while a resume that would mix
         budgets, warm and cold shards, or catalogs mismatches and is
         refused. Fusion journals predate strategies and omit the
-        strategy key. Sidecars are transient (removed once the campaign
-        lands in the main journal), so they always carry the strategy,
-        plus the worker count their shard partition depends on.
+        strategy key. Lease logs are transient (removed once the
+        campaign lands in the main journal), so they always carry the
+        strategy, plus the worker count their shard partition depends
+        on; each log adds its shard.
         """
         # Imported lazily: both specs live above this module.
         from repro.campaign.triage import TRIAGE_SPEC
@@ -194,7 +195,7 @@ class CampaignSpec:
             meta["incremental"] = SESSION_SPEC
         if self.logic:
             meta["logic"] = self.logic
-        sidecar_meta = dict(meta, strategy=self.strategy, workers=self.workers)
+        lease_meta = dict(meta, strategy=self.strategy, workers=self.workers)
         if self.strategy != "fusion":
             meta["strategy"] = self.strategy
-        return meta, sidecar_meta
+        return meta, lease_meta

@@ -21,10 +21,7 @@ embedding):
 - each worker owns its **fresh-name state** (thread-local gensyms) and
   every iteration runs inside its own ``fresh_scope()``, so a fused
   script is a pure function of ``(seed, iteration index)`` — shard
-  boundaries can never shift a gensym;
-- optionally, each worker appends completed shards to a private
-  **sidecar journal** (crash-safe, atomic) that the campaign parent
-  merges into the main :class:`~repro.robustness.journal.CampaignJournal`.
+  boundaries can never shift a gensym.
 
 Because iterations are self-contained, merging the shards of any
 worker count reproduces the single-worker report bit-for-bit (see
@@ -47,7 +44,8 @@ Because each iteration is a pure function of ``(strategy, seed,
 index)``, a lease re-executed on a respawned worker replays its
 checkpoints and re-runs only the missing iterations — the merged
 report (and therefore the campaign journal) is byte-identical to a
-failure-free run.
+failure-free run. The same replay carries a campaign across a crash of
+the parent: a resumed campaign leases its unjournaled cells again.
 """
 
 from __future__ import annotations
@@ -122,7 +120,7 @@ _STATE = None  # per-process _WorkerState, set by install_worker_state
 class _WorkerState:
     """What one worker process owns for its whole lifetime."""
 
-    def __init__(self, spec, journal_path, telemetry):
+    def __init__(self, spec, telemetry):
         self.spec = spec
         solvers = spec.solver_factory()
         solvers = list(solvers) if isinstance(solvers, (list, tuple)) else [solvers]
@@ -141,13 +139,6 @@ class _WorkerState:
         # memo hit replays the miss exactly, so which worker ran which
         # cell before cannot show in any journal byte.
         self.theory_memo = {} if spec.config.incremental else None
-        self.journal = None
-        if journal_path:
-            from repro.robustness.journal import open_sidecar
-
-            self.journal = open_sidecar(
-                journal_path, os.getpid(), spec.describe()[1]
-            )
 
     def scripts_for(self, seed_texts):
         """Parse (and thereby typecheck) seed texts, cached per worker."""
@@ -162,7 +153,7 @@ class _WorkerState:
         return scripts
 
 
-def install_worker_state(spec, journal_path=None, telemetry=None):
+def install_worker_state(spec, telemetry=None):
     """Adopt the calling process as a worker of campaign ``spec``.
 
     Pool children get here via the executor's initializer; a socket
@@ -171,9 +162,7 @@ def install_worker_state(spec, journal_path=None, telemetry=None):
     the same :class:`_WorkerState` — same solvers, caches, containment
     — so every transport runs leases through identical machinery.
     Besides the spec, a worker needs only what it cannot derive from
-    it: ``journal_path``, the journal whose pid sidecar it appends
-    completed shards to (pool workers of a journaled campaign only),
-    and ``telemetry``, a picklable
+    it: ``telemetry``, a picklable
     :class:`~repro.observability.telemetry.TelemetryConfig` (live
     registries must not cross the spawn boundary; each shard builds its
     own Telemetry and ships a snapshot back with its results).
@@ -183,7 +172,7 @@ def install_worker_state(spec, journal_path=None, telemetry=None):
         # Before anything else allocates: the rlimits bound the whole
         # worker lifetime, solver construction included.
         spec.containment.apply()
-    _STATE = _WorkerState(spec, journal_path, telemetry)
+    _STATE = _WorkerState(spec, telemetry)
 
 
 def run_worker_task(task):
@@ -208,7 +197,7 @@ def run_worker_task(task):
             solver.force_quarantine()
     # One Telemetry per shard (not per worker): each payload carries a
     # clean per-shard snapshot, so the parent's merge — which sums
-    # counters like sidecar journals sum cells — never double-counts a
+    # counters like it sums shard reports — never double-counts a
     # long-lived worker's history.
     from repro.observability.telemetry import Telemetry
 
@@ -227,11 +216,6 @@ def run_worker_task(task):
     finally:
         if telemetry is not None:
             telemetry.close()
-    # Bisected child leases (explicit ``indices``) never write the pid
-    # sidecar: only a whole strided shard is a unit the campaign-resume
-    # merge understands, and a child's partial report must not shadow it.
-    if state.journal is not None and task.cell is not None and task.indices is None:
-        state.journal.record_shard(tuple(task.cell), task.shard, spec.workers, report)
     return {
         "report": serialize_report(report, unknown_split=True),
         "elapsed": report.elapsed,
@@ -270,15 +254,10 @@ def _run_leased(state, tool, task, scripts):
         )
     progress = None
     if task.progress_path:
+        # The campaign's full lease meta: a log of any other campaign
+        # (another partition, or any setting flipped) is discarded.
         progress = ShardProgress(
-            task.progress_path,
-            meta={
-                "seed": spec.seed,
-                "iterations": spec.iterations_per_cell,
-                "shard": task.shard,
-                "of": spec.workers,
-                "strategy": spec.strategy,
-            },
+            task.progress_path, meta=dict(spec.describe()[1], shard=task.shard)
         )
     work = tool.prepare_work(task.oracle, scripts, list(task.logics))
     # The incremental session's lifetime is the lease, not one index
@@ -365,7 +344,7 @@ class SupervisedPoolBackend:
     startup (spawn + imports + solver construction) is paid once, and
     the per-worker parse cache keeps earning across cells that share
     seed corpora. Each of the ``spec.workers`` workers is installed by
-    ``install_worker_state(spec, journal_path, telemetry)``. Owns the
+    ``install_worker_state(spec, telemetry)``. Owns the
     heartbeat directory workers write into (a private temp dir) and
     translates pool breakage into the supervisor's vocabulary:
     ``respawn()`` tears down the broken executor, reports how every old
@@ -375,9 +354,9 @@ class SupervisedPoolBackend:
 
     broken_exceptions = (BrokenProcessPool,)
 
-    def __init__(self, spec, journal_path=None, telemetry=None):
+    def __init__(self, spec, telemetry=None):
         self.spec = spec
-        self._initargs = (spec, journal_path, telemetry)
+        self._initargs = (spec, telemetry)
         self._closed = False
         self.heartbeat_dir = tempfile.mkdtemp(prefix="repro-heartbeat-")
         self._executor = self._start()

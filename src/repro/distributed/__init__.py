@@ -1,7 +1,7 @@
 """Distributed campaigns: a coordinator and a work-stealing worker fleet.
 
 PR 2 sharded a campaign over one host's process pool; this package
-generalizes the same shard/sidecar-merge design across a *transport
+generalizes the same shard-merge design across a *transport
 seam* so the fleet can span processes that are not our pool's children
 — today separate Python processes on a socket (``yinyang worker
 --connect HOST:PORT``), SSH-launched hosts next.

@@ -7,8 +7,8 @@ drives *any* lease backend — the in-process
 exactly three responsibilities:
 
 1. **planning** — each remaining (solver, family, oracle) cell becomes
-   ``workers`` strided shard leases (minus resumed partials), with
-   crash-safe progress paths next to the journal;
+   ``workers`` strided shard leases, each with a crash-safe progress
+   log next to the journal;
 2. **supervision** — one :class:`~repro.robustness.supervisor.Supervisor`
    spans the whole campaign (restart budget and counters are
    campaign-global) and drives every lease to completion through
@@ -19,11 +19,10 @@ exactly three responsibilities:
    report, so the journal's bytes are a pure function of the plan, not
    of scheduling.
 
-For remote fleets the coordinator also writes the **fleet sidecar**
-(``<journal>.shard-fleet.jsonl``): tcp workers never see the journal's
-host path, so completed shards are recorded coordinator-side in the
-same sidecar format pool workers write — which is what lets a resumed
-campaign skip fleet-completed shards exactly as it skips pool ones.
+Resume needs nothing from the coordinator beyond the plan: a cell the
+journal lacks is leased again, and each of its leases replays the
+iterations its progress log already holds — whichever worker, pool
+child or tcp peer, wrote them.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from repro.core.parallel import (
 from repro.core.yinyang import merge_shard_reports, shard_indices
 from repro.distributed.endpoint import TcpFleet
 from repro.observability.telemetry import NULL_TELEMETRY
-from repro.robustness.journal import lease_progress_path, open_sidecar
+from repro.robustness.journal import lease_progress_path
 from repro.robustness.supervisor import Supervisor
 
 
@@ -65,12 +64,7 @@ class Coordinator:
             self.backend = TcpFleet(spec, telemetry=telemetry)
         else:
             self.backend = SupervisedPoolBackend(
-                spec,
-                # Only pool workers write pid sidecars next to the
-                # journal; tcp workers never see its host path, so the
-                # coordinator records fleet shards itself.
-                journal_path=journal.path if journal is not None else None,
-                telemetry=telemetry.config() if telemetry is not None else None,
+                spec, telemetry=telemetry.config() if telemetry is not None else None
             )
         self.supervisor = Supervisor(
             self.backend,
@@ -93,8 +87,8 @@ class Coordinator:
 
     # -- planning ---------------------------------------------------------
 
-    def plan_cell(self, key, texts, logics, quarantined, skip_shards=()):
-        """The cell's shard leases (skipping resumed ``skip_shards``).
+    def plan_cell(self, key, texts, logics, quarantined):
+        """The cell's shard leases.
 
         A cell whose key names no solver (``YinYang.test``'s one cell)
         is checked by every solver the workers build.
@@ -103,7 +97,7 @@ class Coordinator:
         leases = []
         for shard in range(workers):
             indices = shard_indices(self.spec.iterations_per_cell, shard, workers)
-            if len(indices) == 0 or shard in skip_shards:
+            if len(indices) == 0:
                 continue
             progress_path = None
             if self.journal is not None:
@@ -125,7 +119,7 @@ class Coordinator:
 
     # -- the cell loop ----------------------------------------------------
 
-    def run_cells(self, result, remaining, partials=None):
+    def run_cells(self, result, remaining):
         """Drive every remaining cell to completion; fold into ``result``.
 
         Cells run in canonical order, one at a time, with per-shard
@@ -133,20 +127,12 @@ class Coordinator:
         shard's breaker trips for a solver, later cells pre-quarantine
         it everywhere, mirroring serial mode where one guard object
         spans the campaign) and a journal commit per completed cell.
-        ``partials`` holds resumed shard reports by cell. A journaled
-        tcp campaign also records each merged shard in the
-        coordinator-side fleet sidecar (resume support for remote
-        workers that cannot write host sidecars themselves).
         """
         from repro.campaign.runner import _absorb_cell
 
         telemetry = self.telemetry
         workers = self.spec.workers
         journal = self.journal
-        partials = partials or {}
-        side = None
-        if self.spec.mode == "tcp" and journal is not None:
-            side = open_sidecar(journal.path, "fleet", self.spec.describe()[1])
         quarantined = set()
         seed_text_cache = {}
         for key, _solver, seeds in remaining:
@@ -156,18 +142,10 @@ class Coordinator:
                 with (telemetry or NULL_TELEMETRY).phase("print"):
                     seed_text_cache[cache_key] = serialize_seeds(seeds)
             texts, logics = seed_text_cache[cache_key]
-            have = {
-                shard: report
-                for (shard, of), report in partials.get(key, {}).items()
-                if of == workers
-            }
-            leases = self.plan_cell(key, texts, logics, quarantined, skip_shards=have)
+            leases = self.plan_cell(key, texts, logics, quarantined)
             outcome = self.supervisor.run(leases)
-            shard_reports = dict(have)
-            counters = {
-                shard: {"shard": shard, "of": workers, "pid": None, "resumed": True}
-                for shard in have
-            }
+            shard_reports = {}
+            counters = {}
             for (_cell, shard), pairs in outcome.items():
                 reports = []
                 pid = None
@@ -176,20 +154,16 @@ class Coordinator:
                     pid = payload["pid"]
                     if telemetry is not None and payload.get("telemetry") is not None:
                         telemetry.merge_snapshot(payload["telemetry"])
-                shard_reports[shard] = (
+                report = shard_reports[shard] = (
                     reports[0] if len(reports) == 1 else merge_shard_reports(reports)
                 )
                 counters[shard] = {
                     "shard": shard,
                     "of": workers,
                     "pid": pid,
-                    "resumed": False,
+                    **report.counters(),
+                    "elapsed": report.elapsed,
                 }
-                if side is not None:
-                    side.record_shard(key, shard, workers, shard_reports[shard])
-            for shard, report in shard_reports.items():
-                counters[shard].update(report.counters())
-                counters[shard]["elapsed"] = report.elapsed
             merged = merge_shard_reports(
                 [shard_reports[shard] for shard in sorted(shard_reports)]
             )

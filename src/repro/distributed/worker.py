@@ -14,13 +14,16 @@ rlimits, heartbeat files, and crash-safe progress checkpoints all work
 unchanged; the socket replaces pickling-over-pipes, nothing else. That
 is why the fleet inherits byte-identical journals instead of having to
 re-prove them: a tcp worker computing iteration ``i`` is the same pure
-function of ``(strategy, seed, i)`` a pool worker is.
+function of ``(strategy, seed, i)`` a pool worker is. The progress
+checkpoints are also what a resumed tcp campaign replays: the worker
+that runs a re-leased shard reads the log earlier workers wrote.
 
 Same-host note: heartbeat files and progress checkpoints are paths on
 the *coordinator's* filesystem, so today's fleet assumes workers share
-that filesystem (localhost, or a shared mount). True cross-host
-heartbeats belong on the wire and are future work; everything else
-already crosses it.
+that filesystem (localhost, or a shared mount); a worker on another
+host would leave its checkpoints where no resume can find them. True
+cross-host heartbeats belong on the wire and are future work;
+everything else already crosses it.
 """
 
 from __future__ import annotations
@@ -127,8 +130,6 @@ def run_worker(address, net_chaos=None, codec="json", connect_timeout=30.0):
             )
         from repro.core.parallel import install_worker_state, run_worker_task
 
-        # No sidecar path: the journal lives on the coordinator, which
-        # records fleet shards itself.
         install_worker_state(spec, telemetry=unpack_blob(message["telemetry"]))
         return _serve(stream, run_worker_task)
     finally:

@@ -9,7 +9,7 @@ handles (``registry.counter("fused")``) and bumps them; everything else
 
 Merge semantics are the load-bearing design point: process-sharded
 campaigns collect one snapshot per shard and the parent folds them
-together, exactly like sidecar journals. Merging must therefore be
+together, exactly like the shard reports themselves. Merging must therefore be
 **associative and commutative with an identity** (the empty registry),
 so that any shard partition and any merge order produce the totals a
 serial run would have accumulated:

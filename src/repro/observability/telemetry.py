@@ -29,7 +29,7 @@ Two invariants keep telemetry invisible to the oracle (enforced by
 Worker processes build their own instance from the picklable
 :class:`TelemetryConfig` (live registries must not cross the spawn
 boundary) and ship per-shard snapshots back with their results; the
-parent merges them exactly like sidecar journals.
+parent merges them exactly like the shard reports they ride with.
 """
 
 from __future__ import annotations

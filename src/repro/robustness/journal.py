@@ -18,25 +18,22 @@ would break both replay equality and the stronger process-mode
 guarantee that journals written at different worker counts are
 byte-identical.
 
-Process-sharded campaigns add a second journal layer: each worker
-process appends the shards it completes to a private *sidecar* journal
-(``<path>.shard-<pid>.jsonl``, same atomic-commit discipline), and the
-parent merges finished cells into the main journal with stable global
-iteration ids. A parent crash therefore loses no completed shard —
-resume reloads matching sidecars and re-runs only the missing shards.
-Sidecars are keyed by ``(shard, of)``: a resume with a *different*
-worker count simply finds no matching partials and re-runs whole
-cells, never duplicating or skipping one.
-
-Supervised campaigns add a third, finer layer: :class:`ShardProgress`,
-an *append-only* per-lease log of completed iterations
-(``<path>.lease-*.jsonl``). Unlike the journals above it is not
-atomically rewritten — each iteration appends one line — so a worker
-killed mid-write can leave a torn final line; the loader discards it
-and the iteration is simply re-executed. Because every iteration is a
-pure function of ``(strategy, seed, index)``, replaying recorded
-iterations and re-running the missing ones merges to the exact bytes
-of a failure-free run (see ``tests/test_supervised_campaign.py``).
+Process and tcp campaigns add one finer layer below the cell:
+:class:`ShardProgress`, an *append-only* per-lease log of completed
+iterations (``<path>.lease-*.jsonl``), written by whichever worker
+runs the lease. Unlike the main journal it is not atomically
+rewritten — each iteration appends one line — so a worker killed
+mid-write can leave a torn final line; the loader discards it and the
+iteration is simply re-executed. Because every iteration is a pure
+function of ``(strategy, seed, index)``, replaying recorded iterations
+and re-running the missing ones merges to the exact bytes of a
+failure-free run (see ``tests/test_supervised_campaign.py``). The same
+logs carry a campaign across a parent crash: a resumed campaign leases
+the unjournaled cells again, and each lease replays its log. Logs are
+keyed by ``(cell, shard, of)`` and stamped with the campaign's full
+lease meta, so a resume at another worker count, or with any other
+setting changed, recomputes the partial cell instead of splicing in
+foreign iterations.
 """
 
 from __future__ import annotations
@@ -62,13 +59,32 @@ _REPORT_COUNTERS = (
 )
 
 # The unknown-kind split is serialized only on request (triage
-# campaigns and worker-sidecar wire formats): legacy journals stay
+# campaigns, worker payloads and lease logs): legacy journals stay
 # byte-identical, and the golden-diff tests keep pinning them.
 _SPLIT_COUNTERS = ("unknowns_budget", "unknowns_genuine")
 
 
 class JournalError(ReproError):
     """The journal is unusable (bad version, mismatched campaign params)."""
+
+
+_ABSENT = object()
+
+# What a meta key's absence means: opt-in settings (and any strategy
+# but fusion, which predates the key) are stamped only when on.
+_ABSENT_MEANS = {
+    "strategy": "'fusion'",
+    "triage": "off",
+    "incremental": "off",
+    "logic": "unrestricted",
+}
+
+
+def _setting(meta, key):
+    """One meta setting as an error message names it."""
+    if key in meta:
+        return f"{key}={meta[key]!r}"
+    return f"{key} {_ABSENT_MEANS.get(key, 'unset')}"
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +176,15 @@ class CampaignJournal:
       different campaign must not silently poison a run);
     - ``cell`` — one completed ``(solver, family, oracle)`` cell with
       its serialized report and bug records;
-    - ``shard`` — one completed shard of a cell (only in worker
-      sidecar journals): a cell report restricted to the iteration ids
-      ``range(shard, iterations, of)``.
+    - ``poison`` — one quarantined poison iteration (see
+      :meth:`record_poison`).
     """
 
     def __init__(self, path):
         self.path = os.fspath(path)
         self.entries = []
         # Campaigns that track the unknown-kind split (triage) flip
-        # this on so cell/shard reports carry the split counters;
+        # this on so cell reports carry the split counters;
         # default off keeps legacy journals byte-identical.
         self.unknown_split = False
         if os.path.exists(self.path):
@@ -222,7 +237,13 @@ class CampaignJournal:
             os.close(dir_fd)
 
     def ensure_meta(self, **params):
-        """Write the meta entry, or verify it matches on resume."""
+        """Write the meta entry, or verify it matches on resume.
+
+        Opt-in settings are stamped only when on, so a key present on
+        one side only is a mismatch too: a triage journal resumed
+        without triage (or a fusion journal resumed as opfuzz) would
+        mix budgets, warm and cold cells, or workloads.
+        """
         existing = self.meta()
         if existing is None:
             self.entries.insert(
@@ -230,32 +251,14 @@ class CampaignJournal:
             )
             self._commit()
             return
-        for key, value in params.items():
-            if key in existing and existing[key] != value:
+        recorded = {k: v for k, v in existing.items() if k not in ("type", "version")}
+        for key in sorted(recorded.keys() | params.keys()):
+            if recorded.get(key, _ABSENT) != params.get(key, _ABSENT):
                 raise JournalError(
                     f"journal {self.path} was written by a campaign with "
-                    f"{key}={existing[key]!r}, not {value!r}; refusing to mix"
+                    f"{_setting(recorded, key)}, not {_setting(params, key)}; "
+                    "refusing to mix"
                 )
-
-    def ensure_strategy(self, name):
-        """Verify the journal's strategy matches ``name``.
-
-        Journals written before the strategy pipeline (and all fusion
-        journals since — the key is omitted to keep fusion bytes
-        stable) carry no ``strategy`` meta key; absence means
-        ``"fusion"``. :meth:`ensure_meta` alone cannot catch the
-        absent-vs-other cases, since it only compares keys present on
-        both sides.
-        """
-        existing = self.meta()
-        if existing is None:
-            return
-        recorded = existing.get("strategy", "fusion")
-        if recorded != name:
-            raise JournalError(
-                f"journal {self.path} was written by a {recorded!r} "
-                f"campaign, not {name!r}; refusing to mix strategies"
-            )
 
     def record_cell(self, key, report):
         """Append one completed cell and commit it durably."""
@@ -266,26 +269,6 @@ class CampaignJournal:
                 "solver": solver,
                 "family": family,
                 "oracle": oracle,
-                "report": serialize_report(report, unknown_split=self.unknown_split),
-            }
-        )
-        self._commit()
-
-    def record_shard(self, key, shard, of, report):
-        """Append one completed (cell, shard) and commit it durably.
-
-        Only worker sidecar journals hold shard entries; the parent
-        merges them into plain ``cell`` entries of the main journal.
-        """
-        solver, family, oracle = key
-        self.entries.append(
-            {
-                "type": "shard",
-                "solver": solver,
-                "family": family,
-                "oracle": oracle,
-                "shard": shard,
-                "of": of,
                 "report": serialize_report(report, unknown_split=self.unknown_split),
             }
         )
@@ -331,94 +314,9 @@ class CampaignJournal:
             cells[key] = deserialize_report(entry["report"])
         return cells
 
-    def completed_shards(self):
-        """{(solver, family, oracle): {(shard, of): YinYangReport}}."""
-        shards = {}
-        for entry in self.entries:
-            if entry.get("type") != "shard":
-                continue
-            key = (entry["solver"], entry["family"], entry["oracle"])
-            shards.setdefault(key, {})[(entry["shard"], entry["of"])] = (
-                deserialize_report(entry["report"])
-            )
-        return shards
-
     def poison_entries(self):
         """All quarantined poison-iteration artifacts, in journal order."""
         return [e for e in self.entries if e.get("type") == "poison"]
-
-
-# ---------------------------------------------------------------------------
-# Worker sidecar journals (process-sharded campaigns)
-# ---------------------------------------------------------------------------
-
-
-def sidecar_path(journal_path, worker_id):
-    """The sidecar journal path of one worker process."""
-    return f"{os.fspath(journal_path)}.shard-{worker_id}.jsonl"
-
-
-def open_sidecar(journal_path, worker_id, meta):
-    """Open the sidecar journal of ``worker_id``, stamped with ``meta``.
-
-    A stale sidecar from a differently-parameterized run (a recycled
-    pid, a fleet sidecar of another campaign) cannot line up with this
-    run's shards, so it is removed and started over. Sidecars are wire
-    format, not archive: they always carry the unknown-kind split so it
-    survives a resume merge (the main journal still gates on the
-    campaign's own flag).
-    """
-    path = sidecar_path(journal_path, worker_id)
-    try:
-        sidecar = CampaignJournal(path)
-        sidecar.ensure_meta(**meta)
-    except JournalError:
-        os.remove(path)
-        sidecar = CampaignJournal(path)
-        sidecar.ensure_meta(**meta)
-    sidecar.unknown_split = True
-    return sidecar
-
-
-def sidecar_paths(journal_path):
-    """All sidecar journals next to ``journal_path`` (any run's workers)."""
-    return sorted(_glob.glob(f"{os.fspath(journal_path)}.shard-*.jsonl"))
-
-
-def load_sidecar_shards(journal_path, expect_meta):
-    """Collect completed shards from all sidecars whose meta matches.
-
-    ``expect_meta`` holds the current campaign parameters (seed,
-    iterations per cell, worker count). Sidecars written by a campaign
-    with different parameters — notably a different ``workers`` count,
-    whose shard partition would not line up — are ignored wholesale:
-    their cells are simply re-run. Unreadable sidecars are skipped too;
-    they can only cost re-work, never correctness.
-
-    Returns ``{cell_key: {(shard, of): YinYangReport}}``.
-    """
-    collected = {}
-    for path in sidecar_paths(journal_path):
-        try:
-            sidecar = CampaignJournal(path)
-        except (JournalError, OSError):
-            continue
-        meta = sidecar.meta() or {}
-        if any(meta.get(key) != value for key, value in expect_meta.items()):
-            continue
-        for cell, shards in sidecar.completed_shards().items():
-            collected.setdefault(cell, {}).update(shards)
-    return collected
-
-
-def remove_sidecars(journal_path):
-    """Delete all sidecar journals and lease progress logs (the
-    campaign completed; every cell is durably in the main journal)."""
-    for path in sidecar_paths(journal_path) + lease_progress_paths(journal_path):
-        try:
-            os.remove(path)
-        except OSError:
-            pass
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +344,16 @@ def lease_progress_paths(journal_path):
     return sorted(_glob.glob(f"{os.fspath(journal_path)}.lease-*.jsonl"))
 
 
+def remove_lease_logs(journal_path):
+    """Delete all lease progress logs (the campaign completed; every
+    cell is durably in the main journal)."""
+    for path in lease_progress_paths(journal_path):
+        try:
+            os.remove(path)
+        except OSError:
+            pass
+
+
 class ShardProgress:
     """Append-only per-lease log of completed iterations.
 
@@ -458,10 +366,11 @@ class ShardProgress:
     discards it and the supervisor simply re-executes that iteration —
     correctness never depends on the tail surviving.
 
-    A meta line (first line) stamps the campaign parameters; a log
-    whose meta does not match the current campaign is discarded
-    wholesale (a stale file from a differently-parameterized run on
-    the same journal path cannot poison a resume).
+    A meta line (first line) stamps the campaign's lease meta; a log
+    whose meta is not exactly this lease's (a key missing or extra
+    counts) is discarded wholesale, so a stale file from a
+    differently-parameterized run on the same journal path is never
+    replayed into this one.
 
     Appends take an advisory ``fcntl`` lock so bisected sibling leases
     running in different workers can safely share one log.
@@ -507,8 +416,7 @@ class ShardProgress:
         if not entries or entries[0].get("type") != "meta":
             self._reset()
             return
-        recorded = entries[0]
-        if any(recorded.get(k) != v for k, v in self.meta.items()):
+        if entries[0] != self._meta_entry():
             self._reset()
             return
         for entry in entries[1:]:
@@ -522,8 +430,11 @@ class ShardProgress:
             pass
         self._write_meta()
 
+    def _meta_entry(self):
+        return {"type": "meta", "version": JOURNAL_VERSION, **self.meta}
+
     def _write_meta(self):
-        self._append({"type": "meta", "version": JOURNAL_VERSION, **self.meta})
+        self._append(self._meta_entry())
 
     def _append(self, entry):
         line = json.dumps(entry, sort_keys=True) + "\n"

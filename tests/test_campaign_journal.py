@@ -230,3 +230,58 @@ class TestCampaignResume:
                 seed=6,
                 performance_threshold=None,
             )
+
+
+class TestJournalRefusals:
+    """A journal is appended to only by the campaign that wrote it, and
+    only when that campaign resumes it."""
+
+    TINY = dict(iterations_per_cell=1, seed=6, performance_threshold=None)
+
+    @pytest.fixture(scope="class")
+    def lia(self):
+        return {"QF_LIA": build_corpus("QF_LIA", scale=0.003, seed=5)}
+
+    @pytest.mark.parametrize(
+        "setting",
+        [("triage", True), ("incremental", True), ("logic", "QF_LIA")],
+        ids=["triage", "incremental", "logic"],
+    )
+    @pytest.mark.parametrize("written_with", [True, False], ids=["on-off", "off-on"])
+    def test_resume_refuses_a_flipped_setting(self, lia, tmp_path, setting, written_with):
+        # Opt-in settings are stamped only when on, so one direction of
+        # each flip leaves the key on one side of the comparison only.
+        path = tmp_path / "campaign.jsonl"
+        key, value = setting
+        on = {key: value}
+        run_campaign(lia, journal=path, **self.TINY, **(on if written_with else {}))
+        blob = path.read_bytes()
+        with pytest.raises(JournalError, match=key):
+            run_campaign(
+                lia, journal=path, resume=True, **self.TINY,
+                **({} if written_with else on),
+            )
+        assert path.read_bytes() == blob
+
+    def test_second_run_without_resume_refused(self, lia, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        run_campaign(lia, journal=path, **self.TINY)
+        blob = path.read_bytes()
+        with pytest.raises(JournalError, match="resume"):
+            run_campaign(lia, journal=path, **self.TINY)
+        assert path.read_bytes() == blob  # no cell journaled twice
+
+    def test_poison_entry_alone_refuses_a_fresh_run(self, lia, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        journal = CampaignJournal(path)
+        journal.ensure_meta(seed=6, iterations_per_cell=1)
+        journal.record_poison(("z3-like", "QF_LIA", "sat"), {"iteration": 0})
+        with pytest.raises(JournalError, match="resume"):
+            run_campaign(lia, journal=path, **self.TINY)
+
+    def test_meta_only_journal_runs_without_resume(self, lia, tmp_path):
+        # Interrupted before its first cell: nothing to duplicate.
+        path = tmp_path / "campaign.jsonl"
+        CampaignJournal(path).ensure_meta(seed=6, iterations_per_cell=1)
+        result = run_campaign(lia, journal=path, **self.TINY)
+        assert len(CampaignJournal(path).completed_cells()) == len(result.reports)

@@ -106,6 +106,17 @@ class TestResilienceFlags:
         out = capsys.readouterr().out
         assert "fused formulas" in out
 
+    def test_campaign_rerun_without_resume_exits_2(self, tmp_path, capsys):
+        journal = str(tmp_path / "journal.jsonl")
+        args = ["campaign", "--scale", "0.0005", "--iterations", "1",
+                "--journal", journal]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("campaign: journal ") and "resume" in err
+        assert err.count("\n") == 1  # one line, no traceback
+
     def test_resume_without_journal_rejected(self, capsys):
         code = main(["campaign", "--resume"])
         assert code == 2

@@ -12,7 +12,8 @@ Around that center sit the layers the invariant rests on:
 - the wire protocol (length-prefixed frames) survives arbitrary
   segmentation, duplication of whole frames, truncation, and garbage —
   property-tested with Hypothesis;
-- the lease merge is blind to completion order, empty sidecars, and
+- the lease merge is blind to completion order, empty or stale lease
+  logs, and
   workers that die before finishing a single iteration;
 - seeded :class:`~repro.distributed.NetChaos` faults (mid-lease
   disconnects, dropped status frames, duplicated results, delays)
@@ -62,7 +63,8 @@ from repro.distributed.protocol import (
 )
 from repro.observability.telemetry import Telemetry
 from repro.robustness import SupervisorPolicy
-from repro.robustness.journal import CampaignJournal, sidecar_path, sidecar_paths
+from repro.robustness import ShardProgress
+from repro.robustness.journal import lease_progress_path
 from repro.seeds import build_corpus
 
 CAMPAIGN = dict(
@@ -73,10 +75,11 @@ CAMPAIGN = dict(
 
 NO_BACKOFF = dict(backoff_base=0.0, backoff_cap=0.0)
 
-#: The sidecar meta stamped by every supervised run of CAMPAIGN at
-#: workers=2 (see ``CampaignSpec.describe``) — fabricated-sidecar tests
-#: must match it exactly to exercise the "matching but empty" path.
-SIDECAR_META = dict(
+#: The lease meta stamped by every supervised run of CAMPAIGN at
+#: workers=2 (see ``CampaignSpec.describe``; each log adds its shard) —
+#: fabricated lease-log tests must match it exactly to exercise the
+#: "matching but empty" path.
+LEASE_META = dict(
     seed=6, iterations_per_cell=6, workers=2, strategy="fusion"
 )
 
@@ -134,11 +137,9 @@ class TestFleetShapeDeterminism:
         )
         assert path.read_bytes() == baseline[1]
         assert result.summary_counters() == baseline[0].summary_counters()
-        # Transient state (worker sidecars, the coordinator's fleet
-        # sidecar, lease progress logs) is gone once the journal holds
-        # every cell.
-        assert sidecar_paths(path) == []
-        assert list(tmp_path.glob("*.lease-*")) == []
+        # Transient state (lease progress logs, the journal's .tmp) is
+        # gone once the journal holds every cell.
+        assert list(tmp_path.glob(path.name + ".*")) == []
 
     def test_tcp_campaign_reports_clean_supervision(
         self, corpora, baseline, tmp_path
@@ -473,16 +474,7 @@ class TestNetChaosPlan:
 
 
 class TestMergeEdgeCases:
-    def test_empty_sidecar_with_matching_meta_is_harmless(
-        self, corpora, baseline, tmp_path
-    ):
-        """A fleet sidecar holding meta but zero shards — a coordinator
-        that died before merging anything — neither breaks the resume
-        nor shadows any cell."""
-        path = tmp_path / "resume.jsonl"
-        side = CampaignJournal(sidecar_path(path, "fleet"))
-        side.ensure_meta(**SIDECAR_META)
-        assert side.completed_shards() == {}
+    def _resume_tcp(self, corpora, path):
         run_campaign(
             corpora,
             journal=path,
@@ -492,25 +484,37 @@ class TestMergeEdgeCases:
             solver_factory=one_deterministic_solver,
             **CAMPAIGN,
         )
-        assert path.read_bytes() == baseline[1]
-        assert sidecar_paths(path) == []
 
-    def test_mismatched_sidecar_meta_is_ignored_wholesale(
+    def test_empty_lease_log_with_matching_meta_is_harmless(
         self, corpora, baseline, tmp_path
     ):
+        """A lease log holding meta but zero iterations — a worker that
+        died before finishing its first one — neither breaks the resume
+        nor shadows any iteration."""
         path = tmp_path / "resume.jsonl"
-        side = CampaignJournal(sidecar_path(path, "fleet"))
-        side.ensure_meta(**dict(SIDECAR_META, workers=3))  # stale partition
-        run_campaign(
-            corpora,
-            journal=path,
-            mode="tcp",
-            workers=2,
-            resume=True,
-            solver_factory=one_deterministic_solver,
-            **CAMPAIGN,
+        cell = next(iter(baseline[0].reports))
+        log = ShardProgress(
+            lease_progress_path(path, cell, 0, 2), meta=dict(LEASE_META, shard=0)
         )
+        assert log.completed == {}
+        self._resume_tcp(corpora, path)
         assert path.read_bytes() == baseline[1]
+        assert list(tmp_path.glob(path.name + ".*")) == []
+
+    def test_mismatched_lease_log_meta_is_discarded_wholesale(
+        self, corpora, baseline, tmp_path
+    ):
+        """A lease log of another partition sits at this lease's path
+        with a forged iteration; replaying it would change the cell."""
+        path = tmp_path / "resume.jsonl"
+        cell = next(iter(baseline[0].reports))
+        stale = dict(LEASE_META, shard=0, workers=3)  # stale partition
+        ShardProgress(lease_progress_path(path, cell, 0, 2), meta=stale).record(
+            0, {"iterations": 99}
+        )
+        self._resume_tcp(corpora, path)
+        assert path.read_bytes() == baseline[1]
+        assert list(tmp_path.glob(path.name + ".*")) == []
 
     @pytest.mark.parametrize("steal_seed", [0, 1, 2, 5])
     def test_out_of_order_lease_completion_merges_identically(
@@ -568,8 +572,7 @@ class TestMergeEdgeCases:
         assert result.supervision["restarts"] == 0
         assert result.poisoned == []
         assert path.read_bytes() == baseline[1]
-        assert sidecar_paths(path) == []
-        assert list(tmp_path.glob("*.lease-*")) == []
+        assert list(tmp_path.glob(path.name + ".*")) == []
 
 
 # ---------------------------------------------------------------------------

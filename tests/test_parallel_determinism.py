@@ -14,6 +14,7 @@ the campaign reports — the one failure mode a metamorphic testing tool
 cannot tolerate.
 """
 
+import glob
 import json
 
 import pytest
@@ -22,7 +23,7 @@ from repro.campaign.runner import deterministic_solvers, run_campaign
 from repro.core.config import YinYangConfig
 from repro.core.yinyang import YinYang, merge_shard_reports, shard_indices
 from repro.observability.telemetry import Telemetry
-from repro.robustness.journal import serialize_bug_record, sidecar_paths
+from repro.robustness.journal import serialize_bug_record
 from repro.seeds import build_corpus
 
 # deterministic_solvers: no wall-clock solver deadline, so a loaded CI
@@ -107,7 +108,8 @@ class TestProcessDeterminism:
         assert process2[1] == baseline[1]
 
     def test_sidecars_removed_after_completion(self, process2):
-        assert sidecar_paths(process2[2]) == []
+        # No file is left beside the journal: lease logs, ``.tmp``.
+        assert glob.glob(f"{process2[2]}.*") == []
 
     def test_per_shard_counters_cover_every_cell(self, baseline, process2):
         result = process2[0]

@@ -1,12 +1,12 @@
-"""Process-mode campaign tests: resume across worker counts, sidecar
-shard journals, and cross-worker quarantine aggregation.
+"""Process-mode campaign tests: resume across worker counts, resume
+from lease progress logs, and cross-worker quarantine aggregation.
 
-The resume contract under test (satellite of the sharded-execution
-work): a journal written at one worker count must resume correctly at
-*any* other worker count — no cell duplicated, none skipped — because
-the main journal is keyed by cell (worker-count independent) while
-partial-shard sidecars carry their own meta and are discarded whenever
-the partition would not line up.
+The resume contract under test: a journal written at one worker count
+must resume correctly at *any* other worker count — no cell duplicated,
+none skipped — because the main journal is keyed by cell (worker-count
+independent) while lease progress logs carry the campaign's full lease
+meta and are discarded whenever it does not match (another partition,
+or any other setting).
 """
 
 import json
@@ -14,13 +14,12 @@ import json
 import pytest
 
 from repro.campaign.runner import deterministic_solvers, run_campaign
-from repro.core.yinyang import YinYangReport
-from repro.robustness import CampaignJournal, ResiliencePolicy
+from repro.observability.telemetry import Telemetry
+from repro.robustness import ResiliencePolicy, ShardProgress
 from repro.robustness.journal import (
-    load_sidecar_shards,
+    lease_progress_path,
+    lease_progress_paths,
     serialize_bug_record,
-    sidecar_path,
-    sidecar_paths,
 )
 from repro.seeds import build_corpus
 from repro.solver.result import SolverCrash
@@ -59,9 +58,9 @@ def _interrupt_after_cells(corpora, path, after_cells, **kwargs):
     """Run a journaled campaign that dies after ``after_cells`` cells.
 
     The interrupt fires in the parent as the (after_cells+1)-th cell is
-    being folded in — by then its workers have already journaled their
-    shards to sidecars, exactly the crash window sidecar resume exists
-    for.
+    being folded in — by then its workers have already checkpointed
+    every iteration to their lease logs, exactly the crash window
+    lease-log resume exists for.
     """
     import repro.campaign.runner as runner_mod
 
@@ -128,55 +127,138 @@ class TestResumeAcrossWorkerCounts:
         resumed = run_campaign(corpora, journal=path, resume=True, **CAMPAIGN)
         assert serialized(resumed.records) == serialized(baseline[0].records)
         assert path.read_bytes() == baseline[1]
+        # The serial run finished the journal, so the interrupted
+        # process run's lease logs are spent and removed too.
+        assert _leftovers(path) == []
 
 
-class TestSidecarResume:
-    def test_completed_shards_reused_at_same_worker_count(
+def _logged_iterations(path):
+    """Iteration ids recorded in one lease log (read-only: opening a
+    :class:`ShardProgress` with the wrong meta would reset the file)."""
+    with open(path, encoding="utf-8") as handle:
+        return {json.loads(line)["i"] for line in list(handle)[1:]}
+
+
+def _leftovers(path):
+    """Every transient file next to the journal (lease logs, ``.tmp``)."""
+    return sorted(path.parent.glob(path.name + ".*"))
+
+
+def _counted_iterations(telemetry):
+    return telemetry.snapshot()["counters"]["iterations"]
+
+
+#: Lease meta as ``CampaignSpec.describe`` stamps it (plus the shard).
+LEASE_META = {"seed": 1, "iterations_per_cell": 8, "strategy": "fusion", "workers": 2}
+
+
+class TestLeaseLogResume:
+    def test_iterations_replayed_at_same_worker_count(
         self, corpora, baseline, tmp_path
     ):
         path = tmp_path / "campaign.jsonl"
         _interrupt_after_cells(
             corpora, path, after_cells=2, mode="process", workers=2
         )
-        # The interrupted cell's shards reached the sidecars even
+        # The interrupted cell's iterations reached its lease logs even
         # though the cell never reached the main journal.
-        assert sidecar_paths(path)
-        meta = dict(seed=CAMPAIGN["seed"],
-                    iterations_per_cell=CAMPAIGN["iterations_per_cell"],
-                    workers=2)
-        partials = load_sidecar_shards(path, meta)
-        journaled = set(_cell_keys_in_journal(path))
-        assert any(key not in journaled for key in partials)
+        keys = list(baseline[0].reports)
+        assert keys[2] not in _cell_keys_in_journal(path)
+        logged = set()
+        for shard in range(2):
+            logged |= _logged_iterations(lease_progress_path(path, keys[2], shard, 2))
+        assert logged == set(range(CAMPAIGN["iterations_per_cell"]))
 
+        telemetry = Telemetry()
         resumed = run_campaign(
-            corpora, journal=path, resume=True, mode="process", workers=2, **CAMPAIGN
+            corpora,
+            journal=path,
+            resume=True,
+            mode="process",
+            workers=2,
+            telemetry=telemetry,
+            **CAMPAIGN,
         )
-        reused = [
-            key
-            for key, shards in resumed.shard_counters.items()
-            if shards and all(c["resumed"] for c in shards)
-        ]
-        assert reused  # at least the interrupted cell came from sidecars
+        # Three cells are done: two from the journal, the interrupted
+        # one replayed from its lease logs. Only the rest ran.
+        per_cell = CAMPAIGN["iterations_per_cell"]
+        assert _counted_iterations(telemetry) == (len(keys) - 3) * per_cell
+        assert resumed.summary_counters() == baseline[0].summary_counters()
         assert serialized(resumed.records) == serialized(baseline[0].records)
         assert path.read_bytes() == baseline[1]
-        assert sidecar_paths(path) == []  # cleaned up after success
+        assert _leftovers(path) == []  # cleaned up after success
 
-    def test_mismatched_sidecar_meta_ignored(self, tmp_path):
-        path = tmp_path / "campaign.jsonl"
-        side = CampaignJournal(sidecar_path(path, 7))
-        side.ensure_meta(seed=1, iterations_per_cell=8, workers=2)
-        side.record_shard(("s", "f", "sat"), 0, 2, YinYangReport(iterations=4))
-        meta = dict(seed=1, iterations_per_cell=8, workers=2)
-        assert ("s", "f", "sat") in load_sidecar_shards(path, meta)
-        assert load_sidecar_shards(path, dict(meta, workers=3)) == {}
-        assert load_sidecar_shards(path, dict(meta, seed=2)) == {}
+    def test_mismatched_lease_log_meta_discarded(self, tmp_path):
+        path = tmp_path / "campaign.jsonl.lease-s-f-sat-0of2.jsonl"
+        meta = dict(LEASE_META, shard=0)
+        ShardProgress(path, meta=meta).record(0, {"iterations": 1})
+        assert ShardProgress(path, meta=meta).completed == {0: {"iterations": 1}}
+        for stale in (
+            dict(meta, workers=3),  # another partition
+            dict(meta, seed=2),
+            dict(meta, triage="hard@4:1/2,hopeless@9:1/8"),  # extra key
+            {k: v for k, v in meta.items() if k != "strategy"},  # missing key
+            {},  # empty meta
+        ):
+            ShardProgress(path, meta=stale).record(0, {"iterations": 1})
+            assert ShardProgress(path, meta=meta).completed == {}
 
-    def test_unreadable_sidecar_skipped(self, tmp_path):
+    def test_unreadable_lease_log_costs_only_rework(
+        self, corpora, baseline, tmp_path
+    ):
         path = tmp_path / "campaign.jsonl"
-        with open(sidecar_path(path, 3), "w", encoding="utf-8") as handle:
-            handle.write("not json at all\n")
-        meta = dict(seed=1, iterations_per_cell=8, workers=2)
-        assert load_sidecar_shards(path, meta) == {}
+        _interrupt_after_cells(
+            corpora, path, after_cells=2, mode="process", workers=2
+        )
+        logs = lease_progress_paths(path)
+        assert logs
+        for log in logs:
+            with open(log, "w", encoding="utf-8") as handle:
+                handle.write("not json at all\n")
+        telemetry = Telemetry()
+        run_campaign(
+            corpora,
+            journal=path,
+            resume=True,
+            mode="process",
+            workers=2,
+            telemetry=telemetry,
+            **CAMPAIGN,
+        )
+        # Nothing was replayed: every unjournaled cell ran in full.
+        per_cell = CAMPAIGN["iterations_per_cell"]
+        assert _counted_iterations(telemetry) == (len(baseline[0].reports) - 2) * per_cell
+        assert path.read_bytes() == baseline[1]
+        assert _leftovers(path) == []
+
+    @pytest.mark.parametrize("setting", ["triage", "incremental"])
+    def test_stale_lease_log_of_another_setting_is_not_replayed(
+        self, corpora, baseline, tmp_path, setting
+    ):
+        """A lease log left by a campaign that differs only in one
+        opt-in setting (its journal since deleted) is discarded: its
+        iterations ran under other budgets or sessions and must not be
+        merged into this campaign's cells."""
+        path = tmp_path / "campaign.jsonl"
+        _interrupt_after_cells(
+            corpora, path, after_cells=0, mode="process", workers=2,
+            **{setting: True},
+        )
+        assert lease_progress_paths(path)
+        path.unlink()
+        telemetry = Telemetry()
+        run_campaign(
+            corpora,
+            journal=path,
+            mode="process",
+            workers=2,
+            telemetry=telemetry,
+            **CAMPAIGN,
+        )
+        per_cell = CAMPAIGN["iterations_per_cell"]
+        assert _counted_iterations(telemetry) == len(baseline[0].reports) * per_cell
+        assert path.read_bytes() == baseline[1]
+        assert _leftovers(path) == []
 
 
 class CrashingSolver:

@@ -30,7 +30,11 @@
 #      gensym positions unchanged, no leakage between campaigns; so
 #      must the string solver's per-check literal verdict memo: golden
 #      string-family journals and fired probes, one fold per literal
-#      and assignment of its variables.
+#      and assignment of its variables; and so must refutation-only
+#      conflict-minimization probes: golden arithmetic journals, the
+#      same cores and UNSAT probes as full-strength probes, probe
+#      answers never replayed to a full check, and a per-search atom
+#      table equal to fresh atom_to_poly calls.
 #   5. Fast lane — the full suite minus the soak/slow markers
 #      (see pyproject.toml; run the slow and chaos lanes nightly:
 #      `pytest -m slow` / `pytest -m chaos`).
@@ -73,9 +77,9 @@ python -m pytest tests/test_strategies.py -q -m "not slow"
 echo "== stage 3/9: telemetry determinism (journal byte-identity) =="
 python -m pytest tests/test_parallel_determinism.py -q -m "not slow"
 
-echo "== stage 4/9: triage + session determinism (verdict equivalence, bug-finding power, theory memo replay, string verdict memo: tests/test_strings_memo.py) =="
+echo "== stage 4/9: triage + session determinism (verdict equivalence, bug-finding power, theory memo replay, string verdict memo: tests/test_strings_memo.py, refutation-only probes: tests/test_refute_probes.py) =="
 python -m pytest tests/test_triage.py tests/test_session.py tests/test_theory_memo.py \
-    tests/test_strings_memo.py -q -m "not slow"
+    tests/test_strings_memo.py tests/test_refute_probes.py -q -m "not slow"
 
 echo "== stage 5/9: fast lane (full suite minus slow/chaos) =="
 python -m pytest -m "not slow and not chaos" -q

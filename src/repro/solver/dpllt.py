@@ -229,10 +229,14 @@ def _search(
     saw_unknown = False
     saw_genuine = False
     rounds = 0
-    theory_cache = {}
     strings_key = _strings_key(string_config) if session is not None else None
+    # (term, polarity) -> what theory dispatch needs of that literal;
+    # the same atoms recur in almost every check of one search.
+    atom_table = {}
 
-    def make_check(budget, local_cache):
+    def make_check(budget, refute):
+        local_cache = {}
+
         def check(literal_list):
             key = frozenset(literal_list)
             if key in local_cache:
@@ -243,10 +247,18 @@ def _search(
                 # tuple (theory search is order-sensitive), making a hit
                 # an exact replay of the miss — result-identical, hence
                 # invisible to determinism and verdict equivalence.
-                result = session.theory_lookup(literal_list, budget, seed, strings_key)
+                result = session.theory_lookup(
+                    literal_list, budget, seed, strings_key, refute
+                )
             if result is None:
                 result = _check_theory(
-                    literal_list, string_config, seed, budget, deadline
+                    literal_list,
+                    string_config,
+                    seed,
+                    budget,
+                    deadline,
+                    refute,
+                    atom_table,
                 )
                 if session is not None:
                     session.theory_store(
@@ -256,22 +268,24 @@ def _search(
                         strings_key,
                         result,
                         cacheable=deadline is None or result[0] != UNKNOWN,
+                        refute=refute,
                     )
             local_cache[key] = result
             return result
 
         return check
 
-    cached_check = make_check(nonlinear_budget, theory_cache)
+    cached_check = make_check(nonlinear_budget, False)
 
     # Conflict-minimization probes only need to *refute* subsets of an
-    # already-refuted assignment, and a reduced-budget UNSAT is as much
-    # a proof as a full-budget one — an undecided probe just keeps its
-    # literal in the core. A quarter of the enumeration budget decides
-    # almost all probes at a fraction of the cost. Kept in a separate
-    # cache so probe answers never masquerade as full-budget answers.
-    probe_budget = max(1, nonlinear_budget // 4)
-    probe_check = make_check(probe_budget, {})
+    # already-refuted assignment, so they run refutation-only: an
+    # arithmetic probe stops before the model search, which could only
+    # answer sat or unknown and never shrinks a core. The probe budget
+    # now bounds only bit-vector conflicts (a reduced-budget UNSAT is
+    # as much a proof as a full-budget one; an undecided probe just
+    # keeps its literal in the core). Kept in a separate cache so probe
+    # answers never masquerade as full answers.
+    probe_check = make_check(max(1, nonlinear_budget // 4), True)
 
     while True:
         rounds += 1
@@ -352,9 +366,11 @@ def _shrink_core(theory_literals, cached_check, max_literals=32):
 
     Conflict cores here are tiny (often 1-3 literals out of ~30), so
     the divide-and-conquer recursion reaches them in ``O(k log n)``
-    refutation probes where greedy per-literal deletion needs ``O(n)``
-    — and those probes are full theory checks, which is where
-    budget-burning mutants spend most of their solve time.
+    refutation probes where greedy per-literal deletion needs ``O(n)``.
+    ``cached_check`` answers each probe; only whether it is ``UNSAT``
+    matters, so the search passes a refutation-only check (see
+    :func:`_check_theory`) that skips the model search of arithmetic
+    subsets, where hard probes used to burn their budget.
 
     Soundness needs only the *top-level* refutation (established by the
     caller before shrinking): every subset the recursion returns is
@@ -384,35 +400,54 @@ def _shrink_core(theory_literals, cached_check, max_literals=32):
     return minimize([], list(theory_literals), False)
 
 
-def _check_theory(theory_literals, string_config, seed, nonlinear_budget=900, deadline=None):
+def _check_theory(
+    theory_literals,
+    string_config,
+    seed,
+    nonlinear_budget=900,
+    deadline=None,
+    refute=False,
+    atom_table=None,
+):
     """Dispatch a conjunction of theory literals to the right core.
 
     Returns ``(status, model, unknown_kind)``: the kind distinguishes a
     budget-bounded ``unknown`` (string/nonlinear enumeration ran out of
     steps — more budget could decide it) from a genuine one (an atom
     outside every core's fragment).
+
+    ``refute`` makes an arithmetic conjunction refutation-only (see
+    :func:`~repro.solver.nonlinear.check_nonlinear`): ``unsat`` exactly
+    when the full check is, ``unknown`` where it would find a model.
+    ``atom_table`` maps ``(term, polarity)`` to the literal's
+    :func:`_literal_facts`; a search passes one table to all its checks
+    so each literal is analysed once (``None``: a table for this call).
     """
     function_probe("dpllt.check_theory")
     if not theory_literals:
         return SAT, Model(), ""
-    atoms = [term for term, _ in theory_literals]
-    if branch_probe("dpllt.uses_strings", strings.involves_strings(atoms)):
+    if atom_table is None:
+        atom_table = {}
+    facts = []
+    for literal in theory_literals:
+        entry = atom_table.get(literal)
+        if entry is None:
+            entry = atom_table[literal] = _literal_facts(*literal)
+        facts.append(entry)
+    if branch_probe("dpllt.uses_strings", any(entry[0] for entry in facts)):
         status, model = strings.check_strings(
             theory_literals, string_config, seed, deadline
         )
         return status, model, BUDGET_UNKNOWN if status == UNKNOWN else ""
-    if branch_probe("dpllt.uses_bv", bitblast.involves_bv(atoms)):
+    if branch_probe("dpllt.uses_bv", any(entry[1] for entry in facts)):
         return bitblast.check_bv(
             theory_literals, nonlinear_budget=nonlinear_budget, deadline=deadline
         )
 
     poly_atoms = []
     int_vars = set()
-    for term, polarity in theory_literals:
-        for var in free_vars(term):
-            if var.sort == INT:
-                int_vars.add(var.name)
-        kind, payload = nonlinear.atom_to_poly(term, polarity)
+    for _strings, _bv, kind, payload, int_names in facts:
+        int_vars.update(int_names)
         if kind == "decided":
             if not payload:
                 return UNSAT, None, ""
@@ -422,7 +457,12 @@ def _check_theory(theory_literals, string_config, seed, nonlinear_budget=900, de
             line_probe("dpllt.stuck_atom")
             return UNKNOWN, None, GENUINE_UNKNOWN
     status, values = nonlinear.check_nonlinear(
-        poly_atoms, int_vars, seed=seed, enum_budget=nonlinear_budget, deadline=deadline
+        poly_atoms,
+        int_vars,
+        seed=seed,
+        enum_budget=nonlinear_budget,
+        deadline=deadline,
+        refute=refute,
     )
     if status != SAT:
         return status, None, BUDGET_UNKNOWN if status == UNKNOWN else ""
@@ -430,6 +470,26 @@ def _check_theory(theory_literals, string_config, seed, nonlinear_budget=900, de
     for name, value in (values or {}).items():
         model[name] = int(value) if name in int_vars else Fraction(value)
     return SAT, model, ""
+
+
+def _literal_facts(term, polarity):
+    """``(strings, bv, kind, payload, int_names)`` of one theory literal.
+
+    ``strings`` and ``bv`` say whether the atom mentions either theory;
+    ``kind, payload`` is its :func:`~repro.solver.nonlinear.atom_to_poly`
+    result and ``int_names`` the names of its Int variables. A string
+    atom sends every conjunction it is in to the string core, and a
+    bit-vector atom without strings to the bit-blaster. Neither needs
+    its polynomial, nor a string atom its bit-vector flag, so those
+    are not computed.
+    """
+    if strings.involves_strings((term,)):
+        return True, False, None, None, ()
+    if bitblast.involves_bv((term,)):
+        return False, True, None, None, ()
+    kind, payload = nonlinear.atom_to_poly(term, polarity)
+    int_names = tuple(var.name for var in free_vars(term) if var.sort == INT)
+    return False, False, kind, payload, int_names
 
 
 def _guess_model(original, max_variables=128):

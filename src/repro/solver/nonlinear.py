@@ -754,12 +754,22 @@ def _propagate_equalities(atoms, int_vars):
     return SAT, fixed, eliminations, work
 
 
-def check_nonlinear(atoms, int_vars=(), seed=0, enum_budget=900, deadline=None):
+def check_nonlinear(
+    atoms, int_vars=(), seed=0, enum_budget=900, deadline=None, refute=False
+):
     """Decide a conjunction of :class:`PolyAtom` constraints (best effort).
 
     Returns ``(status, model_dict)``; models map names to Fractions
     (integral for ``int_vars``). ``deadline`` (absolute
     ``time.monotonic()``) truncates the search like an exhausted budget.
+
+    Every ``unsat`` source (equality propagation, the linear check,
+    ICP) runs before the model search, which can only answer ``sat`` or
+    ``unknown``. With ``refute`` the call stops where that search would
+    begin and answers ``unknown`` instead of any ``sat``: it is
+    ``unsat`` exactly when the full check is, never ``sat``, and
+    ``enum_budget`` and ``seed`` go unused. Conflict-minimization
+    probes, which only ask whether a subset is refuted, run this way.
     """
     function_probe("nonlinear.check")
 
@@ -794,17 +804,12 @@ def check_nonlinear(atoms, int_vars=(), seed=0, enum_budget=900, deadline=None):
         "nonlinear.all_linear", all(poly_is_linear(a.poly_dict) for a in reduced)
     ):
         status, partial = _check_linear_with_diseq(reduced, int_vars, deadline=deadline)
-        if status == SAT:
-            model = finish(partial)
-            if model is not None:
-                return SAT, model
-            return UNKNOWN, None
-        return status, None
-
-    nl_vars = sorted(_nonlinear_vars(reduced))
-    nl_vars.sort(
-        key=lambda v: -sum(1 for a in reduced for m, _ in a.poly for x, _ in m if x == v)
-    )
+        if status != SAT:
+            return status, None
+        model = None if refute else finish(partial)
+        if model is not None:
+            return SAT, model
+        return UNKNOWN, None
 
     # Strategy 1: ICP refutation (cheap and sound).
     hard = [a for a in reduced if a.op != "!="]
@@ -812,6 +817,13 @@ def check_nonlinear(atoms, int_vars=(), seed=0, enum_budget=900, deadline=None):
     if icp_unsat(hard, reduced_vars, int_vars, max_depth=8, max_nodes=120):
         line_probe("nonlinear.icp_unsat_hit")
         return UNSAT, None
+    if refute:
+        return UNKNOWN, None
+
+    nl_vars = sorted(_nonlinear_vars(reduced))
+    nl_vars.sort(
+        key=lambda v: -sum(1 for a in reduced for m, _ in a.poly for x, _ in m if x == v)
+    )
 
     # Strategy 2: DFS over small values for nonlinearly-occurring
     # variables, pruning on decided atoms; residual systems are linear.

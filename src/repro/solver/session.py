@@ -19,17 +19,17 @@ campaign's theory memo:
   iteration scoping is what makes hits provably independent of how a
   campaign is sharded (no shard can see another iteration's entries).
 - a **theory memo**: ``_check_theory`` is a pure function of its
-  ordered literal list, budgets and seed (it draws no gensyms and no
-  ambient randomness), so memoizing it on the *ordered* tuple is
-  result-identical — a hit returns exactly what the miss would have
-  computed. The memo is not the session's own: it is a plain dict
-  scoped to the campaign process (serial: the whole campaign; a pool
-  or tcp worker: the worker's lifetime), shared by every cell's
-  session and by opfuzz's differential oracle. Cells of different
-  solvers draw the same mutants, and mutants of the same seeds keep
-  re-asserting the same theory atoms, so the repeats span cells as
-  well as iterations. It is never module state: two campaigns in one
-  process build two memos.
+  ordered literal list, budgets, seed and refutation-only mode (it
+  draws no gensyms and no ambient randomness), so memoizing it on the
+  *ordered* tuple is result-identical — a hit returns exactly what the
+  miss would have computed. The memo is not the session's own: it is
+  a plain dict scoped to the campaign process (serial: the whole
+  campaign; a pool or tcp worker: the worker's lifetime), shared by
+  every cell's session and by opfuzz's differential oracle. Cells of
+  different solvers draw the same mutants, and mutants of the same
+  seeds keep re-asserting the same theory atoms, so the repeats span
+  cells as well as iterations. It is never module state: two
+  campaigns in one process build two memos.
 - a **warm SAT prototype**: the cell's seed assertions, Tseitin-encoded
   once with a *selector* (assumption) variable guarding each
   assertion's root literal, then presolved under all selectors for a
@@ -274,8 +274,8 @@ class SolverSession:
 
     # -- theory memo -------------------------------------------------------
 
-    def theory_lookup(self, literal_list, budget, seed, strings_key):
-        key = (tuple(literal_list), budget, seed, strings_key)
+    def theory_lookup(self, literal_list, budget, seed, strings_key, refute=False):
+        key = (tuple(literal_list), budget, seed, strings_key, refute)
         hit = self._theory_memo.get(key)
         if hit is None:
             self.tel.count("session.theory.miss")
@@ -283,17 +283,22 @@ class SolverSession:
         self.tel.count("session.theory.hit")
         return hit
 
-    def theory_store(self, literal_list, budget, seed, strings_key, result, cacheable):
+    def theory_store(
+        self, literal_list, budget, seed, strings_key, result, cacheable, refute=False
+    ):
         """Memoize one ``_check_theory`` answer.
 
         Keyed on the *ordered* literal tuple: the theory cores are
         order-sensitive searches, so only the exact call is a pure
-        replay. ``cacheable`` is False for wall-clock-bounded unknowns
-        (a timeout is not a function of the arguments).
+        replay. ``refute`` is part of the key: a refutation-only answer
+        (a probe's ``unknown`` where the full check may find a model)
+        must never answer a full check. ``cacheable`` is False for
+        wall-clock-bounded unknowns (a timeout is not a function of the
+        arguments).
         """
         if not cacheable:
             return
-        key = (tuple(literal_list), budget, seed, strings_key)
+        key = (tuple(literal_list), budget, seed, strings_key, refute)
         self._bounded_put(self._theory_memo, key, result, THEORY_CACHE_CAP)
 
     # -- warm solves -------------------------------------------------------

@@ -2,18 +2,31 @@
 
 A QuickXplain probe only asks whether a subset of refuted literals is
 itself UNSAT, so the solver's cores, blocking clauses and search must
-be exactly what full-strength probes produced. The goldens below were
-recorded before the probes changed: the journal sha256s of small
-deterministic fusion campaigns over arithmetic families, with triage
-on and incremental both on and off.
+be exactly what full-strength probes produced. The journal goldens
+below were recorded before the probes changed: the journal sha256s of
+small deterministic fusion campaigns over arithmetic families, with
+triage on and incremental both on and off. The fired-probe golden was
+recorded after the change (see ``GOLDEN_FIRED``).
 """
 
 import hashlib
+import inspect
+from collections import Counter
 
 import pytest
 
 from repro.campaign.runner import deterministic_solvers, run_campaign
+from repro.observability.telemetry import Telemetry
 from repro.seeds import build_corpus
+from repro.smtlib import builder as b
+from repro.smtlib.ast import free_vars
+from repro.smtlib.parser import parse_script
+from repro.smtlib.sorts import INT
+from repro.solver import bitblast, dpllt, nonlinear, strings
+from repro.solver.dpllt import _strings_key, check_assertions
+from repro.solver.result import SolverResult
+from repro.solver.session import SolverSession
+from repro.solver.strings import StringConfig
 
 # family -> (corpus scale, corpus seed, iterations per cell, campaign seed)
 GOLDEN_CAMPAIGNS = {
@@ -60,3 +73,270 @@ class TestJournalGoldens:
         _arith_campaign(family, incremental, journal=path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == GOLDEN_SHA256[(family, incremental)]
+
+
+# The QF_NRA campaign (incremental) under Telemetry(coverage=True):
+# kind -> the sorted ids of every probe it fired, recorded with
+# refutation-only probes. Against full-strength probes it lost only
+# ``nonlinear.sample_sat``, which fired inside probes alone.
+GOLDEN_FIRED = {
+    "branch": [
+        "dpllt.model_ok:T",
+        "dpllt.quantified_residue:F",
+        "dpllt.uses_bv:F",
+        "dpllt.uses_strings:F",
+        "linarith.integral:T",
+        "nonlinear.all_linear:F",
+        "nonlinear.all_linear:T",
+        "sat.solve.toplevel_conflict:F",
+        "sat.solve.toplevel_conflict:T",
+        "simplex.check.no_pivot:F",
+        "simplex.check.no_pivot:T",
+    ],
+    "function": [
+        "dpllt.assemble_model",
+        "dpllt.check",
+        "dpllt.check_theory",
+        "dpllt.guess_model",
+        "dpllt.shrink_core",
+        "faulty.check",
+        "linarith.check_linear",
+        "nonlinear.check",
+        "nonlinear.icp_unsat",
+        "nonlinear.linear_with_diseq",
+        "preprocess.run",
+        "sat.add_clause",
+        "sat.analyze",
+        "sat.propagate",
+        "sat.solve",
+        "simplex.assert_atom",
+        "simplex.check",
+        "tseitin.build",
+    ],
+    "line": [
+        "dpllt.model_guess",
+        "dpllt.model_guess_hit",
+        "dpllt.round_budget",
+        "dpllt.sat_verified",
+        "dpllt.shrink_skipped",
+        "dpllt.theory_unknown",
+        "dpllt.unsat",
+        "dpllt.warm_attempt",
+        "dpllt.warm_decided",
+        "eval.*",
+        "eval.+",
+        "eval.-",
+        "eval./",
+        "eval.<",
+        "eval.<=",
+        "eval.=",
+        "eval.>",
+        "eval.>=",
+        "eval.and",
+        "eval.ite",
+        "eval.not",
+        "eval.or",
+        "faulty.answer",
+        "icp.prune.eq",
+        "icp.prune.le",
+        "icp.prune.lt",
+        "nonlinear.enum_sat",
+        "nonlinear.icp_unsat_hit",
+        "nonlinear.propagate_conflict",
+        "preprocess.ackermann",
+        "preprocess.distinct",
+        "preprocess.eliminate_definition",
+        "preprocess.purify_real_div",
+        "sat.propagate.conflict",
+        "sat.propagate.moved_watch",
+        "sat.solve.assume",
+        "sat.solve.sat",
+        "simplex.check.sat",
+        "tseitin.and",
+        "tseitin.iff",
+        "tseitin.implies",
+        "tseitin.ite",
+        "tseitin.or",
+    ],
+}
+
+
+class TestCoverageGolden:
+    def test_fired_probe_set_matches_golden(self):
+        with Telemetry(coverage=True) as tel:
+            _arith_campaign("QF_NRA", telemetry=tel)
+            sets = tel.snapshot()["sets"]
+        fired = {
+            kind: sorted(sets[f"coverage.{kind}.fired"]) for kind in GOLDEN_FIRED
+        }
+        assert fired == GOLDEN_FIRED
+
+
+_SEARCH_PARAMS = inspect.signature(dpllt._search)
+
+
+class TestProbeEquivalence:
+    """Every probe of a campaign, answered both ways."""
+
+    @pytest.mark.parametrize("family", ["NRA", "QF_NRA"])
+    def test_refutation_only_probes_decide_what_full_probes_decide(
+        self, family, monkeypatch
+    ):
+        check_theory = dpllt._check_theory
+        shrink_core = dpllt._shrink_core
+        search = dpllt._search
+        searches = []  # (string_config, seed, nonlinear_budget, deadline)
+        full_answers = Counter()
+        shrinks = []
+
+        def recording_search(*args, **kwargs):
+            bound = _SEARCH_PARAMS.bind(*args, **kwargs).arguments
+            searches.append(
+                (
+                    bound["string_config"],
+                    bound["seed"],
+                    bound["nonlinear_budget"],
+                    bound["deadline"],
+                )
+            )
+            try:
+                return search(*args, **kwargs)
+            finally:
+                searches.pop()
+
+        def comparing_shrink(theory_literals, cached_check, *args, **kwargs):
+            config, seed, budget, deadline = searches[-1]
+            probe_budget = max(1, budget // 4)
+
+            def full(literals):
+                return check_theory(
+                    list(literals), config, seed, probe_budget, deadline
+                )
+
+            def compared(literals):
+                expected = full(literals)
+                refuted = check_theory(
+                    list(literals), config, seed, probe_budget, deadline, True
+                )
+                answer = cached_check(literals)
+                full_answers[expected[0]] += 1
+                assert refuted[0] != "sat"
+                assert answer[0] != "sat"
+                assert (refuted[0] == "unsat") == (expected[0] == "unsat")
+                assert (answer[0] == "unsat") == (expected[0] == "unsat")
+                return answer
+
+            core = shrink_core(theory_literals, compared, *args, **kwargs)
+            assert core == shrink_core(theory_literals, full, *args, **kwargs)
+            shrinks.append(core)
+            return core
+
+        monkeypatch.setattr(dpllt, "_search", recording_search)
+        monkeypatch.setattr(dpllt, "_shrink_core", comparing_shrink)
+        _arith_campaign(family, incremental=False)
+        assert shrinks
+        # Full probes answered every way, so the refutation-only answer
+        # replaced both sat and unknown here.
+        assert set(full_answers) == {"sat", "unsat", "unknown"}
+
+
+X = b.int_var("x")
+Y = b.int_var("y")
+R = b.real_var("r")
+
+# x > 0: the full check finds a model, a refutation-only one cannot.
+SATISFIABLE = "(declare-fun x () Int)(assert (> x 0))"
+
+
+class TestSessionIsolation:
+    def test_refutation_only_entry_never_answers_a_full_lookup(self):
+        session = SolverSession([])
+        unknown = ("unknown", None, "budget")
+        session.theory_store(["a"], 1, 0, None, unknown, True, refute=True)
+        assert session.theory_lookup(["a"], 1, 0, None) is None
+        assert session.theory_lookup(["a"], 1, 0, None, True) is not None
+        session.theory_store(["b"], 1, 0, None, ("sat", None, ""), True)
+        assert session.theory_lookup(["b"], 1, 0, None, True) is None
+
+    def test_full_check_misses_a_stored_refutation_only_unknown(self, monkeypatch):
+        assertions = parse_script(SATISFIABLE).asserts
+        lookups = []  # (literals, budget, seed, strings key, refute), hit
+        theory_lookup = SolverSession.theory_lookup
+
+        def recording(self, literal_list, budget, seed, strings_key, refute=False):
+            hit = theory_lookup(self, literal_list, budget, seed, strings_key, refute)
+            key = (tuple(literal_list), budget, seed, strings_key, refute)
+            lookups.append((key, hit))
+            return hit
+
+        monkeypatch.setattr(SolverSession, "theory_lookup", recording)
+        outcome = check_assertions(assertions, session=SolverSession([]))
+        assert outcome.result is SolverResult.SAT
+        key = next(key for key, _hit in lookups if not key[4])
+        literals, budget, seed, strings_key, _refute = key
+        assert strings_key == _strings_key(StringConfig())
+
+        refuted = dpllt._check_theory(
+            list(literals), StringConfig(), seed, budget, None, True
+        )
+        assert refuted[0] == "unknown"
+        session = SolverSession([])
+        session.theory_store(
+            list(literals), budget, seed, strings_key, refuted, True, refute=True
+        )
+        lookups.clear()
+        outcome = check_assertions(assertions, session=session)
+        assert outcome.result is SolverResult.SAT
+        assert (key, None) in lookups
+
+
+def _expected_facts(term, polarity):
+    if strings.involves_strings([term]):
+        return True, False, None, None, ()
+    if bitblast.involves_bv([term]):
+        return False, True, None, None, ()
+    kind, payload = nonlinear.atom_to_poly(term, polarity)
+    names = tuple(var.name for var in free_vars(term) if var.sort == INT)
+    return False, False, kind, payload, names
+
+
+class TestAtomTable:
+    ATOMS = [
+        b.gt(X, 0),
+        b.le(b.mul(X, Y), 3),
+        b.eq(b.add(R, 1), b.mul(R, R)),
+        b.lift(True),
+        b.eq(b.length(b.string_var("s")), X),
+        b.eq(b.bvadd(b.bv_var("v", 8), b.bv(1, 8)), b.bv(0, 8)),
+    ]
+
+    @pytest.mark.parametrize("polarity", [True, False])
+    def test_table_entry_matches_fresh_atom_to_poly(self, polarity):
+        table = {}
+        for atom in self.ATOMS:
+            literals = [(atom, polarity)]
+            dpllt._check_theory(literals, StringConfig(), 0, atom_table=table)
+        for atom in self.ATOMS:
+            entry = table[(atom, polarity)]
+            assert entry == _expected_facts(atom, polarity)
+            if entry[2] is not None:
+                assert entry[2:4] == nonlinear.atom_to_poly(atom, polarity)
+
+    def test_every_entry_of_a_campaign_matches(self, monkeypatch):
+        check_theory = dpllt._check_theory
+        tables = {}
+
+        def keeping(*args, **kwargs):
+            table = args[6] if len(args) > 6 else kwargs.get("atom_table")
+            if table is not None:
+                tables[id(table)] = table
+            return check_theory(*args, **kwargs)
+
+        monkeypatch.setattr(dpllt, "_check_theory", keeping)
+        _arith_campaign("QF_NRA", incremental=False)
+        polarities = Counter()
+        for table in tables.values():
+            for (term, polarity), entry in table.items():
+                polarities[polarity] += 1
+                assert entry == _expected_facts(term, polarity)
+        assert polarities[True] and polarities[False]

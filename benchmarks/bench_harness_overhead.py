@@ -96,7 +96,7 @@ def test_supervised_loop_overhead(benchmark):
     append (flocked write + flush), and a per-index ``run_iterations``
     call merged at the end. All of it must stay inside the same
     **< 5%** budget as the guard — supervision is always on, so it has
-    to be affordable. Measured in-process (a pool's spawn cost would
+    to be affordable. Measured in-process (a worker's spawn cost would
     only add noise): alternating leased ``run_worker_task`` runs with plain
     ``YinYang.run_iterations`` over the same indices on the same
     solvers, overhead = median per-round time ratio.

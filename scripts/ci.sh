@@ -7,9 +7,10 @@
 #      constructors, the observability layer must never import random
 #      (telemetry cannot be allowed to perturb the campaign's RNG
 #      streams), the campaign core must stay strategy-agnostic (no
-#      fusion/concatfuzz imports in yinyang.py), pool executors
-#      may only appear in core/parallel.py (every multi-worker run is
-#      a supervised lease; no second, bare pool path), Supervisor and
+#      fusion/concatfuzz imports in yinyang.py), no pool executor
+#      appears anywhere under src/ (every multi-worker run is a
+#      supervised lease on the worker fleet; no second, bare pool
+#      path), Supervisor and
 #      ShardTask are only built by distributed/coordinator.py (plus the
 #      wire codec for tasks: one lease planner), and every
 #      check_script takes directive and session parameters (one call
@@ -39,11 +40,12 @@
 #      (see pyproject.toml; run the slow and chaos lanes nightly:
 #      `pytest -m slow` / `pytest -m chaos`).
 #   6. Fault tolerance — the acceptance property of the supervised
-#      lease path every process/tcp campaign runs on: seeded chaos
+#      worker fleet every process/tcp campaign runs on: seeded chaos
 #      kills of worker processes must leave the merged
 #      journal byte-identical to a failure-free deterministic run, and
-#      a permanently poisonous iteration must be quarantined instead
-#      of aborting the campaign.
+#      a permanently poisonous iteration must be quarantined, under
+#      the name of its death (killed, oom-kill, cpu-kill, hang-kill,
+#      oom, worker-error), instead of aborting the campaign.
 #   7. Bench smoke — every benchmark row must *run* (tiny iteration
 #      counts, REPRO_BENCH_SMOKE=1: no timing assertions, no result
 #      files written), so a broken bench harness fails CI instead of
@@ -59,7 +61,7 @@
 #      seconds), then the pluggable-theory path end-to-end through the
 #      real CLI: deterministic bit-vector campaigns (fusion and opfuzz,
 #      --triage --incremental) run serially and on a two-worker
-#      supervised process pool, and the journals must be byte-identical.
+#      process fleet, and the journals must be byte-identical.
 #
 # Stages 1-4 are subsets of stage 5; running them first just makes
 # the common failure modes fail in seconds instead of minutes.
@@ -67,7 +69,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core, one pool path, one lease planner, one check_script shape) =="
+echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core, no pool executors, one lease planner, one check_script shape) =="
 python -m pytest tests/test_ast_lint.py \
     "tests/test_observability.py::TestHotPathHygiene" -q
 

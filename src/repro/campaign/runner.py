@@ -17,17 +17,17 @@ down. Campaigns run in one of three execution modes:
 
 - ``serial`` — one process, one thread (the default), on the
   in-process kernel;
-- ``process`` — each cell's iterations sharded over a persistent
-  spawn-safe worker pool (:mod:`repro.core.parallel`): per-worker
+- ``process`` — each cell's iterations leased to ``workers`` local
+  worker processes (:mod:`repro.core.parallel`), each with its own
   solver instances and parse caches;
-- ``tcp`` — each cell's iterations leased to a socket worker fleet
-  (:mod:`repro.distributed`): separate ``yinyang worker`` processes
-  pull leases by work stealing, and the coordinator merges their
-  shipped shard payloads.
+- ``tcp`` — the same, with the fleet's wire settings open
+  (:mod:`repro.distributed`): it can listen elsewhere and serve
+  ``yinyang worker`` processes started by hand.
 
 Process and tcp campaigns take one path: every shard is a lease that
-the :class:`~repro.distributed.coordinator.Coordinator` drives through
-a :class:`~repro.robustness.supervisor.Supervisor`, so dead or hung
+the :class:`~repro.distributed.coordinator.Coordinator` hands to a
+socket worker fleet through a
+:class:`~repro.robustness.supervisor.Supervisor`, so dead or hung
 workers are always healed. Every lease of a journaled campaign
 checkpoints its iterations to a lease progress log next to the
 journal; a resume leases the unjournaled cells again and replays those
@@ -109,7 +109,7 @@ def solver_factory_for_logic(logic, deterministic=False):
 
     ``None`` (the default corpora) keeps the paper catalogs; ``QF_BV``
     swaps in the BV catalogs. Factories must be module-level callables:
-    process/tcp campaigns ship them across the spawn boundary.
+    process/tcp campaigns ship them to their worker processes.
     """
     if logic == "QF_BV":
         return deterministic_bv_solvers if deterministic else bv_solvers
@@ -282,7 +282,9 @@ def run_campaign(
     docstring). ``solver_factory`` is a picklable zero-argument
     callable building the solvers under test; process mode requires it
     (it defaults to :func:`default_solvers` when ``solvers`` is not
-    given) because live solver objects cannot cross a spawn boundary.
+    given) because live solver objects cannot cross a process
+    boundary. Spawned workers load the calling script as
+    ``__mp_main__``, so a factory defined there works too.
 
     ``telemetry`` (a :class:`~repro.observability.Telemetry`) collects
     metrics/traces/profiles for the whole campaign. It is strictly an
@@ -318,7 +320,7 @@ def run_campaign(
     non-triage shards. ``False`` keeps journal bytes identical to the
     pre-triage campaign.
 
-    ``mode="tcp"`` runs the campaign over a socket worker fleet
+    ``mode="tcp"`` opens the worker fleet's wire settings
     (:class:`~repro.distributed.endpoint.TcpFleet`):
     ``listen`` is the coordinator's ``(host, port)`` (default
     127.0.0.1 on an ephemeral port), ``spawn_workers`` the number of

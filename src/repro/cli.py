@@ -536,9 +536,10 @@ def build_parser():
         "--mode",
         choices=["serial", "process", "tcp"],
         default="serial",
-        help="execution mode: process shards each cell over a worker "
-        "pool; tcp leases shards to a socket worker fleet (both "
-        "supervised: dead/hung workers are respawned, shard leases "
+        help="execution mode: process leases each cell's shards to "
+        "--workers local worker processes on 127.0.0.1; tcp to a socket "
+        "worker fleet it can also serve from other hosts and terminals "
+        "(both supervised: dead/hung workers are respawned, shard leases "
         "resume from checkpoints, repeat-killer iterations are "
         "quarantined)",
     )
@@ -590,8 +591,9 @@ def build_parser():
         type=int,
         default=None,
         metavar="N",
-        help="worker-pool respawns allowed before the campaign gives up "
-        "(--mode process/tcp; default 8)",
+        help="whole-fleet respawns allowed before the campaign gives up; "
+        "the fleet replaces single dead workers itself and breaks only "
+        "when none is left (--mode process/tcp; default 8)",
     )
     p_campaign.add_argument(
         "--max-shard-retries",
@@ -667,8 +669,8 @@ def build_parser():
         "--mode",
         choices=["serial", "process"],
         default="serial",
-        help="execution mode (process: supervised workers with their own "
-        "solvers and caches)",
+        help="execution mode (process: supervised local worker processes "
+        "with their own solvers and caches)",
     )
     p_test.add_argument(
         "--workers", type=int, default=1, help="shard count for process mode"

@@ -99,8 +99,8 @@ class CampaignSpec:
     ``run_campaign`` builds it from its keyword arguments, and
     ``YinYang.test(mode="process")`` builds a one-cell one. Everything
     below it (the coordinator, the lease backends and every worker)
-    reads the campaign from here, so it must stay picklable: pool
-    workers receive it through spawn, fleet workers in their spec frame.
+    reads the campaign from here, so it must stay picklable: every
+    worker receives it, pickled, in its spec frame.
     ``strategy`` is a registry name, because a worker rebuilds the
     strategy from name and ``config.fusion``. ``supervise``,
     ``containment`` and ``chaos_process`` act at the worker boundary

@@ -1,11 +1,13 @@
-"""Process-sharded execution of Algorithm 1: supervised worker leases.
+"""Process-sharded execution of Algorithm 1: the worker side of a lease.
 
 The paper's campaign is embarrassingly parallel — every fuse→solve→
 check iteration is independent — but the solvers under test here are
-pure Python, so one interpreter runs one iteration at a time. This
-module shards the iteration index space across a persistent
-``multiprocessing`` pool (spawn start method, so it is safe under any
-embedding):
+pure Python, so one interpreter runs one iteration at a time. Process
+and tcp campaigns therefore shard the iteration index space over
+worker processes (:mod:`repro.distributed`: a
+:class:`~repro.distributed.endpoint.TcpFleet` of ``yinyang worker``
+processes, on 127.0.0.1 for a process campaign). This module is what
+every such worker runs:
 
 - each worker process receives the campaign's frozen
   :class:`~repro.core.config.CampaignSpec` once, at startup, and every
@@ -13,7 +15,7 @@ embedding):
   seeds, the shard, the lease bookkeeping);
 - each worker process builds its **own solver instances** once, from
   the spec's picklable ``solver_factory`` (live solvers hold locks and
-  caches and must not cross the spawn boundary);
+  caches and must not cross a process boundary);
 - each worker keeps a **parse cache** for seed formulas: seeds travel
   to workers as SMT-LIB text and are parsed (which typechecks — the
   parser validates sorts as it goes) at most once per worker, no
@@ -33,9 +35,7 @@ reports and re-broadcasts them to workers via
 :meth:`~repro.robustness.guard.GuardedSolver.force_quarantine`.
 
 Every shard is a **lease** run under a
-:class:`~repro.robustness.supervisor.Supervisor`, whose process
-backend is :class:`SupervisedPoolBackend` (the socket backend is
-:class:`~repro.distributed.endpoint.TcpFleet`). A lease runs an
+:class:`~repro.robustness.supervisor.Supervisor`. A lease runs an
 iteration-by-iteration loop that heartbeats before each iteration,
 fires planned :class:`~repro.robustness.chaos.ProcessChaos` faults,
 and checkpoints every completed iteration to a crash-safe
@@ -50,21 +50,11 @@ the parent: a resumed campaign leases its unjournaled cells again.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import shutil
-import signal
-import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.core.yinyang import YinYang, merge_shard_reports, shard_indices
-
-
-def _spawn_context():
-    return multiprocessing.get_context("spawn")
 
 
 @dataclass(frozen=True)
@@ -156,15 +146,13 @@ class _WorkerState:
 def install_worker_state(spec, telemetry=None):
     """Adopt the calling process as a worker of campaign ``spec``.
 
-    Pool children get here via the executor's initializer; a socket
-    fleet worker (:mod:`repro.distributed.worker`) calls it directly
-    after receiving its spec frame. Either way the process ends up with
-    the same :class:`_WorkerState` — same solvers, caches, containment
-    — so every transport runs leases through identical machinery.
+    A fleet worker (:mod:`repro.distributed.worker`) calls it once,
+    after receiving its spec frame, and ends up with a
+    :class:`_WorkerState`: its solvers, caches and containment.
     Besides the spec, a worker needs only what it cannot derive from
     it: ``telemetry``, a picklable
     :class:`~repro.observability.telemetry.TelemetryConfig` (live
-    registries must not cross the spawn boundary; each shard builds its
+    registries must not cross a process boundary; each shard builds its
     own Telemetry and ships a snapshot back with its results).
     """
     global _STATE
@@ -178,9 +166,8 @@ def install_worker_state(spec, telemetry=None):
 def run_worker_task(task):
     """Run one :class:`ShardTask` lease in this worker; return its payload.
 
-    The entry point of pool children and tcp fleet workers alike. The
-    payload is JSON-clean: it crosses pickling pipes and socket frames
-    identically.
+    The entry point of every fleet worker's leases. The payload is
+    JSON-clean: it crosses socket frames as it is.
     """
     from repro.robustness.journal import serialize_report
 
@@ -334,98 +321,6 @@ def reconstruct_iteration_script(spec, task, index):
 # ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
-
-
-class SupervisedPoolBackend:
-    """The process backend a :class:`~repro.robustness.supervisor.Supervisor`
-    drives: a persistent, respawnable pool of campaign workers.
-
-    Created once and reused across every cell of a campaign: worker
-    startup (spawn + imports + solver construction) is paid once, and
-    the per-worker parse cache keeps earning across cells that share
-    seed corpora. Each of the ``spec.workers`` workers is installed by
-    ``install_worker_state(spec, telemetry)``. Owns the
-    heartbeat directory workers write into (a private temp dir) and
-    translates pool breakage into the supervisor's vocabulary:
-    ``respawn()`` tears down the broken executor, reports how every old
-    worker exited (by pid), and stands up a fresh pool so requeued
-    leases have somewhere to run.
-    """
-
-    broken_exceptions = (BrokenProcessPool,)
-
-    def __init__(self, spec, telemetry=None):
-        self.spec = spec
-        self._initargs = (spec, telemetry)
-        self._closed = False
-        self.heartbeat_dir = tempfile.mkdtemp(prefix="repro-heartbeat-")
-        self._executor = self._start()
-
-    def _start(self):
-        return ProcessPoolExecutor(
-            max_workers=self.spec.workers,
-            mp_context=_spawn_context(),
-            initializer=install_worker_state,
-            initargs=self._initargs,
-        )
-
-    def submit(self, task):
-        if self._closed:
-            raise RuntimeError("cannot submit to a closed SupervisedPoolBackend")
-        return self._executor.submit(run_worker_task, task)
-
-    def respawn(self):
-        """Replace the broken pool; return {pid: exitcode} of old workers."""
-        if self._closed:
-            raise RuntimeError("cannot respawn a closed SupervisedPoolBackend")
-        old = self._executor
-        # The executor's process table has no public API, but the
-        # attribute has been stable across CPython versions and is the
-        # only way to attribute deaths to pids.
-        processes = dict(getattr(old, "_processes", None) or {})
-        try:
-            old.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-        exitcodes = {}
-        for pid, proc in processes.items():
-            try:
-                proc.join(timeout=5)
-                exitcodes[pid] = proc.exitcode
-            except Exception:
-                exitcodes[pid] = None
-        self._executor = self._start()
-        return exitcodes
-
-    def kill_worker(self, pid):
-        """SIGKILL one worker (hang recovery: stale heartbeat)."""
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except OSError:
-            pass  # already gone
-
-    def close(self):
-        # Idempotent and exception-safe: a second close is a no-op, and
-        # the heartbeat dir is removed even when the pool's shutdown
-        # raises — a coordinator tearing down after an error must not
-        # leak temp dirs or double-kill a pool it already closed.
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            # cancel_futures: once the pool is coming down (error or
-            # exit), queued shards must be dropped, not left to run
-            # against a half-torn-down parent.
-            self._executor.shutdown(wait=True, cancel_futures=True)
-        finally:
-            shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
 
 
 def collect_shard(payload):

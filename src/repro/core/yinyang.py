@@ -24,17 +24,17 @@ Everything is deterministic given the config seed, *independent of the
 execution mode*: each iteration draws its randomness from a private RNG
 seeded by ``(campaign seed, iteration index)`` and builds its mutant
 inside its own fresh-name scope, so iteration ``k`` produces the same
-mutated script whether it runs alone or on shard 3 of a worker pool.
+mutated script whether it runs alone or on shard 3 of a worker fleet.
 Parallel runs merely partition the index space ``range(iterations)``
 across workers and merge the partial reports back in index order — the
 bug records of a run are a pure function of ``(strategy, seed,
 iterations)``.
 
 :meth:`YinYang.test` runs ``serial`` (in this process) or ``process``:
-shards of the index space leased to a supervised, spawn-safe worker
-pool where each worker owns its solver instances and caches (see
-:mod:`repro.core.parallel`). Campaigns add a ``tcp`` worker fleet on
-the same lease machinery (:mod:`repro.campaign.runner`).
+shards of the index space leased to a supervised fleet of local
+worker processes, each owning its solver instances and caches (see
+:mod:`repro.core.parallel`). Campaigns add a ``tcp`` mode, the same
+fleet with its wire settings open (:mod:`repro.campaign.runner`).
 """
 
 from __future__ import annotations
@@ -298,7 +298,7 @@ class YinYang:
         config seed. ``process`` mode needs ``solver_factory`` — a
         picklable zero-argument callable returning the solver list —
         because live solver objects (locks, caches) do not cross a
-        spawn boundary; the strategy crosses it as its registry name.
+        process boundary; the strategy crosses it as its registry name.
 
         A process run is a one-cell campaign without a journal, through
         the same supervised

@@ -1,10 +1,10 @@
 """Distributed campaigns: a coordinator and a work-stealing worker fleet.
 
-PR 2 sharded a campaign over one host's process pool; this package
-generalizes the same shard-merge design across a *transport
-seam* so the fleet can span processes that are not our pool's children
-— today separate Python processes on a socket (``yinyang worker
---connect HOST:PORT``), SSH-launched hosts next.
+Every process and tcp campaign runs on one transport: separate Python
+processes on sockets (``yinyang worker --connect HOST:PORT``). A
+process campaign is a fleet on 127.0.0.1 that spawns its own workers;
+a tcp campaign may also listen elsewhere and serve workers started in
+other terminals or on other hosts.
 
 The pieces:
 
@@ -14,21 +14,20 @@ The pieces:
   and worker result payloads;
 - :mod:`~repro.distributed.worker` — the worker side: connect, receive
   the campaign's :class:`~repro.core.config.CampaignSpec` once, then
-  pull leases and run them through the *exact* worker path process
-  mode uses (:func:`repro.core.parallel.run_worker_task`
-  — sessions, triage, containment, heartbeats and progress checkpoints
-  all intact), shipping reports + telemetry snapshots back as frames;
+  pull leases and run them through
+  :func:`repro.core.parallel.run_worker_task` (sessions, triage,
+  containment, heartbeats and progress checkpoints), shipping reports
+  + telemetry snapshots back as frames;
 - :mod:`~repro.distributed.endpoint` — the coordinator side of the
   transport: :class:`~repro.distributed.endpoint.TcpFleet` listens,
   hands queued leases to whichever worker asks first (pull-based work
   stealing, tie-broken by a seeded RNG so distinct steal orders are
-  reproducible), and translates disconnects into the supervisor's
+  reproducible), and names each worker death in the supervisor's
   retry vocabulary;
 - :mod:`~repro.distributed.coordinator` — the campaign plan owner:
   cells become iteration-range leases driven to completion by the
-  PR 6 :class:`~repro.robustness.supervisor.Supervisor` (retry/backoff,
-  poison bisection) over any backend — the in-process pool or a socket
-  fleet;
+  :class:`~repro.robustness.supervisor.Supervisor` (retry/backoff,
+  poison bisection) over the fleet;
 - :mod:`~repro.distributed.netchaos` — seeded network fault injection
   (drop/delay/duplicate/disconnect) extending the chaos layer across
   the wire.

@@ -1,10 +1,9 @@
 """The campaign-plan owner: cells → shard leases → a supervised fleet.
 
-Every process and tcp campaign runs through here: the same cell loop
-drives *any* lease backend — the in-process
-:class:`~repro.core.parallel.SupervisedPoolBackend` or a socket
-:class:`~repro.distributed.endpoint.TcpFleet`. The coordinator owns
-exactly three responsibilities:
+Every process and tcp campaign runs through here, on one lease
+backend: a socket :class:`~repro.distributed.endpoint.TcpFleet` (for a
+process campaign, a fleet on 127.0.0.1 that spawns its own workers).
+The coordinator owns exactly three responsibilities:
 
 1. **planning** — each remaining (solver, family, oracle) cell becomes
    ``workers`` strided shard leases, each with a crash-safe progress
@@ -21,8 +20,8 @@ exactly three responsibilities:
 
 Resume needs nothing from the coordinator beyond the plan: a cell the
 journal lacks is leased again, and each of its leases replays the
-iterations its progress log already holds — whichever worker, pool
-child or tcp peer, wrote them.
+iterations its progress log already holds — whichever worker wrote
+them.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from functools import partial
 
 from repro.core.parallel import (
     ShardTask,
-    SupervisedPoolBackend,
     collect_shard,
     reconstruct_iteration_script,
     serialize_seeds,
@@ -46,11 +44,11 @@ from repro.robustness.supervisor import Supervisor
 class Coordinator:
     """Runs the cells of campaign ``spec`` as supervised shard leases.
 
-    Builds the lease backend ``spec.mode`` names — a process pool or a
-    socket fleet — and the one supervisor that drives it; leaving the
-    ``with`` block closes the backend. Past construction the
-    coordinator does not know (or care) whether leases execute in pool
-    children or across sockets. With a ``journal``, cells are committed
+    Builds the campaign's worker fleet and the one supervisor that
+    drives it; leaving the ``with`` block closes the fleet. The mode
+    only shapes the fleet (``spec.listen``, ``spec.spawn_workers`` and
+    ``spec.net_chaos`` are tcp settings; a process campaign keeps their
+    defaults). With a ``journal``, cells are committed
     to it, poisoned iterations are journaled as ``poison`` entries, and
     leases checkpoint next to it; without one (``YinYang.test``) the
     caller reads the cells off the result.
@@ -60,12 +58,7 @@ class Coordinator:
         self.spec = spec
         self.journal = journal
         self.telemetry = telemetry
-        if spec.mode == "tcp":
-            self.backend = TcpFleet(spec, telemetry=telemetry)
-        else:
-            self.backend = SupervisedPoolBackend(
-                spec, telemetry=telemetry.config() if telemetry is not None else None
-            )
+        self.backend = TcpFleet(spec, telemetry=telemetry)
         self.supervisor = Supervisor(
             self.backend,
             spec,

@@ -1,37 +1,37 @@
 """The coordinator's side of the fleet transport: :class:`TcpFleet`.
 
-A :class:`TcpFleet` is a drop-in backend for the
-:class:`~repro.robustness.supervisor.Supervisor` — same ``submit`` /
+A :class:`TcpFleet` is the one lease backend of the
+:class:`~repro.robustness.supervisor.Supervisor` (``submit`` /
 ``respawn`` / ``kill_worker`` / ``heartbeat_dir`` /
-``broken_exceptions`` surface as the process pool's
-:class:`~repro.core.parallel.SupervisedPoolBackend` — whose workers
-are *separate Python processes on sockets* instead of pool children.
-It listens on a TCP address, handshakes each connecting ``yinyang
-worker``, and schedules leases by **pull-based work stealing**: a
-worker that wants work sends ``ready``; the fleet hands it a pending
-lease chosen by a seeded RNG. Distinct ``steal_seed`` values produce
-distinct assignment interleavings — which worker ran which shard in
-which order — and the determinism matrix asserts the merged journal
-cannot tell them apart.
+``broken_exceptions``): its workers are separate Python processes on
+sockets. It listens on a TCP address, handshakes each connecting
+``yinyang worker``, and schedules leases by **pull-based work
+stealing**: a worker that wants work sends ``ready``; the fleet hands
+it a pending lease chosen by a seeded RNG. Distinct ``steal_seed``
+values produce distinct assignment interleavings — which worker ran
+which shard in which order — and the determinism matrix asserts the
+merged journal cannot tell them apart. A ``process`` campaign is a
+fleet on 127.0.0.1 that spawns its ``workers`` itself; a ``tcp``
+campaign may also listen elsewhere and serve workers started by hand.
 
 Failure vocabulary (the part that keeps supervision honest):
 
-- A **worker disconnect** fails only *that worker's in-flight lease*,
-  with :class:`WorkerDisconnected` carrying the ``net-disconnect``
-  classification. It is an ordinary lease failure — retry with
-  backoff, then bisection — NOT pool breakage. This asymmetry with
-  ``BrokenProcessPool`` is deliberate: an executor shares one result
-  pipe, so one death poisons everything; a socket fleet loses exactly
-  one worker, and treating that as fleet-wide would re-run leases
-  still healthily in flight elsewhere, double-counting their payloads
-  in the merge. The fleet quietly respawns the lost worker (when it
-  was one we spawned) so capacity recovers without the supervisor's
-  involvement.
+- A **worker death** fails only *that worker's in-flight lease*, with
+  :class:`WorkerDisconnected` naming the death (see ``_death_of``). It
+  is an ordinary lease failure — retry with backoff, then bisection —
+  never a fleet-wide one: re-running leases still healthily in flight
+  elsewhere would only waste their work. The fleet quietly respawns
+  the lost worker (when it was one we spawned) so capacity recovers
+  without the supervisor's involvement.
 - :class:`FleetBroken` is reserved for *the whole fleet* becoming
   unusable (every spawned worker gone past the respawn budget): then
   every pending and in-flight lease fails with it, the supervisor's
   ``_recover`` path calls :meth:`TcpFleet.respawn`, and the campaign
   restarts its capacity under the usual ``max_worker_restarts`` cap.
+- A worker that cannot set itself up from its spec frame reports
+  why, and every lease fails with
+  :class:`~repro.errors.WorkerSetupError`: the campaign stops at once
+  instead of respawning workers that can only fail again.
 
 Same-host note: heartbeat and progress files assume workers share the
 coordinator's filesystem (localhost or a mount) — see
@@ -60,10 +60,11 @@ from repro.distributed.protocol import (
     pack_blob,
     task_to_wire,
 )
-from repro.errors import ReproError
+from repro.errors import ReproError, WorkerSetupError
+from repro.robustness.containment import HANG_KILL, classify_exit
 
-#: The classification a disconnect-failed lease carries into the
-#: supervisor's retry/bisection machinery.
+#: The classification of a lease whose worker's connection dropped with
+#: no exit code to read (a worker started elsewhere, or one that lived on).
 NET_DISCONNECT = "net-disconnect"
 
 
@@ -71,18 +72,17 @@ class FleetBroken(ReproError):
     """The whole fleet is gone — the supervisor should respawn it."""
 
 
-class WorkerDisconnected(ReproError):
-    """One worker's connection dropped with this lease in flight."""
-
-    classification = NET_DISCONNECT
-
-
 class RemoteLeaseError(ReproError):
-    """A lease failed in-process on a remote worker (which survived)."""
+    """A lease failed on a remote worker; ``classification`` names how.
+    Raised as is when the worker survived an in-process failure."""
 
     def __init__(self, message, classification):
         super().__init__(message)
         self.classification = classification
+
+
+class WorkerDisconnected(RemoteLeaseError):
+    """The lease's worker died, or its connection dropped, mid-lease."""
 
 
 class _Remote:
@@ -105,8 +105,12 @@ class TcpFleet:
     it (default ``spec.workers``, a self-contained fleet; 0 serves only
     externally-started workers, the two-terminal setup). Every worker
     receives the spec (net chaos plan included) and the ``telemetry``
-    config in its spec frame. The fleet is a context manager and
-    teardown is idempotent — ``close`` may be called any number of
+    config in its spec frame; a worker the fleet spawned also receives
+    the path of this process's main script (see
+    :func:`~repro.distributed.worker._load_main`). Only a tcp campaign
+    counts its wire (``fleet.*`` counters): a process campaign's
+    metrics stay those of a serial run. The fleet is a context manager
+    and teardown is idempotent — ``close`` may be called any number of
     times, including after a failed construction.
     """
 
@@ -119,6 +123,14 @@ class TcpFleet:
         codec="json",
         max_worker_respawns=16,
     ):
+        from repro.distributed import worker
+
+        if worker.loading_main:
+            raise RuntimeError(
+                "a campaign was started while a fleet worker loaded the "
+                "coordinator's main script; guard the script's entry point "
+                'with `if __name__ == "__main__":`'
+            )
         self.spec = spec
         self.telemetry = telemetry
         self.codec = codec
@@ -130,11 +142,15 @@ class TcpFleet:
         self._inflight = {}  # lease_id -> (_Remote, future)
         self._remotes = {}  # worker index -> _Remote
         self._procs = {}  # pid -> Popen (workers we spawned)
+        self._hang_killed = set()  # pids the supervisor killed
         self._threads = []
         self._next_index = 0
         self._respawns = 0
         self._closed = False
-        self._broken = False
+        self._failed = None  # the error every new lease fails with
+        main = sys.modules.get("__main__")
+        main_path = getattr(main, "__file__", None)
+        self._main_path = os.path.abspath(main_path) if main_path else None
         # One RNG for the whole campaign's steal decisions: the seed
         # names an interleaving family, and the determinism matrix runs
         # several seeds to prove journals are interleaving-blind.
@@ -168,8 +184,10 @@ class TcpFleet:
                 "by the Supervisor); submit shards through a Supervisor"
             )
         with self._lock:
-            if self._closed or self._broken:
+            if self._closed:
                 raise FleetBroken("the fleet is closed")
+            if self._failed is not None:
+                raise self._failed
             future = Future()
             self._queue.append((task, future))
             self._count("fleet.leases")
@@ -179,32 +197,32 @@ class TcpFleet:
     def respawn(self):
         """Tear down every spawned worker; stand up a fresh fleet."""
         with self._lock:
-            procs = dict(self._procs)
+            procs = list(self._procs.values())
             self._procs.clear()
             remotes = list(self._remotes.values())
             self._remotes.clear()
             self._ready.clear()
-            self._broken = False
+            self._failed = None
             self._respawns = 0
-        exitcodes = {}
         for remote in remotes:
             remote.alive = False
             remote.stream.close()
-        for pid, proc in procs.items():
+        for proc in procs:
             if proc.poll() is None:
                 proc.terminate()
             try:
-                exitcodes[pid] = proc.wait(timeout=5)
+                proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 proc.kill()
-                exitcodes[pid] = proc.wait(timeout=5)
+                proc.wait(timeout=5)
         self._count("fleet.respawns")
         for _ in range(self._spawn_target):
             self._spawn_one()
-        return exitcodes
 
     def kill_worker(self, pid):
-        """SIGKILL one worker (hang recovery; same-host fleets)."""
+        """SIGKILL one worker (hang recovery; same-host fleets); its
+        lease then fails as ``hang-kill``."""
+        self._hang_killed.add(pid)
         try:
             os.kill(pid, signal.SIGKILL)
         except OSError:
@@ -244,7 +262,13 @@ class TcpFleet:
                 except Disconnected:
                     pass
                 remote.stream.close()
-            for proc in procs.values():
+            connected = {remote.pid for remote in remotes}
+            for pid, proc in procs.items():
+                if pid not in connected:
+                    # Still starting (a respawn): no shutdown frame can
+                    # reach it, and it would dial the closed listener
+                    # until its connect timeout.
+                    proc.terminate()
                 try:
                     proc.wait(timeout=5)
                 except subprocess.TimeoutExpired:
@@ -277,21 +301,22 @@ class TcpFleet:
         if env.get("PYTHONPATH"):
             paths.update(dict.fromkeys(env["PYTHONPATH"].split(os.pathsep)))
         env["PYTHONPATH"] = os.pathsep.join(paths)
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "worker",
-                "--connect",
-                f"{host}:{port}",
-            ],
-            env=env,
-        )
+        # Registered under the lock it was started in, so the worker's
+        # hello always finds its pid among the fleet's own workers.
         with self._lock:
             if self._closed:
-                proc.terminate()
                 return
+            proc = subprocess.Popen(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro.cli",
+                    "worker",
+                    "--connect",
+                    f"{host}:{port}",
+                ],
+                env=env,
+            )
             self._procs[proc.pid] = proc
 
     # -- the wire side ----------------------------------------------------
@@ -326,6 +351,7 @@ class TcpFleet:
                 self._next_index += 1
                 remote = _Remote(stream, pid=hello.get("pid"), index=index)
                 self._remotes[index] = remote
+                spawned = remote.pid in self._procs
         if remote is None:
             stream.close()
             return
@@ -338,6 +364,7 @@ class TcpFleet:
                         self.telemetry.config() if self.telemetry is not None else None
                     ),
                     "worker_index": remote.index,
+                    "main_path": self._main_path if spawned else None,
                 }
             )
         except Disconnected:
@@ -368,6 +395,16 @@ class TcpFleet:
             else:
                 self._count("fleet.results")
                 entry[1].set_result(message["payload"])
+        elif kind == "error" and message.get("lease_id") is None:
+            # The worker could not set itself up from its spec frame;
+            # every other worker would fail the same way.
+            with self._lock:
+                self._fail_all_locked(
+                    WorkerSetupError(
+                        f"worker pid={remote.pid} could not set up the "
+                        f"campaign: {message.get('message')}"
+                    )
+                )
         elif kind == "error":
             with self._lock:
                 entry = self._inflight.pop(message.get("lease_id"), None)
@@ -422,8 +459,8 @@ class TcpFleet:
 
         Idempotent per worker (send-failure and recv-EOF paths can
         race). Fails the worker's in-flight lease — only that lease —
-        and breaks the whole fleet only when the last spawned worker is
-        gone past the respawn budget.
+        with the worker's death named, and breaks the whole fleet only
+        when the last spawned worker is gone past the respawn budget.
         """
         if not remote.alive:
             return False
@@ -435,6 +472,8 @@ class TcpFleet:
             pass
         remote.stream.close()
         self._count("fleet.disconnects")
+        proc = self._procs.pop(remote.pid, None)
+        classification = self._death_of(remote.pid, proc)
         current = remote.current
         remote.current = None
         if current is not None:
@@ -443,38 +482,52 @@ class TcpFleet:
             if not future.done():
                 future.set_exception(
                     WorkerDisconnected(
-                        f"worker pid={remote.pid} disconnected holding "
-                        f"lease {task.lease_id}"
+                        f"worker pid={remote.pid} lost holding lease "
+                        f"{task.lease_id} ({classification})",
+                        classification,
                     )
                 )
-        if self._closed:
+        if self._closed or self._failed is not None:
             return False
-        proc = self._procs.pop(remote.pid, None)
-        if proc is not None:
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-            if self._respawns < self.max_worker_respawns:
-                self._respawns += 1
-                return True
+        if proc is not None and self._respawns < self.max_worker_respawns:
+            self._respawns += 1
+            return True
         if not self._remotes and not self._procs and self._spawn_target > 0:
-            self._break_locked()
+            self._fail_all_locked(
+                FleetBroken("every fleet worker is gone past the respawn budget")
+            )
         return False
 
-    def _break_locked(self):
-        """No capacity left and none coming: fail everything pending."""
-        self._broken = True
+    def _death_of(self, pid, proc):
+        """Name a lost worker's death: ``hang-kill`` when the supervisor
+        killed it, else the exit code of a worker we spawned, else (a
+        worker started elsewhere, or one that outlived its connection)
+        ``net-disconnect``."""
+        code = None
+        if proc is not None:
+            try:
+                code = proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+        if pid in self._hang_killed:
+            return HANG_KILL
+        if code is None:
+            return NET_DISCONNECT
+        return classify_exit(code, self.spec.containment)
+
+    def _fail_all_locked(self, error):
+        """Fail every pending and in-flight lease, and every later
+        ``submit``, with ``error`` (until a :meth:`respawn`)."""
+        self._failed = error
         failures = [future for _task, future in self._queue]
         self._queue.clear()
         failures.extend(future for _remote, future in self._inflight.values())
         self._inflight.clear()
         for future in failures:
             if not future.done():
-                future.set_exception(
-                    FleetBroken("every fleet worker is gone past the respawn budget")
-                )
+                future.set_exception(error)
 
     def _count(self, name, n=1):
-        if self.telemetry is not None:
+        if self.telemetry is not None and self.spec.mode == "tcp":
             self.telemetry.count(name, n)

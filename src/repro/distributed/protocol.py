@@ -15,13 +15,16 @@ Message types (the ``type`` key of every frame):
 ==============  =========================================================
 ``hello``       worker → coordinator: ``pid``, ``protocol`` version
 ``spec``        coordinator → worker: the campaign's CampaignSpec and
-                telemetry config (sent once)
+                telemetry config (sent once), plus the coordinator's
+                main script path for workers it spawned itself
 ``ready``       worker → coordinator: pull request — "I want a lease"
 ``lease``       coordinator → worker: one ShardTask to run
 ``result``      worker → coordinator: the lease's payload (report,
                 telemetry snapshot, guard states — all JSON-ready)
 ``error``       worker → coordinator: the lease failed in-process, with
-                a death classification the supervisor understands
+                a death classification the supervisor understands; with
+                no ``lease_id``, the worker could not set itself up
+                from the spec frame and is exiting
 ``status``      worker → coordinator: best-effort progress note
                 (droppable by design; nothing depends on it)
 ``shutdown``    coordinator → worker: drain and exit 0
@@ -34,8 +37,8 @@ solver factory, resilience and chaos policies), so a ``lease`` frame
 carries only what differs per lease (the cell's seeds, the shard and
 the lease bookkeeping). Those campaign objects are picklable but not
 JSON-able; they cross as a base64 pickle blob inside the JSON
-envelope — exactly the trust model of ``multiprocessing`` spawn
-workers, which deserialize parent pickles too. A worker should only
+envelope — the trust model of ``multiprocessing`` spawn workers,
+which deserialize parent pickles too. A worker should only
 ever connect to a coordinator it trusts (they are one campaign, one
 security domain); the frame layer itself stays pickle-free so the
 fuzz tests can throw arbitrary bytes at it safely.

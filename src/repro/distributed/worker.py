@@ -3,20 +3,22 @@
 ``yinyang worker --connect HOST:PORT`` runs :func:`run_worker`: connect
 to a coordinator, receive the campaign's frozen
 :class:`~repro.core.config.CampaignSpec` (and the telemetry config)
-once, adopt this process as a campaign worker via the same
-``install_worker_state`` seam the spawn pool uses, then loop —
-``ready`` → ``lease`` → run → ``result``.
+once, adopt this process as a campaign worker via
+``install_worker_state``, then loop — ``ready`` → ``lease`` → run →
+``result``. Every process and tcp campaign runs its leases here,
+whether the coordinator spawned this worker or it was started by hand.
+A worker that cannot set itself up from the spec frame says why in an
+``error`` frame and exits, so the coordinator can stop the campaign
+instead of respawning a worker that can only fail again.
 
-The crucial property is what this module does *not* reimplement: a
-lease runs through :func:`repro.core.parallel.run_worker_task`, the
-exact entry point pool workers execute. Sessions, triage, containment
-rlimits, heartbeat files, and crash-safe progress checkpoints all work
-unchanged; the socket replaces pickling-over-pipes, nothing else. That
-is why the fleet inherits byte-identical journals instead of having to
-re-prove them: a tcp worker computing iteration ``i`` is the same pure
-function of ``(strategy, seed, i)`` a pool worker is. The progress
-checkpoints are also what a resumed tcp campaign replays: the worker
-that runs a re-leased shard reads the log earlier workers wrote.
+A lease runs through :func:`repro.core.parallel.run_worker_task`, which
+owns sessions, triage, containment rlimits, heartbeat files and
+crash-safe progress checkpoints; this module only moves frames. A
+worker computing iteration ``i`` is a pure function of ``(strategy,
+seed, i)``, whichever worker it is, which is why journals are
+byte-identical across fleet shapes. The progress checkpoints are also
+what a resumed campaign replays: the worker that runs a re-leased
+shard reads the log earlier workers wrote.
 
 Same-host note: heartbeat files and progress checkpoints are paths on
 the *coordinator's* filesystem, so today's fleet assumes workers share
@@ -29,8 +31,11 @@ everything else already crosses it.
 from __future__ import annotations
 
 import os
+import runpy
 import socket
+import sys
 import time
+import types
 from dataclasses import replace
 
 from repro.distributed.netchaos import DISCONNECT, DISCONNECT_EXIT
@@ -91,6 +96,36 @@ def _connect(host, port, timeout, retry_interval=0.2):
             return sock
 
 
+#: True while this worker runs the coordinator's main script (see
+#: :func:`_load_main`); :class:`~repro.distributed.endpoint.TcpFleet`
+#: refuses to start then.
+loading_main = False
+
+
+def _load_main(path):
+    """Load the coordinator's main script as ``__mp_main__``.
+
+    Mirrors multiprocessing spawn: a spec naming objects defined in the
+    coordinator's ``__main__`` (a solver factory in a script) pickles
+    them as ``__main__.<name>``, so that module must be the script here
+    too. Scripts guard their entry point with ``if __name__ ==
+    "__main__"``, so loading one runs only its definitions. A script
+    that starts a campaign unguarded would start a fleet in every
+    worker, and each of its workers another; the fleet refuses while
+    ``loading_main`` is set, so the worker reports a setup error.
+    """
+    global loading_main
+    if getattr(sys.modules["__main__"], "__file__", None) == path:
+        return
+    main = types.ModuleType("__mp_main__")
+    loading_main = True
+    try:
+        main.__dict__.update(runpy.run_path(path, run_name="__mp_main__"))
+    finally:
+        loading_main = False
+    sys.modules["__main__"] = sys.modules["__mp_main__"] = main
+
+
 def run_worker(address, net_chaos=None, codec="json", connect_timeout=30.0):
     """Serve one coordinator until it shuts the fleet down; return exit code.
 
@@ -99,7 +134,8 @@ def run_worker(address, net_chaos=None, codec="json", connect_timeout=30.0):
     CLI's ``--net-chaos``). A coordinator that disappears
     without a ``shutdown`` frame is treated as normal teardown — the
     worker exits 0 rather than paging anyone about a campaign that is
-    simply over.
+    simply over. A spec frame this worker cannot set itself up from is
+    reported to the coordinator, and the worker exits 1.
     """
     host, port = parse_address(address) if isinstance(address, str) else address
     sock = _connect(host, port, connect_timeout)
@@ -121,16 +157,30 @@ def run_worker(address, net_chaos=None, codec="json", connect_timeout=30.0):
             raise ProtocolError(
                 f"expected a spec frame, got {message.get('type')!r}"
             )
-        spec = unpack_blob(message["blob"])
-        plan = net_chaos if net_chaos is not None else spec.net_chaos
-        if plan is not None:
-            stream.chaos = plan.bind(message.get("worker_index", 0))
-            spec = replace(
-                spec, chaos_process=_WireChaos(plan, stream, spec.chaos_process)
-            )
         from repro.core.parallel import install_worker_state, run_worker_task
 
-        install_worker_state(spec, telemetry=unpack_blob(message["telemetry"]))
+        try:
+            if message.get("main_path"):
+                _load_main(message["main_path"])
+            spec = unpack_blob(message["blob"])
+            plan = net_chaos if net_chaos is not None else spec.net_chaos
+            if plan is not None:
+                stream.chaos = plan.bind(message.get("worker_index", 0))
+                spec = replace(
+                    spec, chaos_process=_WireChaos(plan, stream, spec.chaos_process)
+                )
+            install_worker_state(spec, telemetry=unpack_blob(message["telemetry"]))
+        except Exception as exc:
+            stream.send(
+                {
+                    "type": "error",
+                    "pid": os.getpid(),
+                    "lease_id": None,
+                    "classification": classify_exception(exc),
+                    "message": f"{type(exc).__name__}: {exc}",
+                }
+            )
+            return 1
         return _serve(stream, run_worker_task)
     finally:
         stream.close()

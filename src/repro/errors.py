@@ -56,3 +56,9 @@ class ReductionError(ReproError):
 class CampaignSpecError(ReproError, ValueError):
     """A campaign's settings contradict each other, or its mode would
     ignore one of them (raised before any work starts)."""
+
+
+class WorkerSetupError(ReproError):
+    """A campaign worker could not set itself up (its spec frame does not
+    decode there, or its solvers cannot be built): every worker would
+    fail the same way, so no retry can help and the campaign stops."""

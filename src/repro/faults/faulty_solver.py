@@ -35,14 +35,17 @@ _CRASH_MESSAGES = {
 }
 
 
+#: How long a triggered ``slow`` fault stalls a check, in seconds.
+SLOW_FAULT_SECONDS = 0.4
+
+
 class FaultySolver:
     """The base solver plus a catalog of injected defects."""
 
-    def __init__(self, base_solver, faults, name, release="trunk", slow_seconds=0.4):
+    def __init__(self, base_solver, faults, name, release="trunk"):
         self.base = base_solver
         self.name = name
         self.release = release
-        self.slow_seconds = slow_seconds
         self.faults = [
             f for f in faults if release in f.affected_releases
         ]
@@ -116,7 +119,7 @@ class FaultySolver:
 
         if slow_ids:
             line_probe("faulty.slow")
-            time.sleep(self.slow_seconds)
+            time.sleep(SLOW_FAULT_SECONDS)
         outcome = self.base.check_script(
             working, directive=directive, session=session
         )

@@ -32,7 +32,6 @@ from repro.robustness.containment import (
     ContainmentPolicy,
     classify_exception,
     classify_exit,
-    is_teardown_exit,
 )
 from repro.robustness.guard import (
     GuardedSolver,
@@ -63,7 +62,6 @@ __all__ = [
     "ContainmentPolicy",
     "classify_exit",
     "classify_exception",
-    "is_teardown_exit",
     "GuardedSolver",
     "HarnessError",
     "SolverQuarantined",

@@ -11,8 +11,8 @@ turning runaway resource use into one of two *classifiable* deaths:
   ordinary future exception (the worker survives);
 - a CPU overrun gets SIGXCPU from the kernel at the soft limit (the
   default action kills the process; the hard limit adds a SIGKILL
-  backstop a few seconds later), so the pool breaks and the parent sees
-  the worker's negative exit code.
+  backstop a few seconds later), so the worker's connection drops and
+  the fleet reads the worker's negative exit code.
 
 The parent-side half of the story lives in :func:`classify_exit` /
 :func:`classify_exception`: given how a worker died (exit code or
@@ -115,16 +115,6 @@ def _signal_name(signum):
         return str(signum)
 
 
-def is_teardown_exit(exitcode):
-    """Whether an exit code is normal pool-teardown collateral.
-
-    When one worker dies abnormally, the executor terminates its
-    siblings (SIGTERM) or lets them exit cleanly — those deaths must
-    not be charged to the leases the siblings happened to be running.
-    """
-    return exitcode is None or exitcode == 0 or exitcode == -signal.SIGTERM
-
-
 def classify_exit(exitcode, policy=None):
     """Name a worker's death from its exit code (parent side).
 
@@ -147,7 +137,7 @@ def classify_exit(exitcode, policy=None):
     return f"signal:{_signal_name(signum)}"
 
 
-def classify_exception(exc, policy=None):
+def classify_exception(exc):
     """Name an in-worker containment failure surfaced as an exception."""
     if isinstance(exc, MemoryError):
         return OOM

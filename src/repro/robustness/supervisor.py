@@ -1,25 +1,24 @@
 """The self-healing campaign coordinator: shard leases under supervision.
 
-A bare process pool gathers futures; one dead worker raises
-``BrokenProcessPool`` and the whole campaign dies with it. This module
-turns each shard into a **lease** — a unit of work the supervisor
-hands to the pool, watches, and takes back when the worker holding it
-dies, hangs, raises, or is resource-killed:
+This module turns each shard into a **lease** — a unit of work the
+supervisor hands to the worker fleet, watches, and takes back when the
+worker holding it dies, hangs, raises, or is resource-killed:
 
-- **worker supervision** — a broken pool is respawned (capped by
-  ``max_worker_restarts``) and every in-flight lease is recovered;
-- **attribution** — a heartbeat side-channel (one tiny file per lease,
-  rewritten atomically at each iteration) records which pid ran which
-  lease attempt, so the lease whose worker died *abnormally* is
-  charged with a retry while innocent bystanders (siblings the
-  executor tore down with SIGTERM) are requeued for free;
+- **lease failure** — the fleet fails exactly the lease a dead worker
+  held, with the death's classification (exit code, rlimit kill,
+  hang kill, disconnect); the lease is retried with capped backoff;
+- **fleet supervision** — a fleet with no capacity left is respawned
+  (capped by ``max_worker_restarts``) and the leases that were only
+  waiting on it are requeued at no charge;
 - **shard-lease recovery** — a re-executed lease resumes from its
   :class:`~repro.robustness.journal.ShardProgress` log, replaying
   completed iterations and re-running only the missing ones, so the
   merged journal stays byte-identical to a failure-free run;
-- **hang recovery** — a lease whose heartbeat goes stale past
-  ``heartbeat_timeout`` has its worker SIGKILLed; the death is
-  classified ``hang-kill`` and the normal requeue machinery takes over;
+- **hang recovery** — every lease rewrites a tiny heartbeat file (pid,
+  attempt, iteration) before each iteration; a lease whose heartbeat
+  goes stale past ``heartbeat_timeout`` has its worker SIGKILLed, the
+  fleet names that death ``hang-kill``, and the normal retry machinery
+  takes over;
 - **poison quarantine** — a lease that dies past ``max_shard_retries``
   is *bisected*: its iteration range splits in half and the halves are
   re-leased, recursively, until the killer iteration stands alone;
@@ -31,8 +30,8 @@ The supervisor is backend-agnostic: anything with ``submit`` /
 ``respawn`` / ``kill_worker`` / ``heartbeat_dir`` /
 ``broken_exceptions`` drives it, which is what makes the retry and
 bisection logic unit-testable without spawning a single process (see
-``tests/test_supervisor.py``). The real process backend is
-:class:`~repro.core.parallel.SupervisedPoolBackend`.
+``tests/test_supervisor.py``). The real backend is
+:class:`~repro.distributed.endpoint.TcpFleet`.
 """
 
 from __future__ import annotations
@@ -44,20 +43,15 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field, replace
 
-from repro.errors import ReproError
-from repro.robustness.containment import (
-    HANG_KILL,
-    classify_exception,
-    classify_exit,
-    is_teardown_exit,
-)
+from repro.errors import ReproError, WorkerSetupError
+from repro.robustness.containment import classify_exception
 
 
 class SupervisionExhausted(ReproError):
     """The worker fleet kept dying past ``max_worker_restarts``.
 
     This is the supervisor giving up on the *environment*, not on a
-    shard: when respawned pools die faster than leases complete, the
+    shard: when respawned fleets die faster than leases complete, the
     host itself is hosed and retrying forever would only hide it.
     """
 
@@ -66,8 +60,9 @@ class SupervisionExhausted(ReproError):
 class SupervisorPolicy:
     """How the coordinator treats dying workers and their leases.
 
-    - ``max_worker_restarts`` — pool respawns allowed per campaign
-      before :class:`SupervisionExhausted`;
+    - ``max_worker_restarts`` — whole-fleet respawns allowed per
+      campaign before :class:`SupervisionExhausted` (the fleet replaces
+      single dead workers itself; it breaks only when none is left);
     - ``max_shard_retries`` — re-executions of one lease before its
       range is bisected (0 = bisect on first death: fastest isolation
       when deaths are expected to be deterministic);
@@ -194,25 +189,29 @@ def read_heartbeat(directory, lease_id):
 
 
 class Supervisor:
-    """Runs shard leases to completion over a respawnable pool backend.
+    """Runs shard leases to completion over a respawnable lease backend.
 
     ``backend`` must provide:
 
-    - ``submit(task) -> Future`` — hand a stamped task to the pool;
-    - ``respawn() -> {pid: exitcode}`` — tear down the broken pool,
-      start a fresh one, and report how the old workers exited;
-    - ``kill_worker(pid)`` — SIGKILL one worker (hang recovery);
+    - ``submit(task) -> Future`` — hand a stamped task to the fleet;
+      a lease whose worker died fails with an exception whose
+      ``classification`` names the death;
+    - ``respawn()`` — tear down the broken fleet and start a fresh one;
+    - ``kill_worker(pid)`` — SIGKILL one worker (hang recovery); the
+      backend names that death ``hang-kill``;
     - ``heartbeat_dir`` — where workers write heartbeat files
-      (``None`` disables the side-channel);
-    - ``broken_exceptions`` — exception types meaning "the pool died"
-      (``BrokenProcessPool`` for the real backend).
+      (``None`` disables hang detection);
+    - ``broken_exceptions`` — exception types meaning "the whole fleet
+      is gone" (:class:`~repro.distributed.endpoint.FleetBroken` for
+      the real backend).
+
+    A :class:`~repro.errors.WorkerSetupError` from a lease stops the
+    campaign at once: no retry can mend a spec the workers cannot load.
 
     ``spec`` is the campaign's :class:`~repro.core.config.CampaignSpec`:
     the supervisor runs under its ``supervise`` policy (``None``: the
-    default :class:`SupervisorPolicy`), consults its ``containment``
-    only for death classification (applying the rlimits is the
-    worker's job), and names its strategy and seed in every poison
-    record.
+    default :class:`SupervisorPolicy`), and names its strategy, seed
+    and ``containment`` rlimits in every poison record.
     ``poison_artifact(task, index)`` optionally reconstructs the killer
     iteration's formula text for the quarantine record;
     ``on_poison(record)`` lets the campaign journal it durably the
@@ -231,7 +230,6 @@ class Supervisor:
         self.backend = backend
         self.spec = spec
         self.policy = spec.supervise or SupervisorPolicy()
-        self.containment = spec.containment
         self.telemetry = telemetry
         self.poison_artifact = poison_artifact
         self.on_poison = on_poison
@@ -295,17 +293,18 @@ class Supervisor:
                     payload = future.result()
                 except self.backend.broken_exceptions:
                     broken.append(lease)
+                except WorkerSetupError:
+                    raise
                 except Exception as exc:
-                    # The worker survived but the lease failed in-process:
+                    # The lease failed: its worker died (the fleet names
+                    # the death) or survived an in-process failure —
                     # resource containment (MemoryError under RLIMIT_AS)
-                    # or an unexpected worker-side error. Same retry path.
-                    # Exceptions that already know their classification
-                    # (remote lease failures, worker disconnects — the
-                    # distributed backend attaches one) keep it; the
+                    # or an unexpected worker-side error. Exceptions that
+                    # already know their classification keep it; the
                     # local classifier is the fallback.
                     classification = getattr(exc, "classification", None)
                     if not isinstance(classification, str):
-                        classification = classify_exception(exc, self.containment)
+                        classification = classify_exception(exc)
                     self._failure(lease, classification, pending)
                 else:
                     results.setdefault(lease.key, []).append((lease, payload))
@@ -325,50 +324,33 @@ class Supervisor:
             try:
                 future = self.backend.submit(task)
             except self.backend.broken_exceptions:
-                # The pool broke between our last wait and this submit:
-                # recover everything, then keep filling the fresh pool.
+                # The fleet broke between our last wait and this submit:
+                # recover everything, then keep filling the fresh fleet.
                 pending.appendleft(lease)
                 self._recover([], inflight, pending)
                 continue
             inflight[future] = lease
 
     def _recover(self, broken, inflight, pending):
-        """The pool died: respawn it and recover every in-flight lease."""
-        broken = list(broken) + list(inflight.values())
+        """The fleet broke: respawn it and requeue every in-flight lease.
+
+        The fleet already failed, and so charged, the lease each dead
+        worker held; the leases here were only waiting for capacity,
+        so they go back to the queue at no charge.
+        """
+        requeued = list(broken) + list(inflight.values())
         inflight.clear()
-        dead = self.backend.respawn()
+        self.backend.respawn()
         self._count("restarts")
         if self.counters["restarts"] > self.policy.max_worker_restarts:
             raise SupervisionExhausted(
-                f"worker pool died {self.counters['restarts']} times "
+                f"worker fleet died {self.counters['restarts']} times "
                 f"(max_worker_restarts={self.policy.max_worker_restarts}); "
                 "the environment looks unrecoverable"
             )
-        abnormal = {
-            pid: code for pid, code in dead.items() if not is_teardown_exit(code)
-        }
-        for lease in broken:
-            pid = self._holder(lease)
-            if pid is not None and pid in abnormal:
-                if pid in self._killed_pids:
-                    classification = HANG_KILL
-                else:
-                    classification = classify_exit(abnormal[pid], self.containment)
-                self._failure(lease, classification, pending)
-            else:
-                # Teardown collateral or never started: requeue for free.
-                self._count("requeues")
-                pending.append(lease)
-
-    def _holder(self, lease):
-        """The pid that ran this lease attempt, per the heartbeat channel."""
-        directory = self.backend.heartbeat_dir
-        if directory is None:
-            return None
-        record = read_heartbeat(directory, lease.lease_id)
-        if record is None or record.get("attempt") != lease.attempt:
-            return None
-        return record.get("pid")
+        if requeued:
+            self._count("requeues", len(requeued))
+        pending.extend(requeued)
 
     def _sweep_heartbeats(self, inflight):
         timeout = self.policy.heartbeat_timeout
@@ -435,7 +417,9 @@ class Supervisor:
             oracle=getattr(task, "oracle", ""),
             script=script,
             rlimits=(
-                self.containment.describe() if self.containment is not None else {}
+                self.spec.containment.describe()
+                if self.spec.containment is not None
+                else {}
             ),
         )
         self.poisoned.append(record)

@@ -24,7 +24,7 @@ campaign's theory memo:
   *ordered* tuple is result-identical — a hit returns exactly what the
   miss would have computed. The memo is not the session's own: it is
   a plain dict scoped to the campaign process (serial: the whole
-  campaign; a pool or tcp worker: the worker's lifetime), shared by
+  campaign; a process or tcp worker: the worker's lifetime), shared by
   every cell's session and by opfuzz's differential oracle. Cells of
   different solvers draw the same mutants, and mutants of the same
   seeds keep re-asserting the same theory atoms, so the repeats span

@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.coverage.probes import declare_module_probes, function_probe
+from repro.observability.telemetry import NULL_TELEMETRY
 from repro.smtlib.ast import Script
 from repro.smtlib.parser import parse_script
 from repro.solver.dpllt import check_assertions
@@ -130,19 +131,7 @@ class ReferenceSolver:
             model_guess = directive.model_guess
         deadline = time.monotonic() + seconds if seconds > 0 else None
         tel = self.telemetry
-        if tel is None:
-            return check_assertions(
-                script.asserts,
-                string_config=strings,
-                seed=self.config.seed,
-                max_rounds=max_rounds,
-                nonlinear_budget=nonlinear_budget,
-                deadline=deadline,
-                eliminate_definitions=eliminate_definitions,
-                model_guess=model_guess,
-                session=session,
-            )
-        with tel.phase("solver.check"):
+        with (tel or NULL_TELEMETRY).phase("solver.check"):
             outcome = check_assertions(
                 script.asserts,
                 string_config=strings,
@@ -154,8 +143,9 @@ class ReferenceSolver:
                 model_guess=model_guess,
                 session=session,
             )
-        tel.count("solver.checks")
-        tel.count("solver.result." + outcome.result.value)
+        if tel is not None:
+            tel.count("solver.checks")
+            tel.count("solver.result." + outcome.result.value)
         return outcome
 
     def check_result(self, source):

@@ -4,7 +4,7 @@ Semantic Fusion, ConcatFuzz and OpFuzz-style operator mutation are all
 the same loop — *draw seeds, mutate, ask a solver, compare against an
 oracle* — differing only in the mutator and in how the expected answer
 is known. A :class:`MutationStrategy` captures exactly that difference,
-so the campaign core (:mod:`repro.core.yinyang`), the process pool
+so the campaign core (:mod:`repro.core.yinyang`), the worker fleet
 (:mod:`repro.core.parallel`), the journal and the telemetry stack drive
 any workload without knowing which one it is.
 
@@ -18,7 +18,7 @@ on it:
   ``(strategy, seed corpus, campaign seed, index)`` — which is what
   makes shard partitions, resume, and worker counts invisible to the
   oracle.
-- **Picklability by name**: strategies cross the spawn boundary as
+- **Picklability by name**: strategies cross the process boundary as
   their registry name plus the shared
   :class:`~repro.core.config.YinYangConfig`; live instances (which may
   hold solver handles or caches) never travel.

@@ -1,7 +1,7 @@
 """The strategy registry: names are the cross-boundary identity.
 
-Every layer that must reconstruct a strategy — CLI flags, process-pool
-workers on the far side of a spawn, journal resume validation — does so
+Every layer that must reconstruct a strategy — CLI flags, fleet
+workers in another process, journal resume validation — does so
 from the registry name plus the shared
 :class:`~repro.core.config.FusionConfig`. Registering a factory here is
 all it takes for a new workload to gain the full stack: sharded

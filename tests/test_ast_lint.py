@@ -213,14 +213,13 @@ def test_operator_table_lint_detects_violations(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Execution-path lint: one worker path, owned by repro/core/parallel.py.
+# Execution-path lint: one worker path, the supervised lease fleet.
 # ---------------------------------------------------------------------------
 
-# Every multi-worker run goes through supervised leases on the pool in
-# core/parallel.py; an executor anywhere else would be a second,
-# unsupervised way to run iterations.
+# Every multi-worker run goes through supervised leases on a worker
+# fleet (repro/distributed); a pool executor anywhere under src/ would
+# be a second, unsupervised way to run iterations.
 _EXECUTORS = {"ProcessPoolExecutor", "ThreadPoolExecutor"}
-_EXECUTOR_HOME = SRC / "core" / "parallel.py"
 
 
 def _executor_uses(path):
@@ -238,15 +237,15 @@ def _executor_uses(path):
 
 
 @pytest.mark.parametrize(
-    "path",
-    sorted(p for p in SRC.rglob("*.py") if p != _EXECUTOR_HOME),
-    ids=lambda p: str(p.relative_to(SRC)),
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
 )
 def test_pool_executors_only_in_parallel(path):
+    # The name predates the fleet; no file, core/parallel.py included,
+    # may build a pool executor now.
     hits = _executor_uses(path)
     assert not hits, (
         f"{path.relative_to(SRC)} builds its own executor; run shards as "
-        f"supervised leases through repro.core.parallel instead: {hits}"
+        f"supervised leases on the worker fleet instead: {hits}"
     )
 
 

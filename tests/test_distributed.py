@@ -1,9 +1,9 @@
 """Distributed fleet test matrix: the coordinator + worker-fleet layer.
 
 The headline invariant under test: a deterministic campaign's journal
-is **byte-identical for every fleet shape** — serial, process pool,
-or a TCP worker fleet, at any worker count, under any
-work-stealing order. The fleet-shape matrix (``fleet`` fixture in
+is **byte-identical for every fleet shape** — serial, a process
+campaign's loopback fleet, or a TCP worker fleet, at any worker count,
+under any work-stealing order. The fleet-shape matrix (``fleet`` fixture in
 ``conftest.py``) runs one cheap campaign per shape and diffs the bytes
 against the serial baseline.
 
@@ -18,8 +18,8 @@ Around that center sit the layers the invariant rests on:
 - seeded :class:`~repro.distributed.NetChaos` faults (mid-lease
   disconnects, dropped status frames, duplicated results, delays)
   leave the journal byte-identical — crash recovery is invisible;
-- teardown of both backends (``SupervisedPoolBackend``, ``TcpFleet``)
-  is idempotent and exception-safe.
+- :class:`~repro.distributed.TcpFleet` teardown is idempotent and
+  exception-safe.
 
 Socket-spawning tests are cheap (one cell, six iterations, a single
 deterministic solver); the disconnect soaks are marked ``chaos`` and
@@ -41,7 +41,7 @@ from repro.campaign.runner import deterministic_solvers, run_campaign
 import dataclasses
 
 from repro.core.config import CampaignSpec, FusionConfig, YinYangConfig
-from repro.core.parallel import ShardTask, SupervisedPoolBackend
+from repro.core.parallel import ShardTask
 from repro.distributed import (
     FleetBroken,
     NetChaos,
@@ -651,53 +651,21 @@ class TestNetChaosSoak:
 # ---------------------------------------------------------------------------
 
 
-def _spec(mode="process", **overrides):
+def _tcp_spec(workers=1):
     return CampaignSpec(
         config=YinYangConfig(fusion=FusionConfig(), seed=6),
         iterations_per_cell=1,
         solver_factory=one_deterministic_solver,
-        mode=mode,
-        **overrides,
+        mode="tcp",
+        workers=workers,
+        spawn_workers=0,
     )
-
-
-def _tcp_spec(workers=1):
-    return _spec("tcp", workers=workers, spawn_workers=0)
 
 
 _TASK = dict(oracle="sat", seed_texts=("(assert true)",), logics=("QF_S",), shard=0)
 
 
 class TestTeardownIdempotence:
-    def test_sharded_pool_shutdown_twice(self):
-        """The pool process shards run on closes cleanly after a respawn
-        and a context-manager exit, and a later close is a no-op."""
-        with SupervisedPoolBackend(_spec()) as backend:
-            heartbeat_dir = backend.heartbeat_dir
-            assert backend.respawn() is not None
-        backend.close()  # must not raise
-        assert not os.path.exists(heartbeat_dir)
-
-    def test_supervised_backend_rejects_submit_after_close(self):
-        backend = SupervisedPoolBackend(_spec())
-        backend.close()
-        task = ShardTask(**_TASK)
-        with pytest.raises(RuntimeError, match="closed"):
-            backend.submit(task)
-
-    def test_supervised_backend_close_twice(self, tmp_path):
-        backend = SupervisedPoolBackend(_spec())
-        heartbeat_dir = backend.heartbeat_dir
-        backend.close()
-        backend.close()  # idempotent: no double-rmtree, no executor error
-        assert not os.path.exists(heartbeat_dir)
-
-    def test_supervised_backend_rejects_respawn_after_close(self):
-        backend = SupervisedPoolBackend(_spec())
-        backend.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            backend.respawn()
-
     def test_tcp_fleet_close_twice(self):
         fleet = TcpFleet(_tcp_spec(workers=2))
         heartbeat_dir = fleet.heartbeat_dir
@@ -745,3 +713,108 @@ class TestTeardownIdempotence:
                     )
                     assert sock.recv(1) == b""  # coordinator hung up
             assert fleet._remotes == {}
+
+
+# ---------------------------------------------------------------------------
+# 7. Worker setup: script-defined factories and undecodable specs
+# ---------------------------------------------------------------------------
+
+#: A campaign script whose solver factory lives in its ``__main__``.
+#: ``process`` runs it on the spawned loopback fleet; ``external`` on one
+#: worker started by hand, which is not told the script's path and so
+#: cannot decode the spec.
+_MAIN_FACTORY_SCRIPT = '''
+import subprocess
+import sys
+import time
+
+from repro.campaign.runner import deterministic_solvers, run_campaign
+from repro.errors import WorkerSetupError
+from repro.seeds import build_corpus
+
+
+def my_factory():
+    return deterministic_solvers()[:1]
+
+
+class SatOnly:
+    def __init__(self, corpus):
+        self._corpus = corpus
+
+    def by_oracle(self, oracle):
+        return self._corpus.by_oracle(oracle) if oracle == "sat" else []
+
+
+if __name__ == "__main__":
+    how, port = sys.argv[1], int(sys.argv[2])
+    corpora = {"QF_S": SatOnly(build_corpus("QF_S", scale=0.0015, seed=5))}
+    campaign = dict(
+        iterations_per_cell=4, seed=6, performance_threshold=None,
+        solver_factory=my_factory,
+    )
+    if how == "process":
+        result = run_campaign(corpora, mode="process", workers=2, **campaign)
+        print("iterations", sum(r.iterations for r in result.reports.values()))
+        sys.exit(0)
+    worker = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "worker", "--connect", f"127.0.0.1:{port}"]
+    )
+    started = time.monotonic()
+    try:
+        run_campaign(
+            corpora, mode="tcp", workers=1, listen=("127.0.0.1", port),
+            spawn_workers=0, **campaign,
+        )
+    except WorkerSetupError as exc:
+        print(f"setup error after {time.monotonic() - started:.1f} s: {exc}")
+        sys.exit(3)
+    finally:
+        worker.wait(timeout=30)
+    sys.exit(0)
+'''
+
+
+class TestWorkerSetup:
+    def _run_script(self, tmp_path, how):
+        script = tmp_path / "campaign_script.py"
+        script.write_text(_MAIN_FACTORY_SCRIPT)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        return subprocess.run(
+            [sys.executable, str(script), how, str(port)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def test_main_defined_factory_runs_in_process_mode(self, tmp_path):
+        """Spawned workers load the script as ``__mp_main__``, so a
+        factory defined in it unpickles there."""
+        done = self._run_script(tmp_path, "process")
+        assert done.returncode == 0, done.stderr
+        assert "iterations 4" in done.stdout
+
+    def test_undecodable_spec_fails_the_campaign_at_once(self, tmp_path):
+        """A worker that cannot decode the spec reports why, and the
+        campaign stops with that error instead of waiting on (or
+        respawning) workers that can only fail again."""
+        done = self._run_script(tmp_path, "external")
+        assert done.returncode == 3, done.stderr
+        assert "my_factory" in done.stdout
+        assert "undecodable blob" in done.stdout
+        seconds = float(done.stdout.split("setup error after ")[1].split(" s")[0])
+        assert seconds < 20
+
+    def test_no_fleet_starts_while_a_worker_loads_the_main_script(self, monkeypatch):
+        """A script that starts a campaign without an entry-point guard
+        would start a fleet inside every worker that loads it, and so
+        on down; the fleet refuses, and the worker reports the error."""
+        from repro.distributed import worker
+
+        monkeypatch.setattr(worker, "loading_main", True)
+        with pytest.raises(RuntimeError, match="__name__"):
+            TcpFleet(_tcp_spec())

@@ -1,11 +1,10 @@
 """Supervisor unit tests against a scripted fake backend.
 
-The supervisor's contract — capped retries, heartbeat attribution,
-innocent-bystander requeue, poison bisection, restart budget — is pure
-coordination logic; a fake backend that resolves futures according to
-a per-lease script exercises every path without spawning a single
-process. Real-pool behavior is covered by
-``tests/test_supervised_campaign.py``.
+The supervisor's contract — capped retries, fleet-breakage requeue,
+poison bisection, restart budget, hang kills — is pure coordination
+logic; a fake backend that resolves futures according to a per-lease
+script exercises every path without spawning a single process. Real
+fleet behavior is covered by ``tests/test_supervised_campaign.py``.
 """
 
 import json
@@ -17,6 +16,7 @@ import pytest
 
 from repro.core.config import CampaignSpec, YinYangConfig
 from repro.core.parallel import ShardTask
+from repro.errors import WorkerSetupError
 from repro.robustness.chaos import ProcessChaos
 from repro.robustness.containment import (
     CPU_KILL,
@@ -27,7 +27,6 @@ from repro.robustness.containment import (
     ContainmentPolicy,
     classify_exception,
     classify_exit,
-    is_teardown_exit,
 )
 from repro.robustness.journal import ShardProgress
 from repro.robustness.supervisor import (
@@ -41,6 +40,14 @@ from repro.robustness.supervisor import (
 
 class FakeBroken(RuntimeError):
     pass
+
+
+class FakeDeath(RuntimeError):
+    """A lease whose worker died, named as the fleet names deaths."""
+
+    def __init__(self, classification):
+        super().__init__(classification)
+        self.classification = classification
 
 
 NO_SLEEP = SupervisorPolicy(sleep=lambda _s: None)
@@ -77,9 +84,9 @@ def make_task(**overrides):
 class FakeBackend:
     """Resolves each submitted task per a ``plan(task)`` script.
 
-    Plan outcomes: ``("ok", payload)``, ``("broken", pid, exitcode)``
-    (the pool breaks; the dead pid is reported by the next respawn and
-    a heartbeat is left behind naming it), or ``("raise", exc)``.
+    Plan outcomes: ``("ok", payload)``, ``("die", classification)``
+    (the lease's worker died; the fleet names the death),
+    ``("broken",)`` (the whole fleet is gone), or ``("raise", exc)``.
     """
 
     broken_exceptions = (FakeBroken,)
@@ -89,7 +96,6 @@ class FakeBackend:
         self.heartbeat_dir = heartbeat_dir
         self.respawns = 0
         self.killed = []
-        self._dead = {}
 
     def submit(self, task):
         future = Future()
@@ -97,15 +103,10 @@ class FakeBackend:
         kind = outcome[0]
         if kind == "ok":
             future.set_result(outcome[1])
+        elif kind == "die":
+            future.set_exception(FakeDeath(outcome[1]))
         elif kind == "broken":
-            _, pid, exitcode = outcome
-            if self.heartbeat_dir is not None:
-                index = task.indices[0] if task.indices else task.shard
-                write_heartbeat(
-                    self.heartbeat_dir, task.lease_id, pid, task.attempt, index
-                )
-            self._dead[pid] = exitcode
-            future.set_exception(FakeBroken("pool died"))
+            future.set_exception(FakeBroken("fleet gone"))
         elif kind == "raise":
             future.set_exception(outcome[1])
         else:  # pragma: no cover - bad test script
@@ -114,8 +115,6 @@ class FakeBackend:
 
     def respawn(self):
         self.respawns += 1
-        dead, self._dead = self._dead, {}
-        return dead
 
     def kill_worker(self, pid):
         self.killed.append(pid)
@@ -140,13 +139,6 @@ class TestPolicy:
 
 
 class TestClassification:
-    def test_teardown_exits(self):
-        assert is_teardown_exit(None)
-        assert is_teardown_exit(0)
-        assert is_teardown_exit(-signal.SIGTERM)
-        assert not is_teardown_exit(-signal.SIGKILL)
-        assert not is_teardown_exit(1)
-
     def test_classify_exit(self):
         mem = ContainmentPolicy(mem_limit_mb=64)
         assert classify_exit(None) == WORKER_DEATH
@@ -188,16 +180,16 @@ class TestSupervisorRun:
         assert sup.counters["retries"] == 0
         assert sup.poisoned == []
 
-    def test_attributed_death_retries_then_succeeds(self, tmp_path):
+    def test_attributed_death_retries_then_succeeds(self):
         state = {"deaths": 0}
 
         def plan(task):
             if task.shard == 0 and task.attempt == 0:
                 state["deaths"] += 1
-                return ("broken", 111, -signal.SIGKILL)
+                return ("die", "killed")
             return ("ok", {"attempt": task.attempt})
 
-        backend = FakeBackend(plan, heartbeat_dir=str(tmp_path))
+        backend = FakeBackend(plan)
         sup = Supervisor(backend, campaign())
         leases = [
             sup.lease(("cell", shard), make_task(shard=shard), (shard,))
@@ -205,29 +197,43 @@ class TestSupervisorRun:
         ]
         results = sup.run(leases)
         assert state["deaths"] == 1
-        assert backend.respawns == 1
-        assert sup.counters["restarts"] == 1
+        # One worker death fails one lease; the fleet stays up.
+        assert backend.respawns == 0
+        assert sup.counters["restarts"] == 0
         assert sup.counters["retries"] == 1
         # The retried lease's payload came from attempt 1.
         [(lease, payload)] = results[("cell", 0)]
         assert payload["attempt"] == 1
         assert lease.last_classification == "killed"
 
-    def test_innocent_teardown_requeues_for_free(self, tmp_path):
+    def test_broken_fleet_respawns_and_requeues_for_free(self):
         state = {"broke": False}
 
         def plan(task):
             if not state["broke"]:
                 state["broke"] = True
-                return ("broken", 222, -signal.SIGTERM)  # teardown collateral
+                return ("broken",)
             return ("ok", {})
 
-        backend = FakeBackend(plan, heartbeat_dir=str(tmp_path))
+        backend = FakeBackend(plan)
         sup = Supervisor(backend, campaign())
         results = sup.run([sup.lease("k", make_task(), (0, 2))])
         assert results["k"]
+        assert backend.respawns == 1
+        assert sup.counters["restarts"] == 1
         assert sup.counters["requeues"] == 1
         assert sup.counters["retries"] == 0  # nobody was charged
+
+    def test_worker_setup_error_stops_the_run(self):
+        # A spec no worker can load fails every lease the same way:
+        # the run stops at once instead of retrying or bisecting.
+        error = WorkerSetupError("undecodable blob")
+        backend = FakeBackend(lambda task: ("raise", error))
+        sup = Supervisor(backend, campaign())
+        with pytest.raises(WorkerSetupError, match="undecodable"):
+            sup.run([sup.lease("k", make_task(), (0, 2))])
+        assert sup.counters["retries"] == 0
+        assert sup.counters["bisections"] == 0
 
     def test_worker_exception_is_retried_and_classified(self):
         state = {"raised": False}
@@ -247,7 +253,7 @@ class TestSupervisorRun:
         assert lease.last_classification == OOM
         assert sup.counters["retries"] == 1
 
-    def test_bisection_isolates_poison_iteration(self, tmp_path):
+    def test_bisection_isolates_poison_iteration(self):
         def plan(task):
             indices = (
                 task.indices
@@ -255,10 +261,10 @@ class TestSupervisorRun:
                 else tuple(range(task.shard, 8, 2))
             )
             if 5 in indices:
-                return ("broken", 333, -signal.SIGKILL)
+                return ("die", "killed")
             return ("ok", {"indices": indices})
 
-        backend = FakeBackend(plan, heartbeat_dir=str(tmp_path))
+        backend = FakeBackend(plan)
         artifacts = []
         sup = Supervisor(
             backend,
@@ -285,11 +291,8 @@ class TestSupervisorRun:
         )
         assert covered == [1, 3, 7]
 
-    def test_restart_budget_exhausted(self, tmp_path):
-        backend = FakeBackend(
-            lambda task: ("broken", 444, -signal.SIGKILL),
-            heartbeat_dir=str(tmp_path),
-        )
+    def test_restart_budget_exhausted(self):
+        backend = FakeBackend(lambda task: ("broken",))
         sup = Supervisor(
             backend,
             campaign(
@@ -299,11 +302,8 @@ class TestSupervisorRun:
         with pytest.raises(SupervisionExhausted):
             sup.run([sup.lease("k", make_task(), (0,))])
 
-    def test_poison_record_carries_reproduction_context(self, tmp_path):
-        backend = FakeBackend(
-            lambda task: ("broken", 555, -signal.SIGSEGV),
-            heartbeat_dir=str(tmp_path),
-        )
+    def test_poison_record_carries_reproduction_context(self):
+        backend = FakeBackend(lambda task: ("die", "signal:SIGSEGV"))
         sup = Supervisor(
             backend,
             campaign(

@@ -33,7 +33,12 @@ _ZERO = Fraction(0)
 
 
 class DeltaRational:
-    """A rational plus an infinitesimal: ``c + k * delta`` with delta > 0."""
+    """A rational plus an infinitesimal: ``c + k * delta`` with delta > 0.
+
+    ``c`` is a Fraction. ``k`` is a Fraction, or the int 0: most values
+    carry no infinitesimal, and an int zero lets every operation skip
+    the Fraction arithmetic on ``k`` after a C-level truth test.
+    """
 
     __slots__ = ("c", "k")
 
@@ -41,22 +46,33 @@ class DeltaRational:
         # Fraction(Fraction) allocates a copy; the simplex inner loop
         # creates millions of these, so skip the rewrap when possible.
         self.c = c if type(c) is Fraction else Fraction(c)
-        self.k = k if type(k) is Fraction else Fraction(k)
+        self.k = k if type(k) is Fraction or k == 0 else Fraction(k)
 
     def __add__(self, other):
-        return DeltaRational(self.c + other.c, self.k + other.k)
+        if self.k or other.k:
+            return DeltaRational(self.c + other.c, self.k + other.k)
+        return DeltaRational(self.c + other.c)
 
     def __sub__(self, other):
-        return DeltaRational(self.c - other.c, self.k - other.k)
+        if self.k or other.k:
+            return DeltaRational(self.c - other.c, self.k - other.k)
+        return DeltaRational(self.c - other.c)
 
     def scale(self, factor):
-        return DeltaRational(self.c * factor, self.k * factor)
+        if self.k:
+            return DeltaRational(self.c * factor, self.k * factor)
+        return DeltaRational(self.c * factor)
 
+    # Lexicographic on (c, k), as tuples compare.
     def __lt__(self, other):
-        return (self.c, self.k) < (other.c, other.k)
+        if (self.k or other.k) and self.c == other.c:
+            return self.k < other.k
+        return self.c < other.c
 
     def __le__(self, other):
-        return (self.c, self.k) <= (other.c, other.k)
+        if (self.k or other.k) and self.c == other.c:
+            return self.k <= other.k
+        return self.c <= other.c
 
     def __eq__(self, other):
         if not isinstance(other, DeltaRational):
@@ -68,7 +84,9 @@ class DeltaRational:
 
     def concretize(self, delta):
         """The exact rational value once ``delta`` is fixed."""
-        return self.c + self.k * delta
+        if self.k:
+            return self.c + self.k * delta
+        return self.c
 
     def __repr__(self):
         if self.k == 0:
@@ -349,19 +367,26 @@ class Simplex:
         return {v: self.assign[v].concretize(delta) for v in problem_vars if v in self.assign}
 
     def _choose_delta(self):
-        """A concrete positive delta small enough to respect all bounds."""
+        """A concrete positive delta small enough to respect all bounds.
+
+        Only a bound whose gap to the value has a negative infinitesimal
+        part and a positive rational part limits delta, so pairs where
+        neither side carries an infinitesimal are skipped unexamined.
+        """
         limit = Fraction(1)
-        for var, value in self.assign.items():
-            for bound, is_lower in (
-                (self.lower.get(var), True),
-                (self.upper.get(var), False),
-            ):
-                if bound is None:
+        assign = self.assign
+        for bounds, is_lower in ((self.lower, True), (self.upper, False)):
+            for var, bound in bounds.items():
+                value = assign[var]
+                if not (value.k or bound.k):
                     continue
-                diff = (value - bound) if is_lower else (bound - value)
-                # Need diff.c + diff.k * delta >= 0.
-                if diff.k < 0 and diff.c > 0:
-                    limit = min(limit, -diff.c / diff.k)
+                # Need gap.c + gap.k * delta >= 0 for the gap to the bound.
+                if is_lower:
+                    gap_c, gap_k = value.c - bound.c, value.k - bound.k
+                else:
+                    gap_c, gap_k = bound.c - value.c, bound.k - value.k
+                if gap_k < 0 and gap_c > 0:
+                    limit = min(limit, -gap_c / gap_k)
         return limit / 2
 
 
@@ -416,6 +441,8 @@ def check_linear(atoms, int_vars=(), max_branch_nodes=400):
         if not simplex.assert_atom(atom):
             return UNSAT, None
 
+    int_order = [v for v in problem_vars if v in int_vars]
+
     def solve():
         if budget[0] <= 0:
             return UNKNOWN, None
@@ -423,15 +450,25 @@ def check_linear(atoms, int_vars=(), max_branch_nodes=400):
         status = simplex.check()
         if status != SAT:
             return status, None
-        model = simplex.model(problem_vars)
+        # The first integer variable whose model value is fractional,
+        # found without building the model: a value with no
+        # infinitesimal part is its rational part, and delta (which
+        # scans every bound) is chosen only for one that has one.
         fractional = None
-        for var in problem_vars:
-            if var in int_vars and model[var].denominator != 1:
+        delta = None
+        for var in int_order:
+            assigned = simplex.assign[var]
+            if assigned.k:
+                if delta is None:
+                    delta = simplex._choose_delta()
+                value = assigned.concretize(delta)
+            else:
+                value = assigned.c
+            if value.denominator != 1:
                 fractional = var
                 break
         if branch_probe("linarith.integral", fractional is None):
-            return SAT, model
-        value = model[fractional]
+            return SAT, simplex.model(problem_vars)
         floor = value.numerator // value.denominator
         line_probe("linarith.branch")
         saw_unknown = False

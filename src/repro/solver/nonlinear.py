@@ -244,19 +244,46 @@ def atom_to_poly(term, polarity):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Interval:
     """An interval over the rationals with optional open endpoints.
 
     Tracking endpoint openness lets ICP refute strict-inequality
     conflicts (e.g. ``v > 0 and w >= v and w = q*v and q < 0``), which
     show up constantly in fused arithmetic formulas.
+
+    Endpoints are exact: an int, a Fraction, or None (unbounded). ICP
+    builds hundreds of thousands of intervals per campaign, so this is
+    a plain slotted class rather than a frozen dataclass (whose
+    ``__init__`` goes through ``object.__setattr__`` per field). It
+    compares and hashes by its four fields; treat it as immutable.
     """
 
-    lo: object = None  # Fraction or None (-inf)
-    hi: object = None  # Fraction or None (+inf)
-    lo_open: bool = False
-    hi_open: bool = False
+    __slots__ = ("lo", "hi", "lo_open", "hi_open")
+
+    def __init__(self, lo=None, hi=None, lo_open=False, hi_open=False):
+        self.lo = lo  # int, Fraction or None (-inf)
+        self.hi = hi  # int, Fraction or None (+inf)
+        self.lo_open = lo_open
+        self.hi_open = hi_open
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return (self.lo, self.hi, self.lo_open, self.hi_open) == (
+            other.lo,
+            other.hi,
+            other.lo_open,
+            other.hi_open,
+        )
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, self.lo_open, self.hi_open))
+
+    def __repr__(self):
+        return (
+            f"Interval(lo={self.lo!r}, hi={self.hi!r}, "
+            f"lo_open={self.lo_open!r}, hi_open={self.hi_open!r})"
+        )
 
     def is_empty(self):
         if self.lo is None or self.hi is None:
@@ -306,12 +333,6 @@ class Interval:
 FULL = Interval(None, None)
 
 
-def _point(value):
-    if type(value) is int or type(value) is Fraction:
-        return Interval(value, value)
-    return Interval(Fraction(value), Fraction(value))
-
-
 def _iv_add(a, b):
     if a.lo is None or b.lo is None:
         lo, lo_open = None, False
@@ -334,8 +355,6 @@ def _iv_neg(a):
 
 
 def _iv_scale(a, c):
-    if c == 0:
-        return _point(0)
     if c > 0:
         return Interval(
             None if a.lo is None else a.lo * c,
@@ -343,61 +362,90 @@ def _iv_scale(a, c):
             a.lo_open,
             a.hi_open,
         )
-    return _iv_scale(_iv_neg(a), -c)
-
-
-_NEG_INF = float("-inf")
-_POS_INF = float("inf")
-
-
-def _endpoint_mul(a, a_open, b, b_open):
-    """Endpoint product: ``(value, open)``, convention ``0 * inf = 0``."""
-    if a == 0 or b == 0:
-        # Zero endpoints: the product value 0; openness handled by the
-        # caller via attains-zero reasoning.
-        return 0, a_open or b_open
-    if isinstance(a, float) or isinstance(b, float):
-        positive = (a > 0) == (b > 0)
-        return (_POS_INF if positive else _NEG_INF), True
-    return a * b, a_open or b_open
+    if c < 0:
+        return Interval(
+            None if a.hi is None else a.hi * c,
+            None if a.lo is None else a.lo * c,
+            a.hi_open,
+            a.lo_open,
+        )
+    return Interval(0, 0)
 
 
 def _iv_mul(a, b):
-    ends_a = [
-        (_NEG_INF if a.lo is None else a.lo, a.lo_open or a.lo is None),
-        (_POS_INF if a.hi is None else a.hi, a.hi_open or a.hi is None),
-    ]
-    ends_b = [
-        (_NEG_INF if b.lo is None else b.lo, b.lo_open or b.lo is None),
-        (_POS_INF if b.hi is None else b.hi, b.hi_open or b.hi is None),
-    ]
-    products = [
-        _endpoint_mul(va, oa, vb, ob) for va, oa in ends_a for vb, ob in ends_b
-    ]
-    lo = min(v for v, _ in products)
-    hi = max(v for v, _ in products)
-    # An extremum is open only if *every* endpoint pair achieving it is
-    # open; zero is additionally attained whenever either factor
-    # interval attains zero.
-    lo_open = all(o for v, o in products if v == lo)
-    hi_open = all(o for v, o in products if v == hi)
-    if lo == 0 and (a.attains_zero() or b.attains_zero()):
+    """The exact product of two nonempty intervals.
+
+    Its bounds are the extreme endpoint products, with ``0 * inf = 0``.
+    An extremum is open unless some endpoint pair attaining it is closed
+    at both ends; a zero extremum is closed exactly when either factor
+    attains zero.
+    """
+    alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
+    if alo is None or ahi is None or blo is None or bhi is None:
+        return _iv_mul_unbounded(a, b)
+    alo_open, ahi_open, blo_open, bhi_open = a.lo_open, a.hi_open, b.lo_open, b.hi_open
+    lo = hi = alo * blo
+    lo_open = hi_open = alo_open or blo_open
+    for value, is_open in (
+        (alo * bhi, alo_open or bhi_open),
+        (ahi * blo, ahi_open or blo_open),
+        (ahi * bhi, ahi_open or bhi_open),
+    ):
+        if value < lo:
+            lo, lo_open = value, is_open
+        elif value > hi:
+            hi, hi_open = value, is_open
+        else:
+            if value == lo:
+                lo_open = lo_open and is_open
+            if value == hi:
+                hi_open = hi_open and is_open
+    if lo_open and lo == 0 and (a.attains_zero() or b.attains_zero()):
         lo_open = False
-    if hi == 0 and (a.attains_zero() or b.attains_zero()):
+    if hi_open and hi == 0 and (a.attains_zero() or b.attains_zero()):
+        hi_open = False
+    return Interval(lo, hi, lo_open, hi_open)
+
+
+def _iv_mul_unbounded(a, b):
+    """:func:`_iv_mul` when an endpoint is infinite.
+
+    Each endpoint product is ranked -1 (-inf), 0 (finite) or 1 (+inf);
+    a finite product is ordered by its value, and infinite endpoints
+    count as open.
+    """
+    ends_a = ((a.lo, a.lo_open or a.lo is None, -1), (a.hi, a.hi_open or a.hi is None, 1))
+    ends_b = ((b.lo, b.lo_open or b.lo is None, -1), (b.hi, b.hi_open or b.hi is None, 1))
+    products = []
+    for x, x_open, x_side in ends_a:
+        for y, y_open, y_side in ends_b:
+            if (x is not None and x == 0) or (y is not None and y == 0):
+                products.append((0, 0, x_open or y_open))
+            elif x is None or y is None:
+                x_sign = x_side if x is None else (1 if x > 0 else -1)
+                y_sign = y_side if y is None else (1 if y > 0 else -1)
+                products.append((x_sign * y_sign, 0, True))
+            else:
+                products.append((0, x * y, x_open or y_open))
+    lo = min(product[:2] for product in products)
+    hi = max(product[:2] for product in products)
+    lo_open = all(o for r, v, o in products if (r, v) == lo)
+    hi_open = all(o for r, v, o in products if (r, v) == hi)
+    if lo == (0, 0) and (a.attains_zero() or b.attains_zero()):
+        lo_open = False
+    if hi == (0, 0) and (a.attains_zero() or b.attains_zero()):
         hi_open = False
     return Interval(
-        None if lo == _NEG_INF else lo,
-        None if hi == _POS_INF else hi,
-        False if lo == _NEG_INF else lo_open,
-        False if hi == _POS_INF else hi_open,
+        None if lo[0] else lo[1],
+        None if hi[0] else hi[1],
+        False if lo[0] else lo_open,
+        False if hi[0] else hi_open,
     )
 
 
 def _iv_pow(a, exp):
-    if exp == 1:
-        return a
-    result = _point(1)
-    for _ in range(exp):
+    result = a
+    for _ in range(exp - 1):
         result = _iv_mul(result, a)
     # Even powers are nonnegative; tighten the lower bound.
     if exp % 2 == 0:
@@ -407,20 +455,35 @@ def _iv_pow(a, exp):
     return result
 
 
-_POINT_ONE = Interval(1, 1)
+def _exact(coeff):
+    """An integral coefficient as an int: exact, and cheaper to multiply."""
+    return coeff.numerator if coeff.denominator == 1 else coeff
+
+
+def _eval_terms(terms, box):
+    """Interval value of ``(monomial, coefficient)`` pairs over ``box``.
+
+    Starts from the first term and product factor, so no work goes into
+    adding ``[0, 0]``, multiplying by ``[1, 1]`` or scaling by 1.
+    """
+    total = None
+    for mono, coeff in terms:
+        term = None
+        for var, exp in mono:
+            iv = box.get(var, FULL)
+            if exp != 1:
+                iv = _iv_pow(iv, exp)
+            term = iv if term is None else _iv_mul(term, iv)
+        if term is None:
+            term = Interval(coeff, coeff)
+        elif coeff != 1:
+            term = _iv_scale(term, coeff)
+        total = term if total is None else _iv_add(total, term)
+    return Interval(0, 0) if total is None else total
 
 
 def eval_poly_interval(poly, box):
-    total = Interval(0, 0)
-    for mono, coeff in poly.items():
-        term = _POINT_ONE
-        for var, exp in mono:
-            term = _iv_mul(term, _iv_pow(box.get(var, FULL), exp))
-        # Integral coefficients scale with native int arithmetic.
-        if coeff.denominator == 1:
-            coeff = coeff.numerator
-        total = _iv_add(total, _iv_scale(term, coeff))
-    return total
+    return _eval_terms([(mono, _exact(c)) for mono, c in poly.items()], box)
 
 
 def _iv_div(a, b):
@@ -460,22 +523,59 @@ def _iv_div(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _contract(atoms, box, int_vars):
-    """One round of interval contraction; returns (changed, feasible)."""
-    changed = False
+def _compile_atoms(atoms):
+    """The hard atoms of one ICP call, in the form ``_contract`` reads.
+
+    Each atom becomes ``(op, terms, splits)``. ``terms`` are its
+    ``(monomial, coefficient)`` pairs, with integral coefficients as
+    ints. ``splits`` holds ``(var, a_terms, b_terms, scale)`` for every
+    variable of degree 1, in sorted name order (never set order, which
+    varies with ``PYTHONHASHSEED``), where ``poly = A*var + B`` and A
+    and B are free of ``var``. When A is a nonzero constant, ``scale``
+    is ``-1/A``, so the bound on ``var`` is ``B * scale`` with no
+    interval division; otherwise it is None. ``!=`` atoms prune
+    nothing and are left out.
+    """
+    compiled = []
     for atom in atoms:
         if atom.op == "!=":
             continue
-        poly = atom.poly_dict
-        value = eval_poly_interval(poly, box)
-        if atom.op == "<=":
+        terms = tuple((mono, _exact(coeff)) for mono, coeff in atom.poly_dict.items())
+        degree = {}
+        for mono, _ in terms:
+            for var, exp in mono:
+                degree[var] = max(degree.get(var, 0), exp)
+        splits = []
+        for var in sorted(v for v, d in degree.items() if d == 1):
+            a_terms = []
+            b_terms = []
+            for mono, coeff in terms:
+                rest = tuple(pair for pair in mono if pair[0] != var)
+                if len(rest) == len(mono):
+                    b_terms.append((mono, coeff))
+                else:
+                    a_terms.append((rest, coeff))
+            scale = None
+            if len(a_terms) == 1 and a_terms[0][0] == CONST_MONO and a_terms[0][1]:
+                scale = _exact(Fraction(-1) / a_terms[0][1])
+            splits.append((var, tuple(a_terms), tuple(b_terms), scale))
+        compiled.append((atom.op, terms, tuple(splits)))
+    return compiled
+
+
+def _contract(atoms, box, int_vars):
+    """One round of contraction over compiled atoms; (changed, feasible)."""
+    changed = False
+    for op, terms, splits in atoms:
+        value = _eval_terms(terms, box)
+        if op == "<=":
             infeasible = value.lo is not None and (
                 value.lo > 0 or (value.lo == 0 and value.lo_open)
             )
             if infeasible:
                 line_probe("icp.prune.le")
                 return changed, False
-        elif atom.op == "<":
+        elif op == "<":
             if value.lo is not None and value.lo >= 0:
                 line_probe("icp.prune.lt")
                 return changed, False
@@ -489,32 +589,23 @@ def _contract(atoms, box, int_vars):
             if lo_positive or hi_negative:
                 line_probe("icp.prune.eq")
                 return changed, False
-        # Try to tighten each variable that is linear in this atom.
-        for var in poly_vars(poly):
-            if poly_degree(poly, var) != 1:
-                continue
-            # poly = A*var + B with A, B free of var.
-            a_poly = {}
-            b_poly = {}
-            for mono, coeff in poly.items():
-                powers = dict(mono)
-                if var in powers:
-                    rest = tuple(sorted((v, e) for v, e in powers.items() if v != var))
-                    a_poly[rest] = a_poly.get(rest, Fraction(0)) + coeff
-                else:
-                    b_poly[mono] = coeff
-            a_iv = eval_poly_interval(a_poly, box)
-            if a_iv.contains_zero():
-                continue
-            a_positive = a_iv.lo is not None and (
-                a_iv.lo > 0 or (a_iv.lo == 0 and a_iv.lo_open)
-            )
-            b_iv = eval_poly_interval(b_poly, box)
+        # Tighten each variable that is linear in this atom.
+        for var, a_terms, b_terms, scale in splits:
             # A*var + B op 0  ->  var op' -B/A  (direction by sign of A).
-            bound_iv = _iv_div(_iv_neg(b_iv), a_iv)
+            if scale is None:
+                a_iv = _eval_terms(a_terms, box)
+                if a_iv.contains_zero():
+                    continue
+                a_positive = a_iv.lo is not None and (
+                    a_iv.lo > 0 or (a_iv.lo == 0 and a_iv.lo_open)
+                )
+                bound_iv = _iv_div(_iv_neg(_eval_terms(b_terms, box)), a_iv)
+            else:
+                a_positive = scale < 0
+                bound_iv = _iv_scale(_eval_terms(b_terms, box), scale)
             current = box.get(var, FULL)
-            strict = atom.op == "<"
-            if atom.op == "=":
+            strict = op == "<"
+            if op == "=":
                 new = current.intersect(bound_iv)
             elif a_positive:
                 new = current.intersect(
@@ -557,6 +648,7 @@ def _round_int(iv):
 def icp_unsat(atoms, variables, int_vars, max_depth=10, max_nodes=300):
     """True if ICP proves the conjunction unsatisfiable over the reals."""
     function_probe("nonlinear.icp_unsat")
+    atoms = _compile_atoms(atoms)
     nodes = [0]
 
     def explore(box, depth):

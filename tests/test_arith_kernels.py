@@ -15,13 +15,26 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.campaign.runner import deterministic_solvers, run_campaign
 from repro.seeds import build_corpus
 from repro.solver import linarith, nonlinear, strings
+from repro.solver.linarith import DeltaRational, LinearAtom, Simplex
+from repro.solver.nonlinear import (
+    Interval,
+    _iv_add,
+    _iv_div,
+    _iv_mul,
+    _iv_pow,
+    eval_poly,
+    eval_poly_interval,
+)
 
 # name -> (family, corpus scale, corpus seed, iterations per cell,
 # campaign seed, incremental). NRA, QF_NRA, LIA and QF_LRA are the
@@ -225,6 +238,237 @@ class TestHashSeedIndependence:
         digests = json.loads(out.stdout.strip().splitlines()[-1])
         for name in HASH_SEED_CAMPAIGNS:
             assert digests[name]["icp"] == GOLDEN_KERNELS[name]["icp"]
+
+
+
+# ---------------------------------------------------------------------------
+# Soundness of the interval operations and of delta selection
+# ---------------------------------------------------------------------------
+
+_PROPERTIES = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_GAPS = st.one_of(
+    st.none(), st.just(Fraction(0)), st.fractions(min_value=0, max_value=5, max_denominator=3)
+)
+
+
+@st.composite
+def interval_with_point(draw):
+    """A nonempty interval, open, closed or unbounded at either end, and
+    a point inside it. Endpoints are ints or Fractions, as in ICP."""
+    point = draw(_RATIONALS)
+    below, above = draw(_GAPS), draw(_GAPS)
+    lo = None if below is None else point - below
+    hi = None if above is None else point + above
+    lo_open = bool(below) and draw(st.booleans())
+    hi_open = bool(above) and draw(st.booleans())
+    if draw(st.booleans()):
+        lo = lo if lo is None or lo.denominator != 1 else lo.numerator
+        hi = hi if hi is None or hi.denominator != 1 else hi.numerator
+    return Interval(lo, hi, lo_open, hi_open), point
+
+
+def _member(value, iv):
+    """Membership that honours open and unbounded endpoints exactly."""
+    if iv.lo is not None and (value < iv.lo or (value == iv.lo and iv.lo_open)):
+        return False
+    if iv.hi is not None and (value > iv.hi or (value == iv.hi and iv.hi_open)):
+        return False
+    return True
+
+
+def _closed_ends(iv):
+    return [e for e, is_open in ((iv.lo, iv.lo_open), (iv.hi, iv.hi_open))
+            if e is not None and not is_open]
+
+
+def _attains_product(value, a, b):
+    """Whether ``x * y == value`` for some ``x`` in ``a``, ``y`` in ``b``,
+    for ``value`` an extreme product: zero needs a factor that attains
+    zero; any other extremum needs a pair of closed endpoints."""
+    if value == 0:
+        return _member(0, a) or _member(0, b)
+    return any(p * q == value for p in _closed_ends(a) for q in _closed_ends(b))
+
+
+def _exact_endpoints(iv):
+    return all(e is None or type(e) in (int, Fraction) for e in (iv.lo, iv.hi))
+
+
+class TestIntervalSoundness:
+    @_PROPERTIES
+    @given(interval_with_point(), interval_with_point())
+    def test_add_contains_point_sum(self, a, b):
+        (ia, x), (ib, y) = a, b
+        result = _iv_add(ia, ib)
+        assert _exact_endpoints(result) and _member(x + y, result)
+
+    @_PROPERTIES
+    @given(interval_with_point(), interval_with_point())
+    def test_mul_contains_point_product(self, a, b):
+        (ia, x), (ib, y) = a, b
+        result = _iv_mul(ia, ib)
+        assert _exact_endpoints(result) and _member(x * y, result)
+        assert result == _iv_mul(ib, ia)
+
+    @_PROPERTIES
+    @given(interval_with_point(), interval_with_point())
+    @example((Interval(-1, 1), 1), (Interval(-1, 1, False, True), -1))
+    @example((Interval(0, 2, True), 1), (Interval(None, 3), 0))
+    def test_mul_endpoint_open_exactly_when_not_attained(self, a, b):
+        (ia, _), (ib, _) = a, b
+        result = _iv_mul(ia, ib)
+        if result.lo is not None:
+            assert result.lo_open != _attains_product(result.lo, ia, ib)
+        if result.hi is not None:
+            assert result.hi_open != _attains_product(result.hi, ia, ib)
+
+    @_PROPERTIES
+    @given(interval_with_point(), interval_with_point())
+    def test_add_endpoint_open_exactly_when_not_attained(self, a, b):
+        (ia, _), (ib, _) = a, b
+        result = _iv_add(ia, ib)
+        if result.lo is not None:
+            assert result.lo_open == (ia.lo_open or ib.lo_open)
+        if result.hi is not None:
+            assert result.hi_open == (ia.hi_open or ib.hi_open)
+
+    @_PROPERTIES
+    @given(interval_with_point(), interval_with_point())
+    def test_div_contains_point_quotient(self, a, b):
+        (ia, x), (ib, y) = a, b
+        result = _iv_div(ia, ib)
+        assert _exact_endpoints(result)
+        if y != 0:
+            assert _member(x / y, result)
+
+    @_PROPERTIES
+    @given(interval_with_point(), st.integers(1, 4))
+    def test_pow_contains_point_power(self, a, exp):
+        ia, x = a
+        result = _iv_pow(ia, exp)
+        assert _exact_endpoints(result) and _member(x**exp, result)
+
+    @_PROPERTIES
+    @given(interval_with_point(), interval_with_point())
+    def test_closed_bounded_product_is_tight(self, a, b):
+        (ia, _), (ib, _) = a, b
+        if None in (ia.lo, ia.hi, ib.lo, ib.hi) or ia.lo_open or ia.hi_open:
+            return
+        if ib.lo_open or ib.hi_open:
+            return
+        corners = [p * q for p in (ia.lo, ia.hi) for q in (ib.lo, ib.hi)]
+        result = _iv_mul(ia, ib)
+        assert result == Interval(min(corners), max(corners))
+
+    @_PROPERTIES
+    @given(
+        st.dictionaries(
+            st.sampled_from(
+                [(), (("x", 1),), (("y", 1),), (("x", 2),), (("x", 1), ("y", 1)),
+                 (("x", 1), ("y", 2)), (("y", 3),)]
+            ),
+            _RATIONALS,
+            max_size=4,
+        ),
+        interval_with_point(),
+        interval_with_point(),
+    )
+    def test_poly_interval_contains_point_value(self, poly, x, y):
+        box = {"x": x[0], "y": y[0]}
+        result = eval_poly_interval(poly, box)
+        value = eval_poly(poly, {"x": x[1], "y": y[1]})
+        assert _exact_endpoints(result) and _member(value, result)
+
+
+_LINEAR_ATOMS = st.lists(
+    st.builds(
+        lambda coeffs, op, constant: LinearAtom.make(coeffs, op, constant),
+        st.dictionaries(
+            st.sampled_from(["a", "b", "c"]),
+            st.integers(-3, 3).map(Fraction),
+            min_size=1,
+            max_size=3,
+        ),
+        st.sampled_from(["<", "<=", "="]),
+        st.integers(-4, 4).map(Fraction),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+_PARTS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_INFINITESIMALS = st.sampled_from([0, Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+
+
+@st.composite
+def delta_gap(draw):
+    """``(c, k)`` with ``c + k*delta >= 0`` for every small enough delta."""
+    c = draw(st.fractions(min_value=0, max_value=1, max_denominator=4))
+    k = draw(_INFINITESIMALS)
+    return (c, abs(k)) if c == 0 else (c, k)
+
+
+@st.composite
+def bounded_assignment(draw):
+    """Delta-rational values with optional bounds that each satisfies."""
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        value = DeltaRational(draw(_PARTS), draw(_INFINITESIMALS))
+        lower = upper = None
+        if draw(st.booleans()):
+            gap_c, gap_k = draw(delta_gap())
+            lower = DeltaRational(value.c - gap_c, value.k - gap_k)
+        if draw(st.booleans()):
+            gap_c, gap_k = draw(delta_gap())
+            upper = DeltaRational(value.c + gap_c, value.k + gap_k)
+        rows.append((value, lower, upper))
+    return rows
+
+
+def _assert_bounds_hold(simplex, delta):
+    for bounds, is_lower in ((simplex.lower, True), (simplex.upper, False)):
+        for var, bound in bounds.items():
+            value = simplex.assign[var].concretize(delta)
+            limit = bound.concretize(delta)
+            assert value >= limit if is_lower else value <= limit
+
+
+class TestChooseDelta:
+    @_PROPERTIES
+    @given(bounded_assignment())
+    @example([(DeltaRational(Fraction(1, 4), -1), DeltaRational(0), None)])
+    @example([(DeltaRational(0, 1), None, DeltaRational(Fraction(1, 3)))])
+    def test_delta_keeps_every_bound_of_an_assignment(self, rows):
+        simplex = Simplex()
+        for index, (value, lower, upper) in enumerate(rows):
+            name = f"v{index}"
+            simplex.assign[name] = value
+            if lower is not None:
+                simplex.lower[name] = lower
+            if upper is not None:
+                simplex.upper[name] = upper
+        delta = simplex._choose_delta()
+        assert type(delta) is Fraction and delta > 0
+        _assert_bounds_hold(simplex, delta)
+
+    @_PROPERTIES
+    @given(_LINEAR_ATOMS)
+    def test_delta_keeps_every_asserted_bound_after_check(self, atoms):
+        simplex = Simplex()
+        if not all(simplex.assert_atom(atom) for atom in atoms):
+            return
+        if simplex.check() != "sat":
+            return
+        delta = simplex._choose_delta()
+        assert type(delta) is Fraction and delta > 0
+        _assert_bounds_hold(simplex, delta)
+        model = simplex.model(sorted({v for atom in atoms for v, _ in atom.coeffs}))
+        assert all(atom.evaluate(model) for atom in atoms)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,12 @@
 #      conflict-minimization probes: golden arithmetic journals, the
 #      same cores and UNSAT probes as full-strength probes, probe
 #      answers never replayed to a full check, and a per-search atom
-#      table equal to fresh atom_to_poly calls.
+#      table equal to fresh atom_to_poly calls; and so must the exact
+#      arithmetic kernels (tests/test_arith_kernels.py): every ICP call
+#      (answer, contraction rounds) and every linear check (status,
+#      model) of small campaigns matches its golden sha256, also under
+#      other PYTHONHASHSEED values, and the interval operations and the
+#      simplex delta pass Hypothesis soundness properties.
 #   5. Fast lane — the full suite minus the soak/slow markers
 #      (see pyproject.toml; run the slow and chaos lanes nightly:
 #      `pytest -m slow` / `pytest -m chaos`).
@@ -79,9 +84,10 @@ python -m pytest tests/test_strategies.py -q -m "not slow"
 echo "== stage 3/9: telemetry determinism (journal byte-identity) =="
 python -m pytest tests/test_parallel_determinism.py -q -m "not slow"
 
-echo "== stage 4/9: triage + session determinism (verdict equivalence, bug-finding power, theory memo replay, string verdict memo: tests/test_strings_memo.py, refutation-only probes: tests/test_refute_probes.py) =="
+echo "== stage 4/9: triage + session determinism (verdict equivalence, bug-finding power, theory memo replay, string verdict memo: tests/test_strings_memo.py, refutation-only probes: tests/test_refute_probes.py, exact arithmetic kernels: tests/test_arith_kernels.py) =="
 python -m pytest tests/test_triage.py tests/test_session.py tests/test_theory_memo.py \
-    tests/test_strings_memo.py tests/test_refute_probes.py -q -m "not slow"
+    tests/test_strings_memo.py tests/test_refute_probes.py tests/test_arith_kernels.py \
+    -q -m "not slow"
 
 echo "== stage 5/9: fast lane (full suite minus slow/chaos) =="
 python -m pytest -m "not slow and not chaos" -q

@@ -376,43 +376,11 @@ def _iv_mul(a, b):
     """The exact product of two nonempty intervals.
 
     Its bounds are the extreme endpoint products, with ``0 * inf = 0``.
-    An extremum is open unless some endpoint pair attaining it is closed
-    at both ends; a zero extremum is closed exactly when either factor
-    attains zero.
-    """
-    alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
-    if alo is None or ahi is None or blo is None or bhi is None:
-        return _iv_mul_unbounded(a, b)
-    alo_open, ahi_open, blo_open, bhi_open = a.lo_open, a.hi_open, b.lo_open, b.hi_open
-    lo = hi = alo * blo
-    lo_open = hi_open = alo_open or blo_open
-    for value, is_open in (
-        (alo * bhi, alo_open or bhi_open),
-        (ahi * blo, ahi_open or blo_open),
-        (ahi * bhi, ahi_open or bhi_open),
-    ):
-        if value < lo:
-            lo, lo_open = value, is_open
-        elif value > hi:
-            hi, hi_open = value, is_open
-        else:
-            if value == lo:
-                lo_open = lo_open and is_open
-            if value == hi:
-                hi_open = hi_open and is_open
-    if lo_open and lo == 0 and (a.attains_zero() or b.attains_zero()):
-        lo_open = False
-    if hi_open and hi == 0 and (a.attains_zero() or b.attains_zero()):
-        hi_open = False
-    return Interval(lo, hi, lo_open, hi_open)
-
-
-def _iv_mul_unbounded(a, b):
-    """:func:`_iv_mul` when an endpoint is infinite.
-
-    Each endpoint product is ranked -1 (-inf), 0 (finite) or 1 (+inf);
-    a finite product is ordered by its value, and infinite endpoints
-    count as open.
+    Each product is ranked -1 (-inf), 0 (finite) or 1 (+inf), and
+    finite products are ordered by value. An extremum is open unless
+    some endpoint pair attaining it is closed at both ends (infinite
+    endpoints count as open); a zero extremum is closed exactly when
+    either factor attains zero.
     """
     ends_a = ((a.lo, a.lo_open or a.lo is None, -1), (a.hi, a.hi_open or a.hi is None, 1))
     ends_b = ((b.lo, b.lo_open or b.lo is None, -1), (b.hi, b.hi_open or b.hi is None, 1))

@@ -240,7 +240,6 @@ class TestHashSeedIndependence:
             assert digests[name]["icp"] == GOLDEN_KERNELS[name]["icp"]
 
 
-
 # ---------------------------------------------------------------------------
 # Soundness of the interval operations and of delta selection
 # ---------------------------------------------------------------------------
@@ -471,5 +470,6 @@ class TestChooseDelta:
         assert all(atom.evaluate(model) for atom in atoms)
 
 
+# Prints the digests of the named campaigns (see TestHashSeedIndependence).
 if __name__ == "__main__":
     print(json.dumps({name: kernel_digests(name) for name in sys.argv[1:]}))

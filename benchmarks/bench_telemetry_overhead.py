@@ -41,9 +41,7 @@ def _run_batch(telemetry):
         YinYangConfig(seed=3),
         telemetry=telemetry,
     )
-    scripts = [s.script for s in seeds]
-    logics = [s.logic for s in seeds]
-    tool.run_iterations("sat", scripts, logics, range(ITERATIONS_PER_BATCH))
+    tool.test("sat", seeds, iterations=ITERATIONS_PER_BATCH)
 
 
 def test_telemetry_overhead(benchmark):

@@ -12,9 +12,12 @@
 #      supervised lease on the worker fleet; no second, bare pool
 #      path), Supervisor and
 #      ShardTask are only built by distributed/coordinator.py (plus the
-#      wire codec for tasks: one lease planner), and every
-#      check_script takes directive and session parameters (one call
-#      shape through every solver layer).
+#      wire codec for tasks: one lease planner), the iteration body
+#      (YinYang._one_iteration) has exactly one caller, the cell loop
+#      YinYang.run_cell that serial campaigns and fleet leases share
+#      (one loop over iteration indices), and every check_script takes
+#      directive and session parameters (one call shape through every
+#      solver layer).
 #   2. Strategy determinism — the default fusion strategy must
 #      reproduce the pre-refactor golden journal byte-for-byte, and
 #      opfuzz must journal identically across modes/worker counts.
@@ -50,11 +53,13 @@
 #      journal byte-identical to a failure-free deterministic run, and
 #      a permanently poisonous iteration must be quarantined, under
 #      the name of its death (killed, oom-kill, cpu-kill, hang-kill,
-#      oom, worker-error), instead of aborting the campaign.
-#   7. Bench smoke — every benchmark row must *run* (tiny iteration
-#      counts, REPRO_BENCH_SMOKE=1: no timing assertions, no result
-#      files written), so a broken bench harness fails CI instead of
-#      the next full benchmark run.
+#      oom, worker-error), instead of aborting the campaign; a hung
+#      worker started by hand is disconnected, never signalled.
+#   7. Bench smoke — every benchmark row of the strategy and harness
+#      overhead benches must *run* (tiny iteration counts,
+#      REPRO_BENCH_SMOKE=1: no timing assertions, no result files
+#      written), so a broken bench harness fails CI instead of the
+#      next full benchmark run.
 #   8. Distributed fleet — the tcp transport end-to-end through the
 #      real CLI: a two-worker localhost fleet under tiny budgets, plus
 #      the fleet chaos soak, must merge to the byte-identical serial
@@ -74,7 +79,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core, no pool executors, one lease planner, one check_script shape) =="
+echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core, no pool executors, one lease planner, one cell loop, one check_script shape) =="
 python -m pytest tests/test_ast_lint.py \
     "tests/test_observability.py::TestHotPathHygiene" -q
 
@@ -96,8 +101,9 @@ echo "== stage 6/9: fault tolerance (chaos-kill determinism, poison quarantine) 
 python -m pytest tests/test_supervisor.py -q
 python -m pytest tests/test_supervised_campaign.py -q
 
-echo "== stage 7/9: bench smoke (every benchmark row runs; no timing assertions) =="
+echo "== stage 7/9: bench smoke (strategy and harness-overhead rows run; no timing assertions) =="
 REPRO_BENCH_SMOKE=1 python -m pytest benchmarks/bench_strategies.py -q
+REPRO_BENCH_SMOKE=1 python -m pytest benchmarks/bench_harness_overhead.py -q
 
 echo "== stage 8/9: distributed fleet (tcp campaign vs serial baseline, chaos soak) =="
 python -m pytest tests/test_distributed.py -q -m "not slow"

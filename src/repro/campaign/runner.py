@@ -15,16 +15,18 @@ per-cell journaling with ``resume=True`` skipping completed cells).
 :class:`~repro.core.config.CampaignSpec`, and hands only the spec
 down. Campaigns run in one of three execution modes:
 
-- ``serial`` — one process, one thread (the default), on the
-  in-process kernel;
+- ``serial`` — one process, one thread (the default): one
+  :class:`~repro.core.parallel.CellRunner` runs every cell whole;
 - ``process`` — each cell's iterations leased to ``workers`` local
-  worker processes (:mod:`repro.core.parallel`), each with its own
-  solver instances and parse caches;
+  worker processes, each with a runner of its own
+  (:mod:`repro.core.parallel`);
 - ``tcp`` — the same, with the fleet's wire settings open
   (:mod:`repro.distributed`): it can listen elsewhere and serve
   ``yinyang worker`` processes started by hand.
 
-Process and tcp campaigns take one path: every shard is a lease that
+Every mode runs its cells through the same per-process runner and
+cell loop. Process and tcp campaigns split each cell into leases:
+every shard is a lease that
 the :class:`~repro.distributed.coordinator.Coordinator` hands to a
 socket worker fleet through a
 :class:`~repro.robustness.supervisor.Supervisor`, so dead or hung
@@ -42,13 +44,12 @@ from dataclasses import dataclass, field
 
 from repro.campaign.classify import collect_found_faults, found_fault_objects
 from repro.core.config import CampaignSpec, FusionConfig, YinYangConfig
-from repro.core.yinyang import YinYang
+from repro.core.parallel import CellRunner
 from repro.faults.catalog import bv_fault_catalog, cvc4_like_catalog, z3_like_catalog
 from repro.faults.faulty_solver import FaultySolver
 from repro.observability.telemetry import NULL_TELEMETRY
 from repro.robustness.journal import CampaignJournal, JournalError, remove_lease_logs
 from repro.solver.solver import ReferenceSolver, SolverConfig
-from repro.strategies.registry import make_strategy
 
 
 def default_solvers(release="trunk", base_config=None):
@@ -422,28 +423,19 @@ def run_campaign(
     if mode != "serial":
         _run_cells_supervised(result, remaining, spec, journal, telemetry)
         return result
-    # One strategy instance shared across all cells and solvers: its
-    # caches (e.g. opfuzz's reference solver) keep earning, and mutants
-    # stay a pure function of (strategy, seed, index) regardless.
-    strategy_obj = make_strategy(strategy, spec.config.fusion)
-    # One theory memo for the whole serial campaign: every cell's
-    # session and the strategy's oracle replay each other's theory
-    # checks (cells of different solvers draw the same mutants).
-    theory_memo = {} if incremental else None
-    tools = {}
-    for key, solver, seeds in remaining:
-        tool = tools.get(key[0])
-        if tool is None:
-            tool = tools[key[0]] = YinYang(
-                solver,
-                spec.config,
-                performance_threshold=performance_threshold,
-                policy=policy,
-                telemetry=telemetry,
-                strategy=strategy_obj,
-                theory_memo=theory_memo,
-            )
-        report = tool.test(key[2], seeds, iterations=iterations_per_cell)
+    # A serial campaign is the one-process case of the fleet's cell
+    # loop: one runner owns the guarded solvers, the strategy and the
+    # theory memo, and runs each cell whole, with no hook and no log.
+    runner = CellRunner(spec, solvers)
+    for key, _solver, seeds in remaining:
+        report = runner.run(
+            key[2],
+            [getattr(seed, "script", seed) for seed in seeds],
+            [getattr(seed, "logic", "") for seed in seeds],
+            range(iterations_per_cell),
+            [runner.by_name[key[0]]],
+            telemetry=telemetry,
+        )
         _absorb_cell(result, key, report, journal, telemetry)
     if journal is not None:
         # A serial resume of an interrupted process or tcp campaign

@@ -609,8 +609,8 @@ def build_parser():
         type=float,
         default=None,
         metavar="SECONDS",
-        help="kill a worker whose lease heartbeat goes stale this long "
-        "(--mode process/tcp; default off)",
+        help="end a lease as hung when its worker sends no beat for this "
+        "long (--mode process/tcp; default off)",
     )
     p_campaign.add_argument(
         "--worker-mem-limit",

@@ -1,60 +1,60 @@
-"""Process-sharded execution of Algorithm 1: the worker side of a lease.
+"""The cell runner every campaign process owns, and the worker side of a lease.
 
-The paper's campaign is embarrassingly parallel — every fuse→solve→
-check iteration is independent — but the solvers under test here are
-pure Python, so one interpreter runs one iteration at a time. Process
-and tcp campaigns therefore shard the iteration index space over
-worker processes (:mod:`repro.distributed`: a
-:class:`~repro.distributed.endpoint.TcpFleet` of ``yinyang worker``
-processes, on 127.0.0.1 for a process campaign). This module is what
-every such worker runs:
+The paper's Algorithm 1 is one loop, mutate then check, and every
+campaign runs it through one object: a :class:`CellRunner`. A serial
+campaign builds one from the caller's solvers and runs each remaining
+cell through it; a process or tcp campaign shards each cell's
+iteration index space over worker processes (:mod:`repro.distributed`:
+a :class:`~repro.distributed.endpoint.TcpFleet` of ``yinyang worker``
+processes, on 127.0.0.1 for a process campaign), and every worker
+builds one at startup (:func:`install_worker_state`) and runs each of
+its leases through it. A runner owns, for its process's lifetime:
 
-- each worker process receives the campaign's frozen
-  :class:`~repro.core.config.CampaignSpec` once, at startup, and every
-  lease it then runs carries only what differs per lease (the cell's
-  seeds, the shard, the lease bookkeeping);
-- each worker process builds its **own solver instances** once, from
-  the spec's picklable ``solver_factory`` (live solvers hold locks and
+- the **solvers under test**, guarded under the spec's resilience
+  policy and indexed by name, built once (a worker builds them from the
+  spec's picklable ``solver_factory``: live solvers hold locks and
   caches and must not cross a process boundary);
-- each worker keeps a **parse cache** for seed formulas: seeds travel
-  to workers as SMT-LIB text and are parsed (which typechecks — the
-  parser validates sorts as it goes) at most once per worker, no
-  matter how many cells and shards reuse them;
-- each worker owns its **fresh-name state** (thread-local gensyms) and
-  every iteration runs inside its own ``fresh_scope()``, so a fused
-  script is a pure function of ``(seed, iteration index)`` — shard
-  boundaries can never shift a gensym.
+- **one strategy instance**, so its caches keep earning across cells;
+- the **theory memo**, shared by every cell's session and the
+  strategy's oracle (a memo hit replays the miss exactly, so which
+  process ran which cell before cannot show in any journal byte);
+- a **parse cache** for seed formulas: seeds travel to workers as
+  SMT-LIB text and are parsed (which typechecks) at most once per
+  worker, however many cells and shards reuse them.
 
-Because iterations are self-contained, merging the shards of any
-worker count reproduces the single-worker report bit-for-bit (see
-``tests/test_parallel_determinism.py``); parallelism can never
-silently alter the oracle. The one deliberate exception is quarantine:
-a circuit breaker trips on *consecutive* failures, an order-dependent
-notion, so the parent aggregates quarantined names from merged shard
-reports and re-broadcasts them to workers via
+Every iteration runs inside its own ``fresh_scope()`` with its own RNG,
+so a fused script is a pure function of ``(seed, iteration index)``
+and shard boundaries can never shift a gensym. Merging the shards of
+any worker count therefore reproduces the serial report bit-for-bit
+(see ``tests/test_parallel_determinism.py``). The one deliberate
+exception is quarantine: a circuit breaker trips on *consecutive*
+failures, an order-dependent notion, so the parent aggregates
+quarantined names from merged shard reports and re-broadcasts them to
+workers via
 :meth:`~repro.robustness.guard.GuardedSolver.force_quarantine`.
 
 Every shard is a **lease** run under a
-:class:`~repro.robustness.supervisor.Supervisor`. A lease runs an
-iteration-by-iteration loop that heartbeats before each iteration,
-fires planned :class:`~repro.robustness.chaos.ProcessChaos` faults,
-and checkpoints every completed iteration to a crash-safe
-:class:`~repro.robustness.journal.ShardProgress` log when it has one.
-Because each iteration is a pure function of ``(strategy, seed,
-index)``, a lease re-executed on a respawned worker replays its
-checkpoints and re-runs only the missing iterations — the merged
-report (and therefore the campaign journal) is byte-identical to a
-failure-free run. The same replay carries a campaign across a crash of
-the parent: a resumed campaign leases its unjournaled cells again.
+:class:`~repro.robustness.supervisor.Supervisor`. A lease runs the
+same cell loop (:meth:`~repro.core.yinyang.YinYang.run_cell`) with two
+additions: a per-iteration hook, through which the worker sends its
+``beat`` frame and fires planned chaos faults, and a crash-safe
+:class:`~repro.robustness.journal.ShardProgress` log that checkpoints
+every completed iteration when the campaign has a journal. Because
+each iteration is a pure function of ``(strategy, seed, index)``, a
+lease re-executed on a respawned worker replays its checkpoints and
+re-runs only the missing iterations — the merged report (and therefore
+the campaign journal) is byte-identical to a failure-free run. The
+same replay carries a campaign across a crash of the parent: a resumed
+campaign leases its unjournaled cells again.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 
-from repro.core.yinyang import YinYang, merge_shard_reports, shard_indices
+from repro.core.yinyang import YinYang, iteration_rng, shard_indices
+from repro.strategies.registry import make_strategy
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,12 @@ class ShardTask:
     # Lease fields (stamped by the Supervisor). ``indices`` overrides
     # the strided index set — bisected child leases carry an explicit
     # slice of the parent shard's iterations. ``lease_id`` names the
-    # lease's heartbeat file in ``heartbeat_dir``; ``progress_path`` is
-    # its crash-safe checkpoint log; ``attempt`` gates planned chaos
-    # faults so injected deaths stop on retry.
+    # lease in its worker's beat frames; ``progress_path`` is its
+    # crash-safe checkpoint log; ``attempt`` gates planned chaos faults
+    # so injected deaths stop on retry.
     indices: tuple | None = None
     attempt: int = 0
     lease_id: int | None = None
-    heartbeat_dir: str | None = None
     progress_path: str | None = None
 
 
@@ -100,19 +99,14 @@ def serialize_seeds(seeds):
     return tuple(texts), tuple(logics)
 
 
-# ---------------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------------
+class CellRunner:
+    """What one campaign process owns for its whole lifetime.
 
-_STATE = None  # per-process _WorkerState, set by install_worker_state
+    Built from the campaign ``spec`` and the solvers under test (a
+    solver or a list); see the module docstring for what it keeps.
+    """
 
-
-class _WorkerState:
-    """What one worker process owns for its whole lifetime."""
-
-    def __init__(self, spec, telemetry):
-        self.spec = spec
-        solvers = spec.solver_factory()
+    def __init__(self, spec, solvers):
         solvers = list(solvers) if isinstance(solvers, (list, tuple)) else [solvers]
         if spec.policy is not None:
             from repro.robustness.guard import GuardedSolver
@@ -121,17 +115,15 @@ class _WorkerState:
                 s if isinstance(s, GuardedSolver) else GuardedSolver(s, spec.policy)
                 for s in solvers
             ]
+        self.spec = spec
         self.solvers = solvers
         self.by_name = {s.name: s for s in solvers}
-        self.telemetry_config = telemetry
-        self.parse_cache = {}
-        # The worker's theory memo, shared by every lease it runs: a
-        # memo hit replays the miss exactly, so which worker ran which
-        # cell before cannot show in any journal byte.
+        self.strategy = make_strategy(spec.strategy, spec.config.fusion)
         self.theory_memo = {} if spec.config.incremental else None
+        self.parse_cache = {}
 
     def scripts_for(self, seed_texts):
-        """Parse (and thereby typecheck) seed texts, cached per worker."""
+        """Parse (and thereby typecheck) seed texts, cached per runner."""
         scripts = []
         for text in seed_texts:
             script = self.parse_cache.get(text)
@@ -142,17 +134,54 @@ class _WorkerState:
             scripts.append(script)
         return scripts
 
+    def run(
+        self,
+        oracle,
+        scripts,
+        logics,
+        indices,
+        solvers,
+        telemetry=None,
+        hook=None,
+        progress=None,
+    ):
+        """Run iterations ``indices`` of one cell checked by ``solvers``
+        (some of this runner's); return the cell or lease report.
+
+        ``telemetry`` observes this one cell or lease; ``hook`` and
+        ``progress`` are the lease additions of
+        :meth:`~repro.core.yinyang.YinYang.run_cell` (a serial campaign
+        passes neither).
+        """
+        tool = YinYang(
+            solvers,
+            self.spec.config,
+            performance_threshold=self.spec.performance_threshold,
+            telemetry=telemetry,
+            strategy=self.strategy,
+            theory_memo=self.theory_memo,
+        )
+        work = self.strategy.prepare(oracle, scripts, list(logics))
+        return tool.run_cell(work, indices, hook=hook, progress=progress)
+
+
+# ---------------------------------------------------------------------------
+# Worker side
+# ---------------------------------------------------------------------------
+
+_STATE = None  # (CellRunner, TelemetryConfig | None), set by install_worker_state
+
 
 def install_worker_state(spec, telemetry=None):
     """Adopt the calling process as a worker of campaign ``spec``.
 
     A fleet worker (:mod:`repro.distributed.worker`) calls it once,
     after receiving its spec frame, and ends up with a
-    :class:`_WorkerState`: its solvers, caches and containment.
-    Besides the spec, a worker needs only what it cannot derive from
-    it: ``telemetry``, a picklable
+    :class:`CellRunner` over the solvers ``spec.solver_factory``
+    builds. Besides the spec, a worker needs only what it cannot derive
+    from it: ``telemetry``, a picklable
     :class:`~repro.observability.telemetry.TelemetryConfig` (live
-    registries must not cross a process boundary; each shard builds its
+    registries must not cross a process boundary; each lease builds its
     own Telemetry and ships a snapshot back with its results).
     """
     global _STATE
@@ -160,45 +189,55 @@ def install_worker_state(spec, telemetry=None):
         # Before anything else allocates: the rlimits bound the whole
         # worker lifetime, solver construction included.
         spec.containment.apply()
-    _STATE = _WorkerState(spec, telemetry)
+    _STATE = (CellRunner(spec, spec.solver_factory()), telemetry)
 
 
-def run_worker_task(task):
+def run_worker_task(task, hook=None):
     """Run one :class:`ShardTask` lease in this worker; return its payload.
 
-    The entry point of every fleet worker's leases. The payload is
-    JSON-clean: it crosses socket frames as it is.
+    The entry point of every fleet worker's leases; ``hook(index)`` is
+    called before each iteration the lease runs (not before replayed
+    ones). The payload is JSON-clean: it crosses socket frames as it is.
     """
-    from repro.robustness.journal import serialize_report
+    from repro.observability.telemetry import Telemetry
+    from repro.robustness.journal import ShardProgress, serialize_report
 
-    state = _STATE
-    spec = state.spec
-    scripts = state.scripts_for(task.seed_texts)
+    runner, telemetry_config = _STATE
+    spec = runner.spec
     if task.solver_names is None:
-        solvers = state.solvers
+        solvers = runner.solvers
     else:
-        solvers = [state.by_name[name] for name in task.solver_names]
+        solvers = [runner.by_name[name] for name in task.solver_names]
     for name in task.quarantined:
-        solver = state.by_name.get(name)
+        solver = runner.by_name.get(name)
         if solver is not None and hasattr(solver, "force_quarantine"):
             solver.force_quarantine()
-    # One Telemetry per shard (not per worker): each payload carries a
-    # clean per-shard snapshot, so the parent's merge — which sums
+    indices = task.indices
+    if indices is None:
+        indices = shard_indices(spec.iterations_per_cell, task.shard, spec.workers)
+    progress = None
+    if task.progress_path:
+        # The campaign's full lease meta: a log of any other campaign
+        # (another partition, or any setting flipped) is discarded.
+        progress = ShardProgress(
+            task.progress_path, meta=dict(spec.describe()[1], shard=task.shard)
+        )
+    # One Telemetry per lease (not per worker): each payload carries a
+    # clean per-lease snapshot, so the parent's merge — which sums
     # counters like it sums shard reports — never double-counts a
     # long-lived worker's history.
-    from repro.observability.telemetry import Telemetry
-
-    telemetry = Telemetry.from_config(state.telemetry_config)
+    telemetry = Telemetry.from_config(telemetry_config)
     try:
-        tool = YinYang(
+        report = runner.run(
+            task.oracle,
+            runner.scripts_for(task.seed_texts),
+            task.logics,
+            indices,
             solvers,
-            config=spec.config,
-            performance_threshold=spec.performance_threshold,
             telemetry=telemetry,
-            strategy=spec.strategy,
-            theory_memo=state.theory_memo,
+            hook=hook,
+            progress=progress,
         )
-        report = _run_leased(state, tool, task, scripts)
         telemetry_snapshot = telemetry.snapshot() if telemetry is not None else None
     finally:
         if telemetry is not None:
@@ -214,80 +253,6 @@ def run_worker_task(task):
     }
 
 
-def _run_leased(state, tool, task, scripts):
-    """The per-iteration loop for one shard lease.
-
-    Order per iteration: replay a checkpoint if one exists, else
-    heartbeat (so a death at this iteration is attributable), fire any
-    planned chaos fault, run the iteration, checkpoint it. Because each
-    iteration is self-contained, the merge of per-iteration reports is
-    exactly the report of one uninterrupted ``run_iterations`` call
-    over the same indices — crash recovery cannot change the campaign's
-    output, only how many times the work was attempted.
-    """
-    from repro.robustness.journal import (
-        ShardProgress,
-        deserialize_report,
-        serialize_report,
-    )
-    from repro.robustness.supervisor import write_heartbeat
-
-    spec = state.spec
-    if task.indices is not None:
-        indices = list(task.indices)
-    else:
-        indices = list(
-            shard_indices(spec.iterations_per_cell, task.shard, spec.workers)
-        )
-    progress = None
-    if task.progress_path:
-        # The campaign's full lease meta: a log of any other campaign
-        # (another partition, or any setting flipped) is discarded.
-        progress = ShardProgress(
-            task.progress_path, meta=dict(spec.describe()[1], shard=task.shard)
-        )
-    work = tool.prepare_work(task.oracle, scripts, list(task.logics))
-    # The incremental session's lifetime is the lease, not one index
-    # batch: created here, passed into every run_iterations call, and
-    # destroyed (with the lease) below. A lease retried after a crash
-    # builds a fresh session, and the session's reuse is answer-
-    # invariant, so shard re-execution cannot observe cache state.
-    session = tool.make_session(work)
-    chaos = spec.chaos_process
-    reports = []
-    start = time.perf_counter()
-    try:
-        for index in indices:
-            if progress is not None and index in progress.completed:
-                reports.append(deserialize_report(progress.completed[index]))
-                continue
-            if task.heartbeat_dir:
-                write_heartbeat(
-                    task.heartbeat_dir, task.lease_id, os.getpid(), task.attempt, index
-                )
-            if chaos is not None:
-                chaos.fire(index, task.attempt)
-            report = tool.run_iterations(
-                task.oracle,
-                scripts,
-                list(task.logics),
-                [index],
-                work=work,
-                session=session,
-            )
-            if progress is not None:
-                progress.record(index, serialize_report(report, unknown_split=True))
-            reports.append(report)
-    finally:
-        if session is not None:
-            session.close()
-    merged = merge_shard_reports(reports)
-    # The merge keeps the slowest *iteration*; the lease's busy time is
-    # its whole loop (what the shard counters and barrier figures mean).
-    merged.elapsed = time.perf_counter() - start
-    return merged
-
-
 def reconstruct_iteration_script(spec, task, index):
     """Rebuild iteration ``index``'s mutated script text in the parent.
 
@@ -298,13 +263,11 @@ def reconstruct_iteration_script(spec, task, index):
     draw failed (such an iteration runs no solver and can only die to
     injected chaos).
     """
-    from repro.core.yinyang import iteration_rng
     from repro.errors import MutationError
     from repro.observability.telemetry import NULL_TELEMETRY
     from repro.smtlib.ast import fresh_scope
     from repro.smtlib.parser import parse_script
     from repro.smtlib.printer import print_script
-    from repro.strategies.registry import make_strategy
 
     strat = make_strategy(spec.strategy, spec.config.fusion)
     scripts = [parse_script(text) for text in task.seed_texts]

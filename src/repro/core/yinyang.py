@@ -30,11 +30,14 @@ across workers and merge the partial reports back in index order — the
 bug records of a run are a pure function of ``(strategy, seed,
 iterations)``.
 
-:meth:`YinYang.test` runs ``serial`` (in this process) or ``process``:
-shards of the index space leased to a supervised fleet of local
-worker processes, each owning its solver instances and caches (see
-:mod:`repro.core.parallel`). Campaigns add a ``tcp`` mode, the same
-fleet with its wire settings open (:mod:`repro.campaign.runner`).
+One method iterates over iteration indices: :meth:`YinYang.run_cell`.
+:meth:`YinYang.test` runs it ``serial`` (in this process), and its
+``process`` mode leases shards of the index space to a supervised
+fleet of local worker processes, each of which runs every lease
+through the same method (see :mod:`repro.core.parallel`). Mixed
+fusion and serial campaign cells run through it too; campaigns add a
+``tcp`` mode, the same fleet with its wire settings open
+(:mod:`repro.campaign.runner`).
 """
 
 from __future__ import annotations
@@ -317,7 +320,7 @@ class YinYang:
         iterations = iterations if iterations is not None else self.config.max_iterations
         if mode == "serial":
             work = self.strategy.prepare(oracle, scripts, logics)
-            return self._run_prepared(self.strategy, work, range(iterations))
+            return self.run_cell(work, range(iterations))
         if mode != "process":
             raise ValueError(f"mode must be 'serial' or 'process', got {mode!r}")
         # Imported lazily: the campaign and distributed layers import
@@ -349,30 +352,6 @@ class YinYang:
         report.elapsed = time.perf_counter() - start
         return report
 
-    def run_iterations(
-        self, oracle, scripts, logics, indices, seed=None, work=None, session=None
-    ):
-        """Run the iterations whose global ids are in ``indices``.
-
-        This is the sharding primitive: a full run is
-        ``run_iterations(..., range(n))``, and any partition of
-        ``range(n)`` across workers merges back (via
-        :func:`merge_shard_reports`) to the same report. Callers that
-        split one shard into many small index batches (the supervised
-        per-iteration loop) pass a pre-built ``work`` item so the
-        strategy's preparation cost is paid once, not per batch — and,
-        with incremental solving on, a pre-built ``session`` so the
-        cell's solver session outlives the batches (its lifetime is the
-        lease, see :mod:`repro.core.parallel`).
-        """
-        if work is None:
-            work = self.strategy.prepare(oracle, scripts, logics)
-        return self._run_prepared(self.strategy, work, indices, seed, session)
-
-    def prepare_work(self, oracle, scripts, logics):
-        """Pre-build the strategy work item for repeated ``run_iterations``."""
-        return self.strategy.prepare(oracle, scripts, logics)
-
     def make_session(self, work):
         """Build the cell's :class:`~repro.solver.session.SolverSession`,
         or ``None`` when ``config.incremental`` is off.
@@ -394,32 +373,73 @@ class YinYang:
             scripts, telemetry=self._tel, theory_memo=self._theory_memo
         )
 
-    def _run_prepared(self, strategy, work, indices, seed=None, session=None):
-        """The shared shard loop: run ``indices`` of ``strategy`` over a
-        prepared work item and fold the outcomes into one report."""
-        seed = self.config.seed if seed is None else seed
+    def run_cell(self, work, indices, hook=None, progress=None, strategy=None):
+        """Run the iterations whose global ids are in ``indices`` over a
+        prepared ``work`` item; return their report.
+
+        This is the one loop over iteration indices: serial runs, mixed
+        fusion, serial campaign cells and every fleet lease come
+        through here. A full run is ``run_cell(work, range(n))``, and
+        any partition of ``range(n)`` merges back (via
+        :func:`merge_shard_reports`) to the same report.
+
+        Per iteration: replay the checkpoint ``progress`` (a
+        :class:`~repro.robustness.journal.ShardProgress`) holds for it,
+        if any; else call ``hook(index)`` (a fleet worker's beat and
+        planned chaos faults), run the iteration, and checkpoint it to
+        ``progress``. Because each iteration is self-contained, the
+        report is the same whichever iterations were replayed.
+
+        The cell's session lives for this call and is closed after it,
+        and profiling samples are taken once at the end, never per
+        iteration: the hot path stays counter increments only.
+        ``strategy`` defaults to the tool's own (mixed fusion passes
+        its per-run strategy).
+        """
+        strategy = self.strategy if strategy is None else strategy
+        seed = self.config.seed
         mutant_counter = "mutants." + strategy.name
         report = YinYangReport()
+        parts = [report]
+        if progress is not None:
+            # Imported lazily: repro.robustness imports this module.
+            from repro.robustness.journal import deserialize_report, serialize_report
         start = time.perf_counter()
-        if session is None:
-            # Incremental off -> None; on -> a session scoped to this
-            # shard (serial runs: the whole cell). Leased callers pass
-            # their own so it spans the lease, not one index batch.
-            session = self.make_session(work)
-        for index in indices:
-            self._one_iteration(
-                strategy, work, index, seed, report, mutant_counter, session
-            )
+        session = self.make_session(work)
+        try:
+            for index in indices:
+                if progress is not None:
+                    done = progress.completed.get(index)
+                    if done is not None:
+                        parts.append(deserialize_report(done))
+                        continue
+                if hook is not None:
+                    hook(index)
+                # A checkpointed iteration gets a report of its own.
+                into = report if progress is None else YinYangReport()
+                self._one_iteration(
+                    strategy, work, index, seed, into, mutant_counter, session
+                )
+                if progress is not None:
+                    self._note_quarantined(into)
+                    progress.record(index, serialize_report(into, unknown_split=True))
+                    parts.append(into)
+            self._tel.sample_term_tables()
+            self._tel.sample_guards(self.solvers)
+            self._tel.sample_session(session)
+        finally:
+            if session is not None:
+                session.close()
+        if len(parts) > 1:
+            report = merge_shard_reports(parts)
+        self._note_quarantined(report)
+        report.elapsed = time.perf_counter() - start
+        return report
+
+    def _note_quarantined(self, report):
         for solver in self.solvers:
             if getattr(solver, "quarantined", False):
                 report.quarantined.add(solver.name)
-        report.elapsed = time.perf_counter() - start
-        # Profiling samples happen at shard boundaries, never per
-        # iteration — the hot path stays counter-increments only.
-        self._tel.sample_term_tables()
-        self._tel.sample_guards(self.solvers)
-        self._tel.sample_session(session)
-        return report
 
     def _one_iteration(
         self, strategy, work, index, seed, report, mutant_counter, session=None
@@ -488,7 +508,7 @@ class YinYang:
             iterations if iterations is not None else self.config.max_iterations
         )
         work = strategy.prepare_pools(sat_scripts, unsat_scripts)
-        return self._run_prepared(strategy, work, range(iterations))
+        return self.run_cell(work, range(iterations), strategy=strategy)
 
     # -- single-shot helpers --------------------------------------------------
 

@@ -16,8 +16,9 @@ The pieces:
   the campaign's :class:`~repro.core.config.CampaignSpec` once, then
   pull leases and run them through
   :func:`repro.core.parallel.run_worker_task` (sessions, triage,
-  containment, heartbeats and progress checkpoints), shipping reports
-  + telemetry snapshots back as frames;
+  containment and progress checkpoints), sending ``beat`` frames when
+  the supervisor watches for hangs, and shipping reports + telemetry
+  snapshots back as frames;
 - :mod:`~repro.distributed.endpoint` — the coordinator side of the
   transport: :class:`~repro.distributed.endpoint.TcpFleet` listens,
   hands queued leases to whichever worker asks first (pull-based work

@@ -2,15 +2,14 @@
 
 A :class:`TcpFleet` is the one lease backend of the
 :class:`~repro.robustness.supervisor.Supervisor` (``submit`` /
-``respawn`` / ``kill_worker`` / ``heartbeat_dir`` /
-``broken_exceptions``): its workers are separate Python processes on
-sockets. It listens on a TCP address, handshakes each connecting
-``yinyang worker``, and schedules leases by **pull-based work
-stealing**: a worker that wants work sends ``ready``; the fleet hands
-it a pending lease chosen by a seeded RNG. Distinct ``steal_seed``
-values produce distinct assignment interleavings — which worker ran
-which shard in which order — and the determinism matrix asserts the
-merged journal cannot tell them apart. A ``process`` campaign is a
+``respawn`` / ``kill_hung`` / ``broken_exceptions``): its workers are
+separate Python processes on sockets. It listens on a TCP address,
+handshakes each connecting ``yinyang worker``, and schedules leases by
+**pull-based work stealing**: a worker that wants work sends
+``ready``; the fleet hands it a pending lease chosen by a seeded RNG.
+Distinct ``steal_seed`` values produce distinct assignment
+interleavings — which worker ran which shard in which order — and the
+determinism matrix asserts the merged journal cannot tell them apart. A ``process`` campaign is a
 fleet on 127.0.0.1 that spawns its ``workers`` itself; a ``tcp``
 campaign may also listen elsewhere and serve workers started by hand.
 
@@ -32,8 +31,15 @@ Failure vocabulary (the part that keeps supervision honest):
   why, and every lease fails with
   :class:`~repro.errors.WorkerSetupError`: the campaign stops at once
   instead of respawning workers that can only fail again.
+- A **hung worker** is found on the wire: the reader thread stamps a
+  connection whenever a lease is dispatched to it and whenever its
+  ``beat`` frame arrives, and :meth:`TcpFleet.kill_hung` ends every
+  lease silent past the supervisor's timeout as ``hang-kill``. A
+  worker the fleet spawned is killed through its ``Popen``; a worker
+  started by hand is never signalled (its pid may name a process on
+  another host), only disconnected.
 
-Same-host note: heartbeat and progress files assume workers share the
+Same-host note: lease progress logs assume workers share the
 coordinator's filesystem (localhost or a mount) — see
 :mod:`repro.distributed.worker`.
 """
@@ -41,13 +47,11 @@ coordinator's filesystem (localhost or a mount) — see
 from __future__ import annotations
 
 import os
-import shutil
-import signal
 import socket
 import subprocess
 import sys
-import tempfile
 import threading
+import time
 from collections import deque
 from concurrent.futures import Future
 from random import Random
@@ -94,6 +98,8 @@ class _Remote:
         self.index = index
         self.alive = True
         self.current = None  # (task, future) while a lease is in flight
+        self.beat = 0.0  # time.monotonic() of the last dispatch or beat frame
+        self.hang_killed = False
 
 
 class TcpFleet:
@@ -135,14 +141,12 @@ class TcpFleet:
         self.telemetry = telemetry
         self.codec = codec
         self.max_worker_respawns = max_worker_respawns
-        self.heartbeat_dir = tempfile.mkdtemp(prefix="repro-heartbeat-")
         self._lock = threading.Lock()
         self._queue = []  # [(task, future)] — pending leases, steal pool
         self._ready = deque()  # _Remote instances asking for work
         self._inflight = {}  # lease_id -> (_Remote, future)
         self._remotes = {}  # worker index -> _Remote
         self._procs = {}  # pid -> Popen (workers we spawned)
-        self._hang_killed = set()  # pids the supervisor killed
         self._threads = []
         self._next_index = 0
         self._respawns = 0
@@ -219,14 +223,35 @@ class TcpFleet:
         for _ in range(self._spawn_target):
             self._spawn_one()
 
-    def kill_worker(self, pid):
-        """SIGKILL one worker (hang recovery; same-host fleets); its
-        lease then fails as ``hang-kill``."""
-        self._hang_killed.add(pid)
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except OSError:
-            pass  # already gone
+    def kill_hung(self, timeout):
+        """End every lease silent for more than ``timeout`` seconds as
+        ``hang-kill``; return how many workers that took.
+
+        Silence runs from the lease's dispatch or its worker's last
+        ``beat`` frame. A worker this fleet spawned is SIGKILLed through
+        its ``Popen``, and its lease fails when its connection drops. A
+        worker started by hand is never signalled, since its pid may
+        name a process on another host: its connection is dropped,
+        which fails its lease at once.
+        """
+        now = time.monotonic()
+        with self._lock:
+            hung = [
+                remote
+                for remote, _future in self._inflight.values()
+                if remote.alive
+                and not remote.hang_killed
+                and now - remote.beat > timeout
+            ]
+            for remote in hung:
+                remote.hang_killed = True
+            procs = [self._procs.get(remote.pid) for remote in hung]
+        for remote, proc in zip(hung, procs):
+            if proc is not None:
+                proc.kill()
+            else:
+                self._drop(remote)
+        return len(hung)
 
     def close(self):
         """Idempotent, exception-safe teardown (satellite of PR 9)."""
@@ -243,39 +268,42 @@ class TcpFleet:
             self._inflight.clear()
             procs = dict(self._procs)
             self._procs.clear()
-        try:
-            listener = getattr(self, "_listener", None)
-            if listener is not None:
-                try:
-                    listener.close()
-                except OSError:
-                    pass
-            for _task, future in pending:
-                future.cancel()
-            for _remote, future in inflight:
-                if not future.done():
-                    future.set_exception(FleetBroken("fleet closed mid-lease"))
-            for remote in remotes:
-                remote.alive = False
-                try:
-                    remote.stream.send({"type": "shutdown"})
-                except Disconnected:
-                    pass
-                remote.stream.close()
-            connected = {remote.pid for remote in remotes}
-            for pid, proc in procs.items():
-                if pid not in connected:
-                    # Still starting (a respawn): no shutdown frame can
-                    # reach it, and it would dial the closed listener
-                    # until its connect timeout.
-                    proc.terminate()
-                try:
-                    proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait(timeout=5)
-        finally:
-            shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
+        listener = getattr(self, "_listener", None)
+        if listener is not None:
+            # Shut down first: a bare close leaves the socket listening
+            # while the accept thread is still blocked on it.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                listener.close()
+            except OSError:
+                pass
+        for _task, future in pending:
+            future.cancel()
+        for _remote, future in inflight:
+            if not future.done():
+                future.set_exception(FleetBroken("fleet closed mid-lease"))
+        for remote in remotes:
+            remote.alive = False
+            try:
+                remote.stream.send({"type": "shutdown"})
+            except Disconnected:
+                pass
+            remote.stream.close()
+        connected = {remote.pid for remote in remotes}
+        for pid, proc in procs.items():
+            if pid not in connected:
+                # Still starting (a respawn): no shutdown frame can
+                # reach it, and it would dial the closed listener
+                # until its connect timeout.
+                proc.terminate()
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=5)
 
     def __enter__(self):
         return self
@@ -418,6 +446,8 @@ class TcpFleet:
                         message.get("classification", "worker-error:remote"),
                     )
                 )
+        elif kind == "beat":
+            remote.beat = time.monotonic()
         elif kind == "status":
             self._count("fleet.status_frames")
         # unknown frame kinds are ignored: forward compatibility
@@ -434,6 +464,7 @@ class TcpFleet:
                 self._ready.appendleft(remote)
                 continue
             remote.current = (task, future)
+            remote.beat = time.monotonic()
             self._inflight[task.lease_id] = (remote, future)
             try:
                 remote.stream.send({"type": "lease", "task": task_to_wire(task)})
@@ -473,7 +504,7 @@ class TcpFleet:
         remote.stream.close()
         self._count("fleet.disconnects")
         proc = self._procs.pop(remote.pid, None)
-        classification = self._death_of(remote.pid, proc)
+        classification = self._death_of(remote, proc)
         current = remote.current
         remote.current = None
         if current is not None:
@@ -498,9 +529,9 @@ class TcpFleet:
             )
         return False
 
-    def _death_of(self, pid, proc):
-        """Name a lost worker's death: ``hang-kill`` when the supervisor
-        killed it, else the exit code of a worker we spawned, else (a
+    def _death_of(self, remote, proc):
+        """Name a lost worker's death: ``hang-kill`` when :meth:`kill_hung`
+        ended it, else the exit code of a worker we spawned, else (a
         worker started elsewhere, or one that outlived its connection)
         ``net-disconnect``."""
         code = None
@@ -510,7 +541,7 @@ class TcpFleet:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
-        if pid in self._hang_killed:
+        if remote.hang_killed:
             return HANG_KILL
         if code is None:
             return NET_DISCONNECT

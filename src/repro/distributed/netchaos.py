@@ -17,12 +17,13 @@ die on plan; :class:`NetChaos` extends the same discipline to the
   ``random.Random(seed)`` per connection) that *drop*, *duplicate*, or
   *delay* frames on the send path. Faults are restricted to frame
   types the protocol is designed to survive — drops hit only
-  best-effort ``status`` frames (nothing depends on them), duplicates
-  hit only ``result`` frames (the coordinator dedupes by lease id),
-  and delays hit anything (TCP already reorders timing). A fault that
-  the protocol is *not* designed to survive (dropping a result) would
-  just be a hang, which is the heartbeat watchdog's job, not this
-  injector's.
+  best-effort ``status`` frames (nothing depends on them; a ``beat``
+  frame is never dropped, since the hang watchdog reads silence as a
+  hang), duplicates hit only ``result`` frames (the coordinator
+  dedupes by lease id), and delays hit anything (TCP already reorders
+  timing). A fault that the protocol is *not* designed to survive
+  (dropping a result) would just be a hang, which is the beat
+  watchdog's job, not this injector's.
 
 The payoff is the same as every chaos layer here: the soak test can
 assert that a campaign crossed by disconnects and frame noise merges

@@ -25,6 +25,10 @@ Message types (the ``type`` key of every frame):
                 a death classification the supervisor understands; with
                 no ``lease_id``, the worker could not set itself up
                 from the spec frame and is exiting
+``beat``        worker → coordinator: "lease ``lease_id``, attempt
+                ``attempt``, is about to run iteration ``i``" — sent
+                before each iteration only when the supervisor watches
+                for hangs (a ``heartbeat_timeout``); never dropped
 ``status``      worker → coordinator: best-effort progress note
                 (droppable by design; nothing depends on it)
 ``shutdown``    coordinator → worker: drain and exit 0
@@ -49,15 +53,17 @@ from __future__ import annotations
 import base64
 import json
 import pickle
+import socket
 import struct
 import threading
 from dataclasses import fields
 
 from repro.errors import ReproError
 
-#: Version 2: lease frames carry no campaign constants (seed, strategy,
-#: iterations, shard count); workers read them from the spec frame.
-PROTOCOL_VERSION = 2
+#: Version 3: a worker reports liveness in ``beat`` frames, and a lease
+#: frame carries only the cell's seeds, the shard and the lease
+#: bookkeeping (campaign constants come in the spec frame).
+PROTOCOL_VERSION = 3
 
 #: Hard ceiling on one frame's payload (64 MiB). Real frames are a few
 #: KiB (tasks) to a few MiB (shard reports with bug scripts); anything
@@ -235,6 +241,12 @@ class FrameStream:
         return self._messages.pop(0)
 
     def close(self):
+        """Shut the connection down both ways, which wakes a reader
+        blocked in :meth:`recv` on another thread, and release it."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected, or already gone
         try:
             self.sock.close()
         except OSError:

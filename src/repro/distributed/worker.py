@@ -11,21 +11,23 @@ A worker that cannot set itself up from the spec frame says why in an
 ``error`` frame and exits, so the coordinator can stop the campaign
 instead of respawning a worker that can only fail again.
 
-A lease runs through :func:`repro.core.parallel.run_worker_task`, which
-owns sessions, triage, containment rlimits, heartbeat files and
-crash-safe progress checkpoints; this module only moves frames. A
+A lease runs through :func:`repro.core.parallel.run_worker_task`, the
+same cell loop a serial campaign runs, which owns sessions, triage,
+containment rlimits and crash-safe progress checkpoints. This module
+moves frames and supplies the loop's per-iteration hook
+(:func:`_lease_hook`): a ``beat`` frame when the supervisor watches for
+hangs, then planned process chaos, then planned network chaos. A
 worker computing iteration ``i`` is a pure function of ``(strategy,
 seed, i)``, whichever worker it is, which is why journals are
 byte-identical across fleet shapes. The progress checkpoints are also
 what a resumed campaign replays: the worker that runs a re-leased
 shard reads the log earlier workers wrote.
 
-Same-host note: heartbeat files and progress checkpoints are paths on
-the *coordinator's* filesystem, so today's fleet assumes workers share
-that filesystem (localhost, or a shared mount); a worker on another
-host would leave its checkpoints where no resume can find them. True
-cross-host heartbeats belong on the wire and are future work;
-everything else already crosses it.
+Same-host note: progress checkpoints are paths on the *coordinator's*
+filesystem, so a worker on another host would leave them where no
+resume can find them; the fleet assumes workers share that filesystem
+(localhost, or a shared mount). Everything else, beats included,
+crosses the wire.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import socket
 import sys
 import time
 import types
-from dataclasses import replace
 
 from repro.distributed.netchaos import DISCONNECT, DISCONNECT_EXIT
 from repro.distributed.protocol import (
@@ -50,30 +51,6 @@ from repro.distributed.protocol import (
     unpack_blob,
 )
 from repro.robustness.containment import classify_exception
-
-
-class _WireChaos:
-    """Composes planned network disconnects over an optional process plan.
-
-    Installed as the worker state's ``chaos_process`` so disconnects
-    fire at exactly the same point in the iteration loop process-level
-    faults do: after the heartbeat (the death is attributable), before
-    the iteration runs (the iteration's work is never half-done).
-    ``os._exit`` skips interpreter teardown on purpose — a partitioned
-    peer does not get to flush buffers or run finalizers either.
-    """
-
-    def __init__(self, plan, stream, base=None):
-        self.plan = plan
-        self.stream = stream
-        self.base = base
-
-    def fire(self, index, attempt):
-        if self.base is not None:
-            self.base.fire(index, attempt)
-        if self.plan.fault_for(index, attempt) == DISCONNECT:
-            self.stream.close()
-            os._exit(DISCONNECT_EXIT)
 
 
 def _connect(host, port, timeout, retry_interval=0.2):
@@ -157,7 +134,7 @@ def run_worker(address, net_chaos=None, codec="json", connect_timeout=30.0):
             raise ProtocolError(
                 f"expected a spec frame, got {message.get('type')!r}"
             )
-        from repro.core.parallel import install_worker_state, run_worker_task
+        from repro.core.parallel import install_worker_state
 
         try:
             if message.get("main_path"):
@@ -166,9 +143,6 @@ def run_worker(address, net_chaos=None, codec="json", connect_timeout=30.0):
             plan = net_chaos if net_chaos is not None else spec.net_chaos
             if plan is not None:
                 stream.chaos = plan.bind(message.get("worker_index", 0))
-                spec = replace(
-                    spec, chaos_process=_WireChaos(plan, stream, spec.chaos_process)
-                )
             install_worker_state(spec, telemetry=unpack_blob(message["telemetry"]))
         except Exception as exc:
             stream.send(
@@ -181,52 +155,99 @@ def run_worker(address, net_chaos=None, codec="json", connect_timeout=30.0):
                 }
             )
             return 1
-        return _serve(stream, run_worker_task)
+        return _serve(stream, spec, plan)
     finally:
         stream.close()
 
 
-def _serve(stream, run_task):
+def _lease_hook(stream, spec, plan, task):
+    """The per-iteration hook of one lease, in its fixed order.
+
+    1. A ``beat`` frame, only when the supervisor watches for hangs:
+       it is what tells a slow iteration from a hung one.
+    2. The planned process fault (``spec.chaos_process``), after the
+       beat so a death at this iteration is attributable.
+    3. The planned network disconnect (``plan``), before the iteration
+       runs, so its work is never half-done. ``os._exit`` skips
+       interpreter teardown on purpose — a partitioned peer does not
+       get to flush buffers or run finalizers either.
+    """
+    supervise = spec.supervise
+    beat = supervise is not None and supervise.heartbeat_timeout is not None
+    chaos = spec.chaos_process
+
+    def hook(index):
+        if beat:
+            stream.send(
+                {
+                    "type": "beat",
+                    "lease_id": task.lease_id,
+                    "attempt": task.attempt,
+                    "i": index,
+                }
+            )
+        if chaos is not None:
+            chaos.fire(index, task.attempt)
+        if plan is not None and plan.fault_for(index, task.attempt) == DISCONNECT:
+            stream.close()
+            os._exit(DISCONNECT_EXIT)
+
+    return hook
+
+
+def _serve(stream, spec, plan):
+    """Pull and run leases until a ``shutdown`` frame. A coordinator
+    that disconnects — it is gone, or it dropped this worker as hung —
+    ends the loop with exit code 0."""
+    from repro.core.parallel import run_worker_task
+
     pid = os.getpid()
-    while True:
-        stream.send({"type": "ready", "pid": pid})
-        try:
+    try:
+        while True:
+            stream.send({"type": "ready", "pid": pid})
             message = stream.recv()
-        except Disconnected:
-            return 0
-        kind = message.get("type")
-        if kind == "shutdown":
-            return 0
-        if kind != "lease":
-            raise ProtocolError(f"unexpected frame from coordinator: {kind!r}")
-        task = task_from_wire(message["task"])
-        # Best-effort progress note — the one frame kind NetChaos may
-        # drop, precisely because nothing downstream depends on it.
-        stream.send(
-            {"type": "status", "pid": pid, "lease_id": task.lease_id, "event": "start"}
-        )
-        try:
-            payload = run_task(task)
-        except Exception as exc:
-            # The lease failed in-process but this worker survived:
-            # ship the failure with its classification so the
-            # coordinator's supervisor can drive the ordinary
-            # retry/bisection path without guessing.
+            kind = message.get("type")
+            if kind == "shutdown":
+                return 0
+            if kind != "lease":
+                raise ProtocolError(f"unexpected frame from coordinator: {kind!r}")
+            task = task_from_wire(message["task"])
+            # Best-effort progress note — the one frame kind NetChaos may
+            # drop, precisely because nothing downstream depends on it.
             stream.send(
                 {
-                    "type": "error",
+                    "type": "status",
                     "pid": pid,
                     "lease_id": task.lease_id,
-                    "classification": classify_exception(exc),
-                    "message": f"{type(exc).__name__}: {exc}",
+                    "event": "start",
                 }
             )
-        else:
-            stream.send(
-                {
-                    "type": "result",
-                    "pid": pid,
-                    "lease_id": task.lease_id,
-                    "payload": payload,
-                }
-            )
+            try:
+                payload = run_worker_task(task, _lease_hook(stream, spec, plan, task))
+            except Disconnected:
+                raise
+            except Exception as exc:
+                # The lease failed in-process but this worker survived:
+                # ship the failure with its classification so the
+                # coordinator's supervisor can drive the ordinary
+                # retry/bisection path without guessing.
+                stream.send(
+                    {
+                        "type": "error",
+                        "pid": pid,
+                        "lease_id": task.lease_id,
+                        "classification": classify_exception(exc),
+                        "message": f"{type(exc).__name__}: {exc}",
+                    }
+                )
+            else:
+                stream.send(
+                    {
+                        "type": "result",
+                        "pid": pid,
+                        "lease_id": task.lease_id,
+                        "payload": payload,
+                    }
+                )
+    except Disconnected:
+        return 0

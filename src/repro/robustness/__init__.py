@@ -18,7 +18,7 @@ our campaign loop production-hard:
 - :class:`Supervisor` (:mod:`~repro.robustness.supervisor`) — the
   self-healing coordinator for process-sharded campaigns: worker
   respawn, shard-lease recovery from :class:`ShardProgress`
-  checkpoints, heartbeat hang detection, and poison-iteration
+  checkpoints, hang detection from wire beats, and poison-iteration
   bisection/quarantine;
 - :class:`ContainmentPolicy` (:mod:`~repro.robustness.containment`) —
   per-worker rlimits plus parent-side death classification;

@@ -14,7 +14,7 @@ replay exactly; that is what the tier-1 chaos soak test relies on.
 
 :class:`ProcessChaos` extends the same discipline across the process
 boundary: a picklable plan that makes a *worker process* die (SIGKILL,
-like the kernel OOM killer), hang (so only the supervisor's heartbeat
+like the kernel OOM killer), hang (so only the supervisor's beat
 watchdog can recover it), burn CPU (to trip RLIMIT_CPU), or exhaust
 memory (to trip RLIMIT_AS) at chosen global iteration ids. Faults are
 gated on the shard lease's attempt number, so recovery is provable
@@ -161,7 +161,7 @@ class ProcessChaos:
     - ``kill_at`` — die by ``kill_signal`` (default SIGKILL, the
       OOM-killer's calling card) before running the iteration;
     - ``hang_at`` — sleep ``hang_seconds`` (recoverable only by the
-      supervisor's stale-heartbeat kill);
+      supervisor's hang kill, once the lease's beats stop);
     - ``spin_at`` — burn ``spin_seconds`` of CPU time (trips
       RLIMIT_CPU under a :class:`~repro.robustness.containment.ContainmentPolicy`);
     - ``oom_at`` — allocate ``oom_bytes`` at once (raises

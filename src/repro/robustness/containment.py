@@ -36,7 +36,7 @@ from dataclasses import dataclass
 OOM = "oom"  # in-worker MemoryError under RLIMIT_AS
 OOM_KILL = "oom-kill"  # SIGKILL with a memory limit in force
 CPU_KILL = "cpu-kill"  # SIGXCPU from RLIMIT_CPU
-HANG_KILL = "hang-kill"  # SIGKILL sent by the supervisor (stale heartbeat)
+HANG_KILL = "hang-kill"  # the supervisor ended a lease silent past its timeout
 WORKER_DEATH = "worker-death"  # died without a usable exit code
 
 

@@ -14,11 +14,12 @@ worker holding it dies, hangs, raises, or is resource-killed:
   :class:`~repro.robustness.journal.ShardProgress` log, replaying
   completed iterations and re-running only the missing ones, so the
   merged journal stays byte-identical to a failure-free run;
-- **hang recovery** — every lease rewrites a tiny heartbeat file (pid,
-  attempt, iteration) before each iteration; a lease whose heartbeat
-  goes stale past ``heartbeat_timeout`` has its worker SIGKILLed, the
-  fleet names that death ``hang-kill``, and the normal retry machinery
-  takes over;
+- **hang recovery** — with a ``heartbeat_timeout``, a worker sends a
+  ``beat`` frame (lease id, attempt, iteration) over its socket before
+  each iteration; a lease silent past the timeout has its worker
+  killed (a worker the fleet spawned) or its connection dropped (one
+  started by hand), the fleet names that death ``hang-kill``, and the
+  normal retry machinery takes over;
 - **poison quarantine** — a lease that dies past ``max_shard_retries``
   is *bisected*: its iteration range splits in half and the halves are
   re-leased, recursively, until the killer iteration stands alone;
@@ -27,17 +28,15 @@ worker holding it dies, hangs, raises, or is resource-killed:
   instead of failing the campaign.
 
 The supervisor is backend-agnostic: anything with ``submit`` /
-``respawn`` / ``kill_worker`` / ``heartbeat_dir`` /
-``broken_exceptions`` drives it, which is what makes the retry and
-bisection logic unit-testable without spawning a single process (see
+``respawn`` / ``kill_hung`` / ``broken_exceptions`` drives it, which
+is what makes the retry and bisection logic unit-testable without
+spawning a single process (see
 ``tests/test_supervisor.py``). The real backend is
 :class:`~repro.distributed.endpoint.TcpFleet`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
@@ -68,12 +67,12 @@ class SupervisorPolicy:
       when deaths are expected to be deterministic);
     - ``backoff_base`` / ``backoff_cap`` — capped exponential backoff
       before a retried lease is resubmitted;
-    - ``heartbeat_timeout`` — seconds without a heartbeat before a
-      worker is presumed hung and SIGKILLed (``None`` disables hang
-      detection; must comfortably exceed the slowest legitimate
-      iteration);
-    - ``poll_interval`` — how often the supervisor wakes to sweep
-      heartbeats while futures are pending;
+    - ``heartbeat_timeout`` — seconds a lease may go without a beat
+      before its worker is presumed hung and killed (``None`` disables
+      hang detection, and workers send no beats; must comfortably
+      exceed the slowest legitimate iteration);
+    - ``poll_interval`` — how often the supervisor wakes to sweep for
+      silent leases while futures are pending;
     - ``sleep`` — injection point for the backoff sleeper (tests pass
       a no-op; parent-side only, never pickled to workers).
     """
@@ -148,42 +147,6 @@ class PoisonedIteration:
 
 
 # ---------------------------------------------------------------------------
-# The heartbeat side-channel
-# ---------------------------------------------------------------------------
-
-
-def heartbeat_path(directory, lease_id):
-    return os.path.join(os.fspath(directory), f"lease-{lease_id}.hb")
-
-
-def write_heartbeat(directory, lease_id, pid, attempt, index):
-    """Record 'pid is executing iteration index of lease attempt' (worker).
-
-    Written via tmp + atomic rename so the parent never reads a torn
-    record; wall-clock ``ts`` is comparable across processes (both
-    sides use ``time.time()`` on the same host).
-    """
-    path = heartbeat_path(directory, lease_id)
-    tmp = f"{path}.{pid}.tmp"
-    record = {"pid": pid, "attempt": attempt, "i": index, "ts": time.time()}
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(record, handle)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # heartbeats are best-effort; a miss only delays detection
-
-
-def read_heartbeat(directory, lease_id):
-    """The latest heartbeat of a lease, or None (parent side)."""
-    try:
-        with open(heartbeat_path(directory, lease_id), encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-# ---------------------------------------------------------------------------
 # The supervisor
 # ---------------------------------------------------------------------------
 
@@ -197,10 +160,9 @@ class Supervisor:
       a lease whose worker died fails with an exception whose
       ``classification`` names the death;
     - ``respawn()`` — tear down the broken fleet and start a fresh one;
-    - ``kill_worker(pid)`` — SIGKILL one worker (hang recovery); the
-      backend names that death ``hang-kill``;
-    - ``heartbeat_dir`` — where workers write heartbeat files
-      (``None`` disables hang detection);
+    - ``kill_hung(timeout)`` — kill the worker of every lease silent
+      for more than ``timeout`` seconds and return how many (hang
+      recovery); the backend fails each such lease as ``hang-kill``;
     - ``broken_exceptions`` — exception types meaning "the whole fleet
       is gone" (:class:`~repro.distributed.endpoint.FleetBroken` for
       the real backend).
@@ -243,7 +205,6 @@ class Supervisor:
             "poisoned": 0,
         }
         self._next_lease_id = 0
-        self._killed_pids = set()
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -277,14 +238,17 @@ class Supervisor:
             self._fill(pending, inflight)
             if not inflight:
                 continue
-            timeout = (
-                self.policy.poll_interval
-                if self.policy.heartbeat_timeout is not None
-                else None
+            hang_timeout = self.policy.heartbeat_timeout
+            done, _ = wait(
+                set(inflight),
+                timeout=None if hang_timeout is None else self.policy.poll_interval,
+                return_when=FIRST_COMPLETED,
             )
-            done, _ = wait(set(inflight), timeout=timeout, return_when=FIRST_COMPLETED)
+            if hang_timeout is not None:
+                killed = self.backend.kill_hung(hang_timeout)
+                if killed:
+                    self._count("heartbeat_kills", killed)
             if not done:
-                self._sweep_heartbeats(inflight)
                 continue
             broken = []
             for future in done:
@@ -315,12 +279,7 @@ class Supervisor:
     def _fill(self, pending, inflight):
         while pending:
             lease = pending.popleft()
-            task = replace(
-                lease.task,
-                lease_id=lease.lease_id,
-                attempt=lease.attempt,
-                heartbeat_dir=self.backend.heartbeat_dir,
-            )
+            task = replace(lease.task, lease_id=lease.lease_id, attempt=lease.attempt)
             try:
                 future = self.backend.submit(task)
             except self.backend.broken_exceptions:
@@ -351,25 +310,6 @@ class Supervisor:
         if requeued:
             self._count("requeues", len(requeued))
         pending.extend(requeued)
-
-    def _sweep_heartbeats(self, inflight):
-        timeout = self.policy.heartbeat_timeout
-        directory = self.backend.heartbeat_dir
-        if timeout is None or directory is None:
-            return
-        now = time.time()
-        for lease in inflight.values():
-            record = read_heartbeat(directory, lease.lease_id)
-            if record is None or record.get("attempt") != lease.attempt:
-                continue
-            if now - record.get("ts", now) <= timeout:
-                continue
-            pid = record.get("pid")
-            if pid is None or pid in self._killed_pids:
-                continue
-            self._killed_pids.add(pid)
-            self._count("heartbeat_kills")
-            self.backend.kill_worker(pid)
 
     # -- retries, bisection, poison --------------------------------------
 

@@ -318,6 +318,73 @@ def test_lease_planner_lint_detects_violations(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Cell-loop lint: one loop runs iterations.
+# ---------------------------------------------------------------------------
+
+# Serial campaigns, fleet leases, YinYang.test and test_mixed all run
+# their iterations through YinYang.run_cell, the one caller of the
+# iteration body. A second caller would be a second execution path,
+# free to skip the lease hook, the checkpoints or the once-per-cell
+# profiling samples.
+_ITERATION_BODY = "_one_iteration"
+
+
+def _callers(path, name):
+    """(enclosing function, line) for every ``name(...)`` call in ``path``."""
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self):
+            self.functions = []
+            self.hits = []
+
+        def visit_FunctionDef(self, node):
+            self.functions.append(node.name)
+            self.generic_visit(node)
+            self.functions.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            fn = node.func
+            called = fn.id if isinstance(fn, ast.Name) else (
+                fn.attr if isinstance(fn, ast.Attribute) else None
+            )
+            if called == name:
+                enclosing = self.functions[-1] if self.functions else None
+                hits.append((enclosing, node.lineno))
+            self.generic_visit(node)
+
+    hits = []
+    Visitor().visit(ast.parse(path.read_text(), filename=str(path)))
+    return hits
+
+
+def test_iteration_body_has_one_caller():
+    callers = [
+        (str(path.relative_to(SRC)), function)
+        for path in sorted(SRC.rglob("*.py"))
+        for function, _line in _callers(path, _ITERATION_BODY)
+    ]
+    assert callers == [("core/yinyang.py", "run_cell")], (
+        f"{_ITERATION_BODY} must be called only by YinYang.run_cell, the "
+        f"one cell loop; found callers: {callers}"
+    )
+
+
+def test_iteration_body_lint_detects_violations(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def run_cell(self):\n"
+        "    for i in indices:\n"
+        "        self._one_iteration(i)\n"
+        "def run_iterations(tool):\n"
+        "    def inner(i):\n"
+        "        return tool._one_iteration(i)\n"
+    )
+    assert _callers(bad, _ITERATION_BODY) == [("run_cell", 3), ("inner", 6)]
+
+
+# ---------------------------------------------------------------------------
 # Solver-interface lint: one check_script call shape.
 # ---------------------------------------------------------------------------
 

@@ -150,10 +150,13 @@ class TestJournalFile:
 
 class TestCampaignResume:
     def _interrupted_campaign(self, corpora, path, after_cells):
-        """Run a journaled campaign that dies after ``after_cells`` cells."""
+        """Run a journaled campaign that dies after ``after_cells`` cells.
+
+        ``YinYang.run_cell`` is the cell loop: a serial campaign calls
+        it once per cell."""
         from repro.core.yinyang import YinYang
 
-        original = YinYang.test
+        original = YinYang.run_cell
         state = {"cells": 0}
 
         def interrupting(self, *args, **kwargs):
@@ -162,12 +165,12 @@ class TestCampaignResume:
             state["cells"] += 1
             return original(self, *args, **kwargs)
 
-        YinYang.test = interrupting
+        YinYang.run_cell = interrupting
         try:
             with pytest.raises(KeyboardInterrupt):
                 run_campaign(corpora, journal=path, **CAMPAIGN)
         finally:
-            YinYang.test = original
+            YinYang.run_cell = original
 
     def test_interrupted_campaign_resumes_byte_for_byte(self, corpora, tmp_path):
         baseline = run_campaign(corpora, **CAMPAIGN)
@@ -188,18 +191,18 @@ class TestCampaignResume:
 
         from repro.core.yinyang import YinYang
 
-        original = YinYang.test
+        original = YinYang.run_cell
         ran = []
 
         def counting(self, *args, **kwargs):
             ran.append(1)
             return original(self, *args, **kwargs)
 
-        YinYang.test = counting
+        YinYang.run_cell = counting
         try:
             result = run_campaign(corpora, journal=path, resume=True, **CAMPAIGN)
         finally:
-            YinYang.test = original
+            YinYang.run_cell = original
         total_cells = len(result.reports)
         assert sum(ran) == total_cells - 3  # the 3 journaled cells skipped
 
@@ -208,13 +211,15 @@ class TestCampaignResume:
         first = run_campaign(corpora, journal=path, **CAMPAIGN)
         from repro.core.yinyang import YinYang
 
-        original = YinYang.test
+        original = YinYang.run_cell
         ran = []
-        YinYang.test = lambda self, *a, **k: ran.append(1) or original(self, *a, **k)
+        YinYang.run_cell = lambda self, *a, **k: (
+            ran.append(1) or original(self, *a, **k)
+        )
         try:
             again = run_campaign(corpora, journal=path, resume=True, **CAMPAIGN)
         finally:
-            YinYang.test = original
+            YinYang.run_cell = original
         assert ran == []
         assert serialized(again.records) == serialized(first.records)
 

@@ -354,7 +354,6 @@ class TestTaskWireCodec:
             indices=(1, 3, 5),
             attempt=2,
             lease_id=17,
-            heartbeat_dir="/tmp/hb",
             progress_path="/tmp/j.jsonl.lease-x-1of2.jsonl",
         )
         task.update(overrides)
@@ -374,7 +373,6 @@ class TestTaskWireCodec:
             cell=None,
             solver_names=None,
             indices=None,
-            heartbeat_dir=None,
             progress_path=None,
             quarantined=(),
         )
@@ -668,10 +666,11 @@ _TASK = dict(oracle="sat", seed_texts=("(assert true)",), logics=("QF_S",), shar
 class TestTeardownIdempotence:
     def test_tcp_fleet_close_twice(self):
         fleet = TcpFleet(_tcp_spec(workers=2))
-        heartbeat_dir = fleet.heartbeat_dir
+        address = fleet.address
         fleet.close()
         fleet.close()
-        assert not os.path.exists(heartbeat_dir)
+        with pytest.raises(OSError):  # the listener is gone
+            socket.create_connection(address, timeout=1).close()
 
     def test_tcp_fleet_rejects_submit_after_close(self):
         fleet = TcpFleet(_tcp_spec())

@@ -232,26 +232,22 @@ class _AlwaysUnsat:
 
 
 class TestShardingPrimitive:
-    """run_iterations is the unit the modes are built from: any
-    partition of the index space merges back to the full run."""
+    """run_cell is the unit the modes are built from: any partition of
+    the index space merges back to the full run."""
 
-    def _tool_and_seeds(self, corpora):
+    def _tool_and_run(self, corpora):
         seeds = corpora["QF_LIA"].by_oracle("sat")
         tool = YinYang(_AlwaysUnsat(), YinYangConfig(seed=9))
-        scripts = [s.script for s in seeds]
-        logics = [s.logic for s in seeds]
-        return tool, scripts, logics
+        work = tool.strategy.prepare(
+            "sat", [s.script for s in seeds], [s.logic for s in seeds]
+        )
+        return lambda indices: tool.run_cell(work, indices)
 
     def test_any_partition_merges_to_full_run(self, corpora):
-        tool, scripts, logics = self._tool_and_seeds(corpora)
-        full = tool.run_iterations("sat", scripts, logics, range(10))
+        run = self._tool_and_run(corpora)
+        full = run(range(10))
         for workers in (2, 3, 7):
-            shards = [
-                tool.run_iterations(
-                    "sat", scripts, logics, shard_indices(10, t, workers)
-                )
-                for t in range(workers)
-            ]
+            shards = [run(shard_indices(10, t, workers)) for t in range(workers)]
             merged = merge_shard_reports(shards)
             assert [serialize_bug_record(b) for b in merged.bugs] == [
                 serialize_bug_record(b) for b in full.bugs
@@ -262,11 +258,11 @@ class TestShardingPrimitive:
         # The gensym-collision regression: iteration k run in isolation
         # (as a process shard would) must produce the very script the
         # full run produced — fresh names must not shift with history.
-        tool, scripts, logics = self._tool_and_seeds(corpora)
-        full = tool.run_iterations("sat", scripts, logics, range(8))
+        run = self._tool_and_run(corpora)
+        full = run(range(8))
         by_iteration = {b.iteration: b for b in full.bugs}
         for k in (0, 3, 7):
-            alone = tool.run_iterations("sat", scripts, logics, [k])
+            alone = run([k])
             assert len(alone.bugs) <= 1
             if alone.bugs:
                 assert serialize_bug_record(alone.bugs[0]) == serialize_bug_record(
@@ -274,8 +270,8 @@ class TestShardingPrimitive:
                 )
 
     def test_bug_records_carry_iteration_ids(self, corpora):
-        tool, scripts, logics = self._tool_and_seeds(corpora)
-        report = tool.run_iterations("sat", scripts, logics, range(6))
+        run = self._tool_and_run(corpora)
+        report = run(range(6))
         ids = [b.iteration for b in report.bugs]
         assert ids == sorted(ids)
         assert all(0 <= i < 6 for i in ids)

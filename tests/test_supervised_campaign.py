@@ -262,7 +262,7 @@ class TestLeasedResume:
 
     def test_leased_run_matches_bare_run(self, tmp_path):
         # The reference arm is the in-process kernel over the lease's
-        # indices: heartbeats and checkpoints must not change a thing.
+        # indices: the hook and checkpoints must not change a thing.
         from repro.core.yinyang import YinYang
         from repro.robustness.journal import serialize_report
         from repro.smtlib.parser import parse_script
@@ -271,12 +271,12 @@ class TestLeasedResume:
         install_worker_state(spec)
         leased = run_worker_task(task)
         tool = YinYang(one_deterministic_solver(), config=spec.config)
-        bare = tool.run_iterations(
+        work = tool.strategy.prepare(
             task.oracle,
             [parse_script(text) for text in task.seed_texts],
             list(task.logics),
-            range(spec.iterations_per_cell),
         )
+        bare = tool.run_cell(work, range(spec.iterations_per_cell))
         assert leased["report"] == serialize_report(bare, unknown_split=True)
 
     def test_truncated_progress_line_reruns_iteration_same_bytes(self, tmp_path):
@@ -311,6 +311,46 @@ class TestLeasedResume:
         assert resumed["report"] == full["report"]
         # Nothing was re-executed: the log gained no new lines.
         assert progress_path.read_text(encoding="utf-8") == before
+
+    def test_hook_runs_before_each_fresh_iteration_only(self, tmp_path):
+        spec, task = self._spec_and_task(tmp_path)
+        install_worker_state(spec)
+        seen = []
+        run_worker_task(task, hook=seen.append)
+        assert seen == list(range(spec.iterations_per_cell))
+        # A retried lease replays every checkpoint: nothing runs, so
+        # there is nothing to beat for.
+        from dataclasses import replace
+
+        run_worker_task(replace(task, attempt=1), hook=seen.append)
+        assert seen == list(range(spec.iterations_per_cell))
+
+    def test_profiled_lease_samples_once_per_lease(self, tmp_path, monkeypatch):
+        # Profiling samples happen at lease boundaries, never per
+        # iteration: a five-iteration lease takes each sample once.
+        from repro.observability.telemetry import Telemetry, TelemetryConfig
+
+        samples = []
+
+        def counting(name):
+            original = getattr(Telemetry, name)
+
+            def sample(self, *args):
+                samples.append(name)
+                return original(self, *args)
+
+            return sample
+
+        for name in ("sample_term_tables", "sample_guards", "sample_session"):
+            monkeypatch.setattr(Telemetry, name, counting(name))
+        spec, task = self._spec_and_task(tmp_path)
+        install_worker_state(spec, telemetry=TelemetryConfig(profile=True))
+        run_worker_task(task)
+        assert sorted(samples) == [
+            "sample_guards",
+            "sample_session",
+            "sample_term_tables",
+        ]
 
     def test_bisected_child_lease_runs_exact_indices(self, tmp_path):
         spec, task = self._spec_and_task(tmp_path, indices=(1, 3))
@@ -409,3 +449,68 @@ class TestPoisonClassification:
         assert entry["classification"] == classification
         [report] = list(result.reports.values())
         assert report.iterations == 1
+
+
+@pytest.mark.chaos
+class TestHandStartedHang:
+    def test_hung_worker_is_disconnected_never_signalled(
+        self, corpora, tmp_path, monkeypatch
+    ):
+        """A worker the fleet did not spawn may run on another host, so
+        the pid it claims is never signalled: the fleet drops its
+        connection instead, and its lease fails as ``hang-kill``."""
+        import os
+        import socket
+        import subprocess
+        import sys
+
+        signals = []
+        real_kill = os.kill
+
+        def recording_kill(pid, sig):
+            signals.append((pid, sig))
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", recording_kill)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "worker"]
+            + ["--connect", f"127.0.0.1:{port}"],
+            env=env,
+        )
+        try:
+            path = tmp_path / "hang.jsonl"
+            result = run_campaign(
+                corpora,
+                journal=path,
+                mode="tcp",
+                workers=1,
+                listen=("127.0.0.1", port),
+                spawn_workers=0,
+                supervise=SupervisorPolicy(
+                    heartbeat_timeout=2.0,
+                    poll_interval=0.05,
+                    max_shard_retries=0,
+                    **NO_BACKOFF,
+                ),
+                chaos_process=ProcessChaos(hang_at=(0,), attempts=10**9),
+                **dict(
+                    CAMPAIGN,
+                    iterations_per_cell=1,
+                    solver_factory=one_deterministic_solver,
+                ),
+            )
+            [poison] = result.poisoned
+            assert poison.iteration == 0
+            assert poison.classification == "hang-kill"
+            assert result.supervision["heartbeat_kills"] == 1
+            assert signals == []
+            assert worker.poll() is None  # still asleep in its hang
+        finally:
+            monkeypatch.undo()
+            worker.kill()
+            worker.wait()

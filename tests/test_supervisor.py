@@ -33,8 +33,6 @@ from repro.robustness.supervisor import (
     SupervisionExhausted,
     Supervisor,
     SupervisorPolicy,
-    read_heartbeat,
-    write_heartbeat,
 )
 
 
@@ -91,11 +89,10 @@ class FakeBackend:
 
     broken_exceptions = (FakeBroken,)
 
-    def __init__(self, plan, heartbeat_dir=None):
+    def __init__(self, plan):
         self.plan = plan
-        self.heartbeat_dir = heartbeat_dir
         self.respawns = 0
-        self.killed = []
+        self.sweeps = []
 
     def submit(self, task):
         future = Future()
@@ -116,8 +113,9 @@ class FakeBackend:
     def respawn(self):
         self.respawns += 1
 
-    def kill_worker(self, pid):
-        self.killed.append(pid)
+    def kill_hung(self, timeout):
+        self.sweeps.append(timeout)
+        return 0
 
 
 class TestPolicy:
@@ -151,19 +149,6 @@ class TestClassification:
     def test_classify_exception(self):
         assert classify_exception(MemoryError()) == OOM
         assert classify_exception(RuntimeError()) == "worker-error:RuntimeError"
-
-
-class TestHeartbeat:
-    def test_roundtrip(self, tmp_path):
-        write_heartbeat(tmp_path, 7, pid=123, attempt=2, index=41)
-        record = read_heartbeat(tmp_path, 7)
-        assert record["pid"] == 123
-        assert record["attempt"] == 2
-        assert record["i"] == 41
-        assert record["ts"] > 0
-
-    def test_missing_is_none(self, tmp_path):
-        assert read_heartbeat(tmp_path, 99) is None
 
 
 class TestSupervisorRun:
@@ -325,38 +310,47 @@ class TestSupervisorRun:
 
 
 class TestHangSweep:
-    def test_stale_heartbeat_gets_worker_killed(self, tmp_path, monkeypatch):
-        # A lease whose future never resolves and whose heartbeat is
-        # old: the sweep must SIGKILL the recorded pid exactly once.
+    def test_stale_heartbeat_gets_worker_killed(self):
+        # A lease whose future never resolves: each sweep asks the
+        # backend to kill what has been silent past the timeout, and
+        # every worker the backend reports killed is counted once.
         class HangingBackend(FakeBackend):
             def submit(self, task):
-                write_heartbeat(self.heartbeat_dir, task.lease_id, 666, task.attempt, 0)
-                future = Future()  # never resolves
-                self.pending = future
-                return future
+                self.pending = Future()  # never resolves on its own
+                return self.pending
 
-        backend = HangingBackend(None, heartbeat_dir=str(tmp_path))
+            def kill_hung(self, timeout):
+                self.sweeps.append(timeout)
+                if len(self.sweeps) < 3 or self.pending.done():
+                    return 0  # still within the timeout, or nothing in flight
+                # The backend fails the hung worker's lease as it would.
+                self.pending.set_exception(FakeDeath(HANG_KILL))
+                return 1
+
+        backend = HangingBackend(None)
         sup = Supervisor(
             backend,
             campaign(
                 supervise=SupervisorPolicy(
-                    heartbeat_timeout=0.01, poll_interval=0.01, sleep=lambda _s: None
+                    max_shard_retries=0,
+                    heartbeat_timeout=5.0,
+                    poll_interval=0.01,
+                    sleep=lambda _s: None,
                 )
             ),
         )
-
-        def kill_and_finish(pid):
-            backend.killed.append(pid)
-            backend.pending.set_result({"killed": pid})
-
-        backend.kill_worker = kill_and_finish
-        import time as time_mod
-
-        time_mod.sleep(0.05)  # let the single heartbeat go stale
         results = sup.run([sup.lease("k", make_task(), (0,))])
-        assert backend.killed == [666]
+        assert set(backend.sweeps) == {5.0}
         assert sup.counters["heartbeat_kills"] == 1
-        assert results["k"][0][1] == {"killed": 666}
+        assert results == {}
+        [poison] = sup.poisoned
+        assert poison.classification == HANG_KILL
+
+    def test_no_sweep_without_a_timeout(self):
+        backend = FakeBackend(lambda task: ("ok", {}))
+        sup = Supervisor(backend, campaign())
+        sup.run([sup.lease("k", make_task(), (0,))])
+        assert backend.sweeps == []
 
 
 class TestShardProgress:

@@ -167,7 +167,7 @@ class TestCampaignScope:
             for _ in range(2)
         ]
         sessions = [
-            tool.make_session(tool.prepare_work("sat", [], [])) for tool in tools
+            tool.make_session(tool.strategy.prepare("sat", [], [])) for tool in tools
         ]
         sessions[0].theory_store(["a"], 1, 0, None, ("sat", None, None), True)
         assert sessions[1].theory_lookup(["a"], 1, 0, None) is not None
@@ -193,7 +193,7 @@ class TestCampaignScope:
         )
         assert tool._theory_memo is None
         assert strategy._oracle_session is None
-        assert tool.make_session(tool.prepare_work("sat", [], [])) is None
+        assert tool.make_session(tool.strategy.prepare("sat", [], [])) is None
 
 
 class TestCapAcrossCells:

@@ -43,7 +43,13 @@
 #      (answer, contraction rounds) and every linear check (status,
 #      model) of small campaigns matches its golden sha256, also under
 #      other PYTHONHASHSEED values, and the interval operations and the
-#      simplex delta pass Hypothesis soundness properties.
+#      simplex delta pass Hypothesis soundness properties; and so must
+#      the (family, oracle) cell layout (tests/test_one_draw_per_mutant.py):
+#      two-solver campaigns journal their golden bytes and per-solver
+#      report counters, each mutant is drawn, triaged and oracle-solved
+#      once for all solvers, every check of a mutant starts at one
+#      fresh-name position, quarantine stays in its solver's report,
+#      and a resume reruns only the solvers whose reports were held.
 #   5. Fast lane — the full suite minus the soak/slow markers
 #      (see pyproject.toml; run the slow and chaos lanes nightly:
 #      `pytest -m slow` / `pytest -m chaos`).
@@ -89,10 +95,10 @@ python -m pytest tests/test_strategies.py -q -m "not slow"
 echo "== stage 3/9: telemetry determinism (journal byte-identity) =="
 python -m pytest tests/test_parallel_determinism.py -q -m "not slow"
 
-echo "== stage 4/9: triage + session determinism (verdict equivalence, bug-finding power, theory memo replay, string verdict memo: tests/test_strings_memo.py, refutation-only probes: tests/test_refute_probes.py, exact arithmetic kernels: tests/test_arith_kernels.py) =="
+echo "== stage 4/9: triage + session determinism (verdict equivalence, bug-finding power, theory memo replay, string verdict memo: tests/test_strings_memo.py, refutation-only probes: tests/test_refute_probes.py, exact arithmetic kernels: tests/test_arith_kernels.py, one draw per mutant: tests/test_one_draw_per_mutant.py) =="
 python -m pytest tests/test_triage.py tests/test_session.py tests/test_theory_memo.py \
     tests/test_strings_memo.py tests/test_refute_probes.py tests/test_arith_kernels.py \
-    -q -m "not slow"
+    tests/test_one_draw_per_mutant.py -q -m "not slow"
 
 echo "== stage 5/9: fast lane (full suite minus slow/chaos) =="
 python -m pytest -m "not slow and not chaos" -q

@@ -132,17 +132,18 @@ def figure10_rows(campaign):
 def shard_counter_rows(campaign):
     """Per-shard counter rows of a process-mode campaign.
 
-    One row per (cell, shard): how the cell's iterations were split,
-    what each shard found, and which worker ran it (on a resume, the
-    worker that replayed its lease log).
+    One row per leased (family, oracle) cell and shard: how the cell's
+    iterations were split, what each shard found across its solvers,
+    and which worker ran it (on a resume, the worker that replayed its
+    lease log).
     """
     rows = []
     for key in sorted(campaign.shard_counters):
-        solver, family, oracle = key
+        family, oracle = key
         for c in campaign.shard_counters[key]:
             rows.append(
                 (
-                    f"{solver}/{family}/{oracle}",
+                    f"{family}/{oracle}",
                     f"{c['shard']}/{c['of']}",
                     c.get("iterations", 0),
                     c.get("fused", 0),

@@ -1,9 +1,12 @@
 """The campaign runner: YinYang against buggy solvers over all corpora.
 
 This is the offline equivalent of the paper's four-month testing
-campaign, compressed: for each (solver, corpus, oracle) cell the runner
-fuses seed pairs and records every bug-triggering formula, then triage
-(:mod:`repro.campaign.classify`) maps records to catalog faults.
+campaign, compressed: for each (corpus, oracle) cell the runner fuses
+seed pairs, checks each mutant against every solver under test (as in
+the paper's Algorithm 1) and records every bug-triggering formula, then
+triage (:mod:`repro.campaign.classify`) maps records to catalog faults.
+Each solver's results are journaled as its own (solver, corpus,
+oracle) cell, in solver-major order.
 
 A long campaign is expected to be interrupted and to meet misbehaving
 solvers; ``run_campaign`` therefore accepts a
@@ -32,14 +35,16 @@ socket worker fleet through a
 :class:`~repro.robustness.supervisor.Supervisor`, so dead or hung
 workers are always healed. Every lease of a journaled campaign
 checkpoints its iterations to a lease progress log next to the
-journal; a resume leases the unjournaled cells again and replays those
-logs, so no completed iteration is solved twice. All modes and worker
+journal; a resume leases the cells some solver lacks again, for those
+solvers, and replays those logs, so no completed iteration is solved
+twice. All modes and worker
 counts produce identical bug records and identical journal bytes for a
 fixed seed; sharding is invisible to the oracle.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.campaign.classify import collect_found_faults, found_fault_objects
@@ -129,7 +134,7 @@ class CampaignResult:
     mode: str = "serial"
     workers: int = 1
     strategy: str = "fusion"  # the mutation strategy's registry name
-    # (solver, corpus, oracle) -> [per-shard counter dicts] (process mode)
+    # (corpus, oracle) -> [per-shard counter dicts] (process mode)
     shard_counters: dict = field(default_factory=dict)
     # Process/tcp modes: quarantined poison-iteration artifacts
     # (PoisonedIteration records) and the supervisor's counters
@@ -197,33 +202,53 @@ class CampaignResult:
         return ", ".join(parts)
 
 
-def _campaign_cells(solvers, corpora):
-    """The campaign's cells in their canonical (journal) order."""
+def _campaign_cells(corpora):
+    """The campaign's cells, one per (family, oracle), in canonical order."""
     cells = []
-    for solver in solvers:
-        for family, corpus in corpora.items():
-            for oracle in ("sat", "unsat"):
-                seeds = corpus.by_oracle(oracle)
-                if len(seeds) < 1:
-                    continue
-                cells.append(((solver.name, family, oracle), solver, seeds))
+    for family, corpus in corpora.items():
+        for oracle in ("sat", "unsat"):
+            seeds = corpus.by_oracle(oracle)
+            if len(seeds) >= 1:
+                cells.append(((family, oracle), seeds))
     return cells
 
 
 def _absorb_cell(result, key, report, journal, telemetry=None):
-    """Fold one completed cell into the result and the journal."""
+    """Fold one solver's completed cell into the result and the journal."""
     result.reports[key] = report
     result.records.extend(report.bugs)
     result.fused_total += report.fused
-    result.elapsed_total += report.elapsed
     if telemetry is not None:
         telemetry.count("cells")
     if journal is not None:
         # The print/journal phase: serializing bug scripts back to
-        # SMT-LIB and committing the cell durably. Timed only —
+        # SMT-LIB text and committing the cell durably. Timed only —
         # telemetry never writes into the journal itself.
         with (telemetry or NULL_TELEMETRY).phase("journal_write"):
             journal.record_cell(key, report)
+
+
+def _committer(result, keys, journal, telemetry):
+    """``commit(cell, [(solver name, report)])`` for the cell loops.
+
+    Journal ``keys`` run solver-major: every cell of the first solver,
+    then every cell of the next. A cell run yields every solver's report
+    at once, so a report is held until every key before it is committed:
+    the journal and the result read as if each solver ran alone.
+    """
+    held = {}
+    waiting = deque(keys)
+
+    def commit(cell, pairs):
+        pairs = list(pairs)
+        # Every solver's report of one cell run shares its wall time.
+        result.elapsed_total += max((r.elapsed for _n, r in pairs), default=0.0)
+        held.update(((name, *cell), report) for name, report in pairs)
+        while waiting and waiting[0] in held:
+            key = waiting.popleft()
+            _absorb_cell(result, key, held.pop(key), journal, telemetry)
+
+    return commit
 
 
 def run_campaign(
@@ -262,9 +287,10 @@ def run_campaign(
     :class:`~repro.robustness.guard.GuardedSolver` (watchdog, retries,
     error containment, quarantine). ``journal`` (a path or a
     :class:`~repro.robustness.journal.CampaignJournal`) durably records
-    each completed (solver, corpus, oracle) cell; with ``resume=True``
-    completed cells are loaded from the journal instead of re-run, so a
-    campaign interrupted by ^C or a crash continues where it stopped.
+    each solver's completed (solver, corpus, oracle) cell; with
+    ``resume=True`` completed cells are loaded from the journal and a
+    cell runs again only for the solvers that lack it, so a campaign
+    interrupted by ^C or a crash continues where it stopped.
     A journal is refused (:class:`~repro.robustness.journal.JournalError`)
     when it was written with other campaign settings, or when it holds
     completed work and ``resume`` is False (a second run would journal
@@ -410,60 +436,48 @@ def run_campaign(
                 f"journal {journal.path} already holds completed cells; "
                 "resume it or start a new journal"
             )
-    cells = _campaign_cells(solvers, corpora)
+    cells = _campaign_cells(corpora)
+    names = [solver.name for solver in solvers]
+    keys = [(name, *cell) for name in names for cell, _seeds in cells]
     # Resumed cells are folded in first, in canonical order, so the
     # in-memory result (not just the journal) is shard- and
-    # interruption-independent.
-    remaining = []
-    for key, solver, seeds in cells:
+    # interruption-independent. A cell runs again only for the solvers
+    # that lack its report.
+    for key in keys:
         if key in completed:
             _absorb_cell(result, key, completed[key], journal=None)
-        else:
-            remaining.append((key, solver, seeds))
+    commit = _committer(
+        result, [key for key in keys if key not in completed], journal, telemetry
+    )
+    remaining = []
+    for cell, seeds in cells:
+        missing = tuple(name for name in names if (name, *cell) not in completed)
+        if missing:
+            remaining.append((cell, seeds, missing))
     if mode != "serial":
-        _run_cells_supervised(result, remaining, spec, journal, telemetry)
-        return result
-    # A serial campaign is the one-process case of the fleet's cell
-    # loop: one runner owns the guarded solvers, the strategy and the
-    # theory memo, and runs each cell whole, with no hook and no log.
-    runner = CellRunner(spec, solvers)
-    for key, _solver, seeds in remaining:
-        report = runner.run(
-            key[2],
-            [getattr(seed, "script", seed) for seed in seeds],
-            [getattr(seed, "logic", "") for seed in seeds],
-            range(iterations_per_cell),
-            [runner.by_name[key[0]]],
-            telemetry=telemetry,
-        )
-        _absorb_cell(result, key, report, journal, telemetry)
+        # Imported lazily: the distributed layer imports this module.
+        from repro.distributed.coordinator import Coordinator
+
+        with Coordinator(spec, journal, telemetry) as coordinator:
+            coordinator.run_cells(result, remaining, commit)
+    else:
+        # A serial campaign is the one-process case of the fleet's cell
+        # loop: one runner owns the guarded solvers, the strategy and
+        # the theory memo, and runs each cell whole, with no hook and
+        # no log.
+        runner = CellRunner(spec, solvers)
+        for cell, seeds, missing in remaining:
+            reports = runner.run(
+                cell[1],
+                [getattr(seed, "script", seed) for seed in seeds],
+                [getattr(seed, "logic", "") for seed in seeds],
+                range(iterations_per_cell),
+                [runner.by_name[name] for name in missing],
+                telemetry=telemetry,
+            )
+            commit(cell, zip(missing, reports))
     if journal is not None:
-        # A serial resume of an interrupted process or tcp campaign
-        # finishes the journal too; its lease logs are spent.
+        # Every cell is durably journaled: the lease logs (also those
+        # of an interrupted fleet run resumed here) are spent.
         remove_lease_logs(journal.path)
     return result
-
-
-def _run_cells_supervised(result, remaining, spec, journal, telemetry):
-    """Run the remaining cells as supervised shard leases.
-
-    The :class:`~repro.distributed.coordinator.Coordinator` builds the
-    lease backend for ``spec.mode`` and drives the cell loop: one
-    supervisor spans the campaign (restart budget and counters are
-    campaign-global), cells run one at a time in canonical order (each
-    sharded ``spec.workers`` ways) and are journaled exactly as a
-    serial run would, each shard's checkpoints live in a lease progress
-    file next to the journal, and a lease re-executed after a worker
-    death (or a resumed campaign) replays its completed iterations —
-    the merged cell report, and therefore the journal, matches a
-    failure-free run byte for byte. Poisoned iterations are journaled
-    as ``poison`` entries and collected on ``result.poisoned``.
-    """
-    from repro.distributed.coordinator import Coordinator
-
-    with Coordinator(spec, journal, telemetry) as coordinator:
-        coordinator.run_cells(result, remaining)
-    if journal is not None:
-        # Every cell is durably in the main journal now; the lease
-        # checkpoints have served their purpose.
-        remove_lease_logs(journal.path)

@@ -14,9 +14,10 @@ which classifies each solver's behaviour into the paper's bug kinds:
 - **unknown** — ``unknown`` with an internal error note, or any
   ``unknown`` under the strict ``unknown_is_crash`` policy.
 
-The checker draws no randomness and writes records in solver order,
-so its output is a pure function of (mutant, solver states) — the
-property every determinism guarantee upstream rests on.
+The checker draws no randomness and gives every solver a report of
+its own, so each solver's records are a pure function of (mutant,
+that solver's state), whichever other solvers check the same mutant —
+the property every determinism guarantee upstream rests on.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from repro.smtlib.ast import fresh_name_position, rewind_fresh_names
 from repro.solver.result import SolverCrash, SolverResult
 
 SOUNDNESS = "soundness"
@@ -132,7 +134,7 @@ def retriggers_bug(solver, script, oracle, kind):
 def check_mutant(
     solvers,
     mutant,
-    report,
+    reports,
     tel,
     performance_threshold=None,
     unknown_is_crash=False,
@@ -140,20 +142,40 @@ def check_mutant(
     directive=None,
     session=None,
 ):
-    """Check one mutant against every solver, folding records into
-    ``report``. Byte-compatible with the pre-pipeline
-    ``YinYang._check_one``: same counter increments, same record
-    fields, same ordering. ``directive`` (triage's per-mutant budget
-    tier) and ``session`` (the cell's incremental
-    :class:`~repro.solver.session.SolverSession`) are forwarded to each
-    solver."""
-    schemes = mutant.schemes
+    """Check one mutant against every solver, folding each solver's
+    records and counters into its own report (``reports`` parallels
+    ``solvers``) exactly as if it had checked the mutant alone: every
+    check starts at the fresh-name position the mutation left.
+    ``directive`` (triage's per-mutant budget tier) and ``session`` (the
+    cell's :class:`~repro.solver.session.SolverSession`, whose outcome
+    cache answers a later solver's check of an unchanged mutant) are
+    forwarded to each solver."""
     if session is not None:
         # Iteration boundary: outcome entries deduplicate the several
         # solver checks of *this* mutant and must not leak across
         # iterations (see SolverSession.begin_iteration).
         session.begin_iteration()
-    for solver in solvers:
+    position = fresh_name_position()
+
+    def record(report, solver, kind, reported, elapsed, note):
+        report.bugs.append(
+            BugRecord(
+                kind=kind,
+                solver=solver.name,
+                oracle=mutant.oracle,
+                reported=reported,
+                script=mutant.script,
+                seed_indices=mutant.seed_indices,
+                schemes=mutant.schemes,
+                logic=mutant.logic,
+                elapsed=elapsed,
+                note=note,
+                iteration=iteration,
+                strategy=mutant.strategy,
+            )
+        )
+
+    for solver, report in zip(solvers, reports):
         if getattr(solver, "quarantined", False):
             # Circuit breaker tripped: degrade gracefully to the
             # remaining solvers instead of hammering a dead one.
@@ -161,6 +183,7 @@ def check_mutant(
             tel.count("quarantine_skips")
             report.quarantined.add(solver.name)
             continue
+        rewind_fresh_names(position)
         began = time.perf_counter()
         try:
             with tel.phase("solve"):
@@ -180,21 +203,13 @@ def check_mutant(
             if contained:
                 report.contained_errors += 1
             tel.count("bugs.harness" if contained else "bugs.crash")
-            report.bugs.append(
-                BugRecord(
-                    kind=HARNESS if contained else CRASH,
-                    solver=solver.name,
-                    oracle=mutant.oracle,
-                    reported=str(crash),
-                    script=mutant.script,
-                    seed_indices=mutant.seed_indices,
-                    schemes=schemes,
-                    logic=mutant.logic,
-                    elapsed=time.perf_counter() - began,
-                    note=getattr(crash, "fault_id", ""),
-                    iteration=iteration,
-                    strategy=mutant.strategy,
-                )
+            record(
+                report,
+                solver,
+                HARNESS if contained else CRASH,
+                str(crash),
+                time.perf_counter() - began,
+                getattr(crash, "fault_id", ""),
             )
             continue
         elapsed = time.perf_counter() - began
@@ -212,21 +227,13 @@ def check_mutant(
             ):
                 slow_faults = outcome.stats.get("slow_faults", [])
                 tel.count("bugs.performance")
-                report.bugs.append(
-                    BugRecord(
-                        kind=PERFORMANCE,
-                        solver=solver.name,
-                        oracle=mutant.oracle,
-                        reported=f"{elapsed:.2f}s",
-                        script=mutant.script,
-                        seed_indices=mutant.seed_indices,
-                        schemes=schemes,
-                        logic=mutant.logic,
-                        elapsed=elapsed,
-                        note=slow_faults[0] if slow_faults else "",
-                        iteration=iteration,
-                        strategy=mutant.strategy,
-                    )
+                record(
+                    report,
+                    solver,
+                    PERFORMANCE,
+                    f"{elapsed:.2f}s",
+                    elapsed,
+                    slow_faults[0] if slow_faults else "",
                 )
             if outcome.result is SolverResult.UNKNOWN:
                 report.unknowns += 1
@@ -248,38 +255,17 @@ def check_mutant(
                     unknown_is_crash,
                 ):
                     tel.count("bugs.unknown")
-                    report.bugs.append(
-                        BugRecord(
-                            kind=UNKNOWN_BUG,
-                            solver=solver.name,
-                            oracle=mutant.oracle,
-                            reported="unknown",
-                            script=mutant.script,
-                            seed_indices=mutant.seed_indices,
-                            schemes=schemes,
-                            logic=mutant.logic,
-                            elapsed=elapsed,
-                            note=outcome.reason,
-                            iteration=iteration,
-                            strategy=mutant.strategy,
-                        )
+                    record(
+                        report, solver, UNKNOWN_BUG, "unknown", elapsed, outcome.reason
                     )
                 continue
             if classify_answer(outcome.result, mutant.oracle) == SOUNDNESS:
                 tel.count("bugs.soundness")
-                report.bugs.append(
-                    BugRecord(
-                        kind=SOUNDNESS,
-                        solver=solver.name,
-                        oracle=mutant.oracle,
-                        reported=str(outcome.result),
-                        script=mutant.script,
-                        seed_indices=mutant.seed_indices,
-                        schemes=schemes,
-                        logic=mutant.logic,
-                        elapsed=elapsed,
-                        note=outcome.reason,
-                        iteration=iteration,
-                        strategy=mutant.strategy,
-                    )
+                record(
+                    report,
+                    solver,
+                    SOUNDNESS,
+                    str(outcome.result),
+                    elapsed,
+                    outcome.reason,
                 )

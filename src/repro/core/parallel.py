@@ -72,7 +72,7 @@ class ShardTask:
     seed_texts: tuple
     logics: tuple
     shard: int
-    cell: tuple | None = None  # (solver, family, oracle) for journaling
+    cell: tuple | None = None  # the leased (family, oracle)
     solver_names: tuple | None = None  # None = all of the worker's solvers
     quarantined: tuple = ()  # names to pre-quarantine (cross-worker breaker)
     # Lease fields (stamped by the Supervisor). ``indices`` overrides
@@ -146,7 +146,8 @@ class CellRunner:
         progress=None,
     ):
         """Run iterations ``indices`` of one cell checked by ``solvers``
-        (some of this runner's); return the cell or lease report.
+        (some of this runner's); return the cell or lease report of each
+        solver, in ``solvers`` order.
 
         ``telemetry`` observes this one cell or lease; ``hook`` and
         ``progress`` are the lease additions of
@@ -228,7 +229,7 @@ def run_worker_task(task, hook=None):
     # long-lived worker's history.
     telemetry = Telemetry.from_config(telemetry_config)
     try:
-        report = runner.run(
+        reports = runner.run(
             task.oracle,
             runner.scripts_for(task.seed_texts),
             task.logics,
@@ -243,8 +244,12 @@ def run_worker_task(task, hook=None):
         if telemetry is not None:
             telemetry.close()
     return {
-        "report": serialize_report(report, unknown_split=True),
-        "elapsed": report.elapsed,
+        # (name, report) pairs in solver order: frames sort dict keys.
+        "reports": [
+            [solver.name, serialize_report(report, unknown_split=True)]
+            for solver, report in zip(solvers, reports)
+        ],
+        "elapsed": reports[0].elapsed,
         "pid": os.getpid(),
         "telemetry": telemetry_snapshot,
         "guards": [
@@ -287,15 +292,18 @@ def reconstruct_iteration_script(spec, task, index):
 
 
 def collect_shard(payload):
-    """Deserialize a worker payload back into a YinYangReport.
+    """Deserialize a worker payload back into ``{solver name:
+    YinYangReport}``, in solver order.
 
-    The report's scripts come back as SMT-LIB text (exactly what the
+    The reports' scripts come back as SMT-LIB text (exactly what the
     journal stores); ``elapsed`` — excluded from the deterministic
     serialization — is restored from the payload side-channel so
     throughput accounting still works.
     """
     from repro.robustness.journal import deserialize_report
 
-    report = deserialize_report(payload["report"])
-    report.elapsed = payload["elapsed"]
-    return report
+    reports = {}
+    for name, data in payload["reports"]:
+        report = reports[name] = deserialize_report(data)
+        report.elapsed = payload["elapsed"]
+    return reports

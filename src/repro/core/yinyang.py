@@ -30,7 +30,8 @@ across workers and merge the partial reports back in index order — the
 bug records of a run are a pure function of ``(strategy, seed,
 iterations)``.
 
-One method iterates over iteration indices: :meth:`YinYang.run_cell`.
+One method iterates over iteration indices: :meth:`YinYang.run_cell`,
+which draws each mutant once and returns one report per solver.
 :meth:`YinYang.test` runs it ``serial`` (in this process), and its
 ``process`` mode leases shards of the index space to a supervised
 fleet of local worker processes, each of which runs every lease
@@ -170,6 +171,13 @@ class YinYangReport:
         }
 
 
+# The report fields merging sums (bugs, quarantine and elapsed aside).
+_SUMMED = (
+    "iterations", "fused", "fusion_failures", "unknowns", "retries", "timeouts",
+    "contained_errors", "quarantine_skips", "unknowns_budget", "unknowns_genuine",
+)
+
+
 def merge_shard_reports(reports):
     """Merge per-shard reports into one, independent of the sharding.
 
@@ -181,21 +189,30 @@ def merge_shard_reports(reports):
     """
     merged = YinYangReport()
     for report in reports:
-        merged.iterations += report.iterations
-        merged.fused += report.fused
+        for key in _SUMMED:
+            setattr(merged, key, getattr(merged, key) + getattr(report, key))
         merged.elapsed = max(merged.elapsed, report.elapsed)
         merged.bugs.extend(report.bugs)
-        merged.fusion_failures += report.fusion_failures
-        merged.unknowns += report.unknowns
-        merged.retries += report.retries
-        merged.timeouts += report.timeouts
-        merged.contained_errors += report.contained_errors
-        merged.quarantine_skips += report.quarantine_skips
         merged.quarantined |= report.quarantined
-        merged.unknowns_budget += report.unknowns_budget
-        merged.unknowns_genuine += report.unknowns_genuine
     merged.bugs.sort(key=lambda b: b.iteration)  # stable: intra-iteration order kept
     return merged
+
+
+def combine_solver_reports(reports):
+    """One report from the per-solver ``reports`` of the same iterations:
+    iteration counters (iterations, mutants, failed draws, unresolved
+    oracles) once, check counters summed, bugs in iteration order, then
+    solver order."""
+    combined = merge_shard_reports(reports)
+    first = reports[0]
+    checked = sum(r.unknowns_budget + r.unknowns_genuine for r in reports)
+    combined.iterations = first.iterations
+    combined.fused = first.fused
+    combined.fusion_failures = first.fusion_failures
+    combined.unknowns = (
+        first.unknowns - first.unknowns_budget - first.unknowns_genuine + checked
+    )
+    return combined
 
 
 def shard_indices(iterations, shard, of):
@@ -307,11 +324,12 @@ class YinYang:
         the same supervised
         :class:`~repro.distributed.coordinator.Coordinator` path as a
         process campaign: a worker death is healed by retry, and an
-        iteration that keeps failing its worker is bisected out. The
-        cell names no solver, so every solver ``solver_factory`` builds
-        checks each mutant. With no journal to quarantine a poisoned
-        iteration in, it is raised as a
-        :class:`~repro.errors.ReproError` once every other shard is done.
+        iteration that keeps failing its worker is bisected out. Like
+        every cell, it is checked by every solver ``solver_factory``
+        builds. With no journal to quarantine a poisoned iteration in,
+        it is raised as a :class:`~repro.errors.ReproError` once every
+        other shard is done. Either mode returns one report for all
+        solvers (:func:`combine_solver_reports`).
         """
         scripts = [getattr(s, "script", s) for s in seeds]
         logics = [getattr(s, "logic", "") for s in seeds]
@@ -320,7 +338,7 @@ class YinYang:
         iterations = iterations if iterations is not None else self.config.max_iterations
         if mode == "serial":
             work = self.strategy.prepare(oracle, scripts, logics)
-            return self.run_cell(work, range(iterations))
+            return combine_solver_reports(self.run_cell(work, range(iterations)))
         if mode != "process":
             raise ValueError(f"mode must be 'serial' or 'process', got {mode!r}")
         # Imported lazily: the campaign and distributed layers import
@@ -338,17 +356,21 @@ class YinYang:
             mode="process",
             workers=workers,
         )
-        key = (None, None, oracle)
         result = CampaignResult()
+        reports = []
         start = time.perf_counter()
         with Coordinator(spec, telemetry=self.telemetry) as coordinator:
-            coordinator.run_cells(result, [(key, None, seeds)])
+            coordinator.run_cells(
+                result,
+                [((None, oracle), seeds, None)],
+                lambda _cell, pairs: reports.extend(r for _name, r in pairs),
+            )
         if result.poisoned:
             detail = ", ".join(
                 f"{p.iteration} ({p.classification})" for p in result.poisoned
             )
             raise ReproError(f"iterations kept failing their worker: {detail}")
-        report = result.reports[key]
+        report = combine_solver_reports(reports)
         report.elapsed = time.perf_counter() - start
         return report
 
@@ -375,20 +397,23 @@ class YinYang:
 
     def run_cell(self, work, indices, hook=None, progress=None, strategy=None):
         """Run the iterations whose global ids are in ``indices`` over a
-        prepared ``work`` item; return their report.
+        prepared ``work`` item; return one report per solver, in order.
 
         This is the one loop over iteration indices: serial runs, mixed
         fusion, serial campaign cells and every fleet lease come
-        through here. A full run is ``run_cell(work, range(n))``, and
-        any partition of ``range(n)`` merges back (via
-        :func:`merge_shard_reports`) to the same report.
+        through here. Each iteration draws one mutant and checks it
+        against every solver; each solver's report counts every
+        iteration plus its own checks, as if that solver ran alone. Any
+        partition of ``range(n)`` merges back (via
+        :func:`merge_shard_reports`, per solver) to the same reports.
 
         Per iteration: replay the checkpoint ``progress`` (a
         :class:`~repro.robustness.journal.ShardProgress`) holds for it,
-        if any; else call ``hook(index)`` (a fleet worker's beat and
-        planned chaos faults), run the iteration, and checkpoint it to
-        ``progress``. Because each iteration is self-contained, the
-        report is the same whichever iterations were replayed.
+        if it holds every solver's report; else call ``hook(index)`` (a
+        fleet worker's beat and planned chaos faults), run the
+        iteration, and checkpoint it to ``progress``. Because each
+        iteration is self-contained, the reports are the same whichever
+        iterations were replayed.
 
         The cell's session lives for this call and is closed after it,
         and profiling samples are taken once at the end, never per
@@ -399,8 +424,9 @@ class YinYang:
         strategy = self.strategy if strategy is None else strategy
         seed = self.config.seed
         mutant_counter = "mutants." + strategy.name
-        report = YinYangReport()
-        parts = [report]
+        names = [solver.name for solver in self.solvers]
+        reports = [YinYangReport() for _ in names]
+        parts = [reports]
         if progress is not None:
             # Imported lazily: repro.robustness imports this module.
             from repro.robustness.journal import deserialize_report, serialize_report
@@ -410,19 +436,20 @@ class YinYang:
             for index in indices:
                 if progress is not None:
                     done = progress.completed.get(index)
-                    if done is not None:
-                        parts.append(deserialize_report(done))
+                    if done is not None and all(name in done for name in names):
+                        parts.append([deserialize_report(done[n]) for n in names])
                         continue
                 if hook is not None:
                     hook(index)
-                # A checkpointed iteration gets a report of its own.
-                into = report if progress is None else YinYangReport()
+                # A checkpointed iteration gets reports of its own.
+                into = reports if progress is None else [YinYangReport() for _ in names]
                 self._one_iteration(
                     strategy, work, index, seed, into, mutant_counter, session
                 )
                 if progress is not None:
                     self._note_quarantined(into)
-                    progress.record(index, serialize_report(into, unknown_split=True))
+                    data = [serialize_report(r, unknown_split=True) for r in into]
+                    progress.record(index, dict(zip(names, data)))
                     parts.append(into)
             self._tel.sample_term_tables()
             self._tel.sample_guards(self.solvers)
@@ -431,22 +458,25 @@ class YinYang:
             if session is not None:
                 session.close()
         if len(parts) > 1:
-            report = merge_shard_reports(parts)
-        self._note_quarantined(report)
-        report.elapsed = time.perf_counter() - start
-        return report
+            reports = [merge_shard_reports(column) for column in zip(*parts)]
+        self._note_quarantined(reports)
+        elapsed = time.perf_counter() - start
+        for report in reports:
+            report.elapsed = elapsed
+        return reports
 
-    def _note_quarantined(self, report):
-        for solver in self.solvers:
+    def _note_quarantined(self, reports):
+        for solver, report in zip(self.solvers, reports):
             if getattr(solver, "quarantined", False):
                 report.quarantined.add(solver.name)
 
     def _one_iteration(
-        self, strategy, work, index, seed, report, mutant_counter, session=None
+        self, strategy, work, index, seed, reports, mutant_counter, session=None
     ):
         tel = self._tel
         rng = iteration_rng(seed, index)
-        report.iterations += 1
+        for report in reports:
+            report.iterations += 1
         tel.count("iterations")
         # The fresh-name scope makes the mutated script a pure function
         # of (strategy, seed, index): gensyms restart at 0 for every
@@ -458,16 +488,19 @@ class YinYang:
             except MutationError:
                 # "fusion_failures" counts failed mutation draws of any
                 # strategy; the name is journal-format legacy.
-                report.fusion_failures += 1
+                for report in reports:
+                    report.fusion_failures += 1
                 tel.count("fusion_failures")
                 return
-            report.fused += 1
+            for report in reports:
+                report.fused += 1
             tel.count("fused")
             tel.count(mutant_counter)
             if not mutant.oracle:
                 # Differential strategy whose ground truth could not be
                 # established: nothing to compare against, skip checks.
-                report.unknowns += 1
+                for report in reports:
+                    report.unknowns += 1
                 tel.count("oracle_unresolved")
                 return
             directive = None
@@ -485,7 +518,7 @@ class YinYang:
             check_mutant(
                 self.solvers,
                 mutant,
-                report,
+                reports,
                 tel,
                 performance_threshold=self.performance_threshold,
                 unknown_is_crash=self.config.unknown_is_crash,
@@ -508,7 +541,8 @@ class YinYang:
             iterations if iterations is not None else self.config.max_iterations
         )
         work = strategy.prepare_pools(sat_scripts, unsat_scripts)
-        return self.run_cell(work, range(iterations), strategy=strategy)
+        reports = self.run_cell(work, range(iterations), strategy=strategy)
+        return combine_solver_reports(reports)
 
     # -- single-shot helpers --------------------------------------------------
 

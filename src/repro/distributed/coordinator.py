@@ -5,21 +5,23 @@ backend: a socket :class:`~repro.distributed.endpoint.TcpFleet` (for a
 process campaign, a fleet on 127.0.0.1 that spawns its own workers).
 The coordinator owns exactly three responsibilities:
 
-1. **planning** — each remaining (solver, family, oracle) cell becomes
-   ``workers`` strided shard leases, each with a crash-safe progress
-   log next to the journal;
+1. **planning** — each remaining (family, oracle) cell becomes
+   ``workers`` strided shard leases, checked by the solvers that still
+   lack its journaled report, each with a crash-safe progress log next
+   to the journal;
 2. **supervision** — one :class:`~repro.robustness.supervisor.Supervisor`
    spans the whole campaign (restart budget and counters are
    campaign-global) and drives every lease to completion through
    retries, bisection and poison quarantine, whatever the transport;
 3. **merging** — shard payloads come home in *completion* order, from
    any worker, possibly as several bisected fragments per shard; the
-   stable-global-id merge reassembles them into the canonical cell
-   report, so the journal's bytes are a pure function of the plan, not
-   of scheduling.
+   stable-global-id merge reassembles them into each solver's
+   canonical cell report, so the journal's bytes are a pure function of
+   the plan, not of scheduling.
 
 Resume needs nothing from the coordinator beyond the plan: a cell the
-journal lacks is leased again, and each of its leases replays the
+journal lacks for some solver is leased again for those solvers, and
+each of its leases replays the
 iterations its progress log already holds — whichever worker wrote
 them.
 """
@@ -34,7 +36,11 @@ from repro.core.parallel import (
     reconstruct_iteration_script,
     serialize_seeds,
 )
-from repro.core.yinyang import merge_shard_reports, shard_indices
+from repro.core.yinyang import (
+    combine_solver_reports,
+    merge_shard_reports,
+    shard_indices,
+)
 from repro.distributed.endpoint import TcpFleet
 from repro.observability.telemetry import NULL_TELEMETRY
 from repro.robustness.journal import lease_progress_path
@@ -76,16 +82,13 @@ class Coordinator:
 
     def _on_poison(self, record):
         if self.journal is not None:
-            self.journal.record_poison(tuple(record.cell), record.as_dict())
+            self.journal.record_poison(record.cell, record.as_dict())
 
     # -- planning ---------------------------------------------------------
 
-    def plan_cell(self, key, texts, logics, quarantined):
-        """The cell's shard leases.
-
-        A cell whose key names no solver (``YinYang.test``'s one cell)
-        is checked by every solver the workers build.
-        """
+    def plan_cell(self, cell, texts, logics, solver_names, quarantined):
+        """The shard leases of one (family, oracle) ``cell``, checked by
+        ``solver_names`` (``None``: every solver the workers build)."""
         workers = self.spec.workers
         leases = []
         for shard in range(workers):
@@ -95,74 +98,76 @@ class Coordinator:
             progress_path = None
             if self.journal is not None:
                 progress_path = lease_progress_path(
-                    self.journal.path, key, shard, workers
+                    self.journal.path, cell, shard, workers
                 )
             task = ShardTask(
-                oracle=key[2],
+                oracle=cell[1],
                 seed_texts=texts,
                 logics=logics,
                 shard=shard,
-                cell=key,
-                solver_names=None if key[0] is None else (key[0],),
+                cell=cell,
+                solver_names=solver_names,
                 quarantined=tuple(sorted(quarantined)),
                 progress_path=progress_path,
             )
-            leases.append(self.supervisor.lease((key, shard), task, indices))
+            leases.append(self.supervisor.lease((cell, shard), task, indices))
         return leases
 
     # -- the cell loop ----------------------------------------------------
 
-    def run_cells(self, result, remaining):
-        """Drive every remaining cell to completion; fold into ``result``.
+    def run_cells(self, result, remaining, commit):
+        """Drive every remaining ``(cell, seeds, solver_names)`` to
+        completion, in canonical order, one at a time; hand each cell's
+        merged ``[(solver name, report)]`` to ``commit(cell, pairs)``.
 
-        Cells run in canonical order, one at a time, with per-shard
-        counters, quarantine aggregation between cells (once any
-        shard's breaker trips for a solver, later cells pre-quarantine
-        it everywhere, mirroring serial mode where one guard object
-        spans the campaign) and a journal commit per completed cell.
+        Per-shard counters go to ``result.shard_counters[cell]``, and
+        quarantine is aggregated between cells (once any shard's breaker
+        trips for a solver, later cells pre-quarantine it everywhere,
+        mirroring serial mode where one guard object spans the campaign).
         """
-        from repro.campaign.runner import _absorb_cell
-
         telemetry = self.telemetry
         workers = self.spec.workers
-        journal = self.journal
         quarantined = set()
-        seed_text_cache = {}
-        for key, _solver, seeds in remaining:
-            cache_key = (key[1], key[2])
-            if cache_key not in seed_text_cache:
-                # The print phase: seeds cross to workers as SMT-LIB text.
-                with (telemetry or NULL_TELEMETRY).phase("print"):
-                    seed_text_cache[cache_key] = serialize_seeds(seeds)
-            texts, logics = seed_text_cache[cache_key]
-            leases = self.plan_cell(key, texts, logics, quarantined)
+        for cell, seeds, solver_names in remaining:
+            # The print phase: seeds cross to workers as SMT-LIB text.
+            with (telemetry or NULL_TELEMETRY).phase("print"):
+                texts, logics = serialize_seeds(seeds)
+            leases = self.plan_cell(cell, texts, logics, solver_names, quarantined)
             outcome = self.supervisor.run(leases)
-            shard_reports = {}
-            counters = {}
-            for (_cell, shard), pairs in outcome.items():
-                reports = []
-                pid = None
+            # Bisected fragments and shards merge per solver; merging
+            # orders bugs by iteration, so completion order is invisible.
+            per_solver = {}
+            counters = []
+            for (_cell, shard), pairs in sorted(outcome.items()):
+                shard_fragments = [collect_shard(p) for _lease, p in pairs]
                 for _lease, payload in pairs:
-                    reports.append(collect_shard(payload))
-                    pid = payload["pid"]
                     if telemetry is not None and payload.get("telemetry") is not None:
                         telemetry.merge_snapshot(payload["telemetry"])
-                report = shard_reports[shard] = (
-                    reports[0] if len(reports) == 1 else merge_shard_reports(reports)
+                if solver_names is None:
+                    solver_names = list(shard_fragments[0])
+                reports = [
+                    merge_shard_reports([f[name] for f in shard_fragments])
+                    for name in solver_names
+                ]
+                counters.append(
+                    {
+                        "shard": shard,
+                        "of": workers,
+                        "pid": pairs[-1][1]["pid"],
+                        **combine_solver_reports(reports).counters(),
+                        "elapsed": reports[0].elapsed,
+                    }
                 )
-                counters[shard] = {
-                    "shard": shard,
-                    "of": workers,
-                    "pid": pid,
-                    **report.counters(),
-                    "elapsed": report.elapsed,
-                }
-            merged = merge_shard_reports(
-                [shard_reports[shard] for shard in sorted(shard_reports)]
-            )
-            quarantined |= merged.quarantined
-            result.shard_counters[key] = [counters[shard] for shard in sorted(counters)]
-            _absorb_cell(result, key, merged, journal, telemetry)
+                for name, report in zip(solver_names, reports):
+                    per_solver.setdefault(name, []).append(report)
+            merged = [
+                (name, merge_shard_reports(per_solver.get(name, [])))
+                for name in solver_names or ()
+            ]
+            for _name, report in merged:
+                quarantined |= report.quarantined
+            result.shard_counters[cell] = counters
+            commit(cell, merged)
         result.poisoned = list(self.supervisor.poisoned)
         result.supervision = dict(self.supervisor.counters)
         return result

@@ -19,8 +19,9 @@ Message types (the ``type`` key of every frame):
                 main script path for workers it spawned itself
 ``ready``       worker → coordinator: pull request — "I want a lease"
 ``lease``       coordinator → worker: one ShardTask to run
-``result``      worker → coordinator: the lease's payload (report,
-                telemetry snapshot, guard states — all JSON-ready)
+``result``      worker → coordinator: the lease's payload (one report
+                per solver, telemetry snapshot, guard states — all
+                JSON-ready)
 ``error``       worker → coordinator: the lease failed in-process, with
                 a death classification the supervisor understands; with
                 no ``lease_id``, the worker could not set itself up
@@ -60,10 +61,9 @@ from dataclasses import fields
 
 from repro.errors import ReproError
 
-#: Version 3: a worker reports liveness in ``beat`` frames, and a lease
-#: frame carries only the cell's seeds, the shard and the lease
-#: bookkeeping (campaign constants come in the spec frame).
-PROTOCOL_VERSION = 3
+#: Version 4: a lease is a (family, oracle) cell checked by the solvers
+#: it names, and its result carries one report per solver.
+PROTOCOL_VERSION = 4
 
 #: Hard ceiling on one frame's payload (64 MiB). Real frames are a few
 #: KiB (tasks) to a few MiB (shard reports with bug scripts); anything

@@ -216,13 +216,14 @@ def coverage_rows(snapshot):
 
 
 def poison_rows(journal):
-    """(cell, iteration, classification, attempts, strategy/seed) rows
-    for the quarantined poison-iteration artifacts of a journal."""
+    """(family/oracle cell, iteration, classification, attempts,
+    strategy/seed) rows for the quarantined poison-iteration artifacts
+    of a journal."""
     rows = []
     for entry in journal.poison_entries():
         rows.append(
             (
-                f"{entry['solver']}/{entry['family']}/{entry['oracle']}",
+                f"{entry['family']}/{entry['oracle']}",
                 entry.get("iteration", "?"),
                 entry.get("classification", "?"),
                 entry.get("attempts", "?"),

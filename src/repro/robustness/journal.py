@@ -275,7 +275,8 @@ class CampaignJournal:
         self._commit()
 
     def record_poison(self, cell, data):
-        """Append one quarantined poison-iteration artifact.
+        """Append one quarantined poison-iteration artifact of the
+        leased ``(family, oracle)`` cell.
 
         ``data`` is the JSON-ready artifact dict (iteration id,
         classification, attempts, strategy, seed, rlimits, formula
@@ -284,11 +285,10 @@ class CampaignJournal:
         Poison entries only ever appear in campaigns that met such an
         iteration — failure-free journals keep their exact bytes.
         """
-        solver, family, oracle = cell
+        family, oracle = cell
         self.entries.append(
             {
                 "type": "poison",
-                "solver": solver,
                 "family": family,
                 "oracle": oracle,
                 **data,
@@ -359,7 +359,8 @@ class ShardProgress:
 
     Deliberately *not* the atomic-rewrite discipline of
     :class:`CampaignJournal`: a shard lease records one line per
-    finished iteration (``{"type": "iter", "i": id, "report": ...}``),
+    finished iteration (``{"type": "iter", "i": id, "reports": {solver:
+    report}}``),
     flushed but never rewritten, so the cost per iteration is one
     small append instead of a full-file fsync+rename. The price is a
     possible torn final line when a worker dies mid-write; the loader
@@ -421,7 +422,7 @@ class ShardProgress:
             return
         for entry in entries[1:]:
             if entry.get("type") == "iter":
-                self.completed[entry["i"]] = entry["report"]
+                self.completed[entry["i"]] = entry["reports"]
 
     def _reset(self):
         try:
@@ -448,7 +449,8 @@ class ShardProgress:
             handle.write(line)
             handle.flush()
 
-    def record(self, index, report_data):
-        """Durably append one completed iteration's serialized report."""
-        self.completed[index] = report_data
-        self._append({"type": "iter", "i": index, "report": report_data})
+    def record(self, index, reports):
+        """Durably append one completed iteration's serialized reports,
+        ``{solver name: report}``."""
+        self.completed[index] = reports
+        self._append({"type": "iter", "i": index, "reports": reports})

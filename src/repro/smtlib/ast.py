@@ -773,6 +773,12 @@ def skip_fresh_names(n):
         _FRESH_STATE.value = getattr(_FRESH_STATE, "value", 0) + n
 
 
+def rewind_fresh_names(position):
+    """Set the gensym counter back to ``position``: each solver check of
+    one mutant starts where the mutation left it, as if it ran alone."""
+    _FRESH_STATE.value = position
+
+
 @contextlib.contextmanager
 def fresh_scope(start=0):
     """Scope the fresh-name counter *and* the intern table: reset both

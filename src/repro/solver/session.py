@@ -14,7 +14,8 @@ campaign's theory memo:
   fresh :class:`~repro.solver.result.CheckOutcome` copies because
   wrappers (the fault layer) mutate ``outcome.stats``. The cache is
   cleared at every iteration boundary (:meth:`begin_iteration`): its
-  job is deduplicating the N-solvers-per-mutant fan-out — a hit means
+  job is deduplicating the fan-out of each mutant to every solver
+  under test (``check_mutant``) — a hit means
   "this exact check already ran *this iteration*" — and the
   iteration scoping is what makes hits provably independent of how a
   campaign is sharded (no shard can see another iteration's entries).
@@ -25,10 +26,10 @@ campaign's theory memo:
   miss would have computed. The memo is not the session's own: it is
   a plain dict scoped to the campaign process (serial: the whole
   campaign; a process or tcp worker: the worker's lifetime), shared by
-  every cell's session and by opfuzz's differential oracle. Cells of
-  different solvers draw the same mutants, and mutants of the same
-  seeds keep re-asserting the same theory atoms, so the repeats span
-  cells as well as iterations. It is never module state: two
+  every cell's session and by opfuzz's differential oracle. Mutants of
+  the same seeds keep re-asserting the same theory atoms, and the
+  oracle and the solvers under test check the same mutants, so the
+  repeats span checks as well as iterations. It is never module state: two
   campaigns in one process build two memos.
 - a **warm SAT prototype**: the cell's seed assertions, Tseitin-encoded
   once with a *selector* (assumption) variable guarding each

@@ -29,10 +29,10 @@ With incremental solving on, the oracle solves through a session that
 holds the campaign's theory memo and nothing else: no warm prototype,
 and an outcome cache cleared before every solve. Theory checks are pure
 functions of their arguments, so a memo hit replays the miss exactly
-and the oracle's verdicts stay the cold reference's verdicts. The
-cells of every solver under test draw the same mutants (each runs the
-same ``iteration_rng`` stream over the same seed pool), so most of the
-oracle's theory checks are repeats the memo answers.
+and the oracle's verdicts stay the cold reference's verdicts. A
+campaign cell draws each mutant once for all solvers under test, so the
+oracle solves each mutant once; the memo answers the theory checks that
+mutants of one seed pool repeat.
 
 Occurrences are counted in *tree* preorder (a shared DAG node occurring
 twice is two occurrences), skipping quantifier bodies; unmutated

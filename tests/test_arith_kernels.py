@@ -55,7 +55,10 @@ KERNEL_CAMPAIGNS = {
     "QF_SLIA": ("QF_SLIA", 0.001, 3, 3, 3, True),
 }
 
-# name -> {kernel: [calls, sha256]}
+# name -> {kernel: [calls, sha256]}. The cold campaigns, QF_NRA-cold's
+# ICP and LRA's linear check were re-pinned when a campaign cell began
+# checking each mutant against both solvers in turn: the same calls,
+# each with the same inputs and answer, interleaved in that order.
 GOLDEN_KERNELS = {
     "NRA": {
         "icp": [57, "766c84f0a5e751c91d0f183eaa879dcf608639d5d7474c8501ea106d4c7e1d67"],
@@ -63,15 +66,15 @@ GOLDEN_KERNELS = {
     },
     "NRA-cold": {
         "icp": [57, "766c84f0a5e751c91d0f183eaa879dcf608639d5d7474c8501ea106d4c7e1d67"],
-        "linear": [78, "da6fc0dc4805edbe20356e346aca910fdaaf2038e9bdc7e13bb0e9cccfa85b43"],
+        "linear": [78, "ab587e9ea579cfcf43a9b19161af567d082e7d3901b4d2cdf8acdaac29185b35"],
     },
     "QF_NRA": {
         "icp": [86, "6ce10872465e0bf809c57430511cb96a8571c2761bdb73c2ec171510297cea69"],
         "linear": [36, "ec56e3487fc07937bb399b44a4bca56ad67d210ba209f827823090be1a0775b3"],
     },
     "QF_NRA-cold": {
-        "icp": [108, "34d65b5dbff823465d812c9224610f27cd0f21b1ea5a08d18f75a6be48edf768"],
-        "linear": [42, "e10aafe563c19bd82fd2055b183935b6d253a72757d8cf389847db2da95f208d"],
+        "icp": [108, "9267cf9f6a6d6ead848e455b9b5859ba508c71ef2f10d410d8586fce3cbf47b8"],
+        "linear": [42, "a2fcd11a675b560f8ed36435b62c7467db122d833994c79fecee4d5088fc8409"],
     },
     "LIA": {
         "icp": [0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
@@ -79,7 +82,7 @@ GOLDEN_KERNELS = {
     },
     "LIA-cold": {
         "icp": [0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
-        "linear": [60, "d7cfa9b0a4b5bac869e8364917a61ff472b2691a5b3cfad942ed27a119260d40"],
+        "linear": [60, "6eb87179c062b73b9f564f1c25d61df7c8d9562e563d1033052013a32f2166e0"],
     },
     "QF_LRA": {
         "icp": [4, "60a5c3b5ecbcb3e831124e6ad9e8fabb6725faf52f98a4abbab4b796caa6def0"],
@@ -87,7 +90,7 @@ GOLDEN_KERNELS = {
     },
     "QF_LRA-cold": {
         "icp": [8, "e0a65f808865340138741e9312fc6807be699a42296161bc9a8c9f9c96bc7f35"],
-        "linear": [222, "d5aee80756965c66cf2626981271b47038565ac08a06b46ea19b7fce2303df06"],
+        "linear": [222, "4c95155273efd4f43c6f75d9f81c34ea48c791c4ca2ecaf1ab540e601769fa1a"],
     },
     "QF_LIA": {
         "icp": [1, "825f7afb1cf78d3e09bc141a069e0758e0f8ba94568de440b1f7045013ee829f"],
@@ -95,11 +98,11 @@ GOLDEN_KERNELS = {
     },
     "QF_LIA-cold": {
         "icp": [2, "f708fe6d3215002a4143d0de64ff5d1933a93184fe0cdc12f011cd44b6547d51"],
-        "linear": [246, "bac3cd1002dc54ee13df3f3ad4041a1faa8b1f9586a16b6907f06f159c830736"],
+        "linear": [246, "346d133492e63fb50acc1da158f0dc40b2464e2a20c9c782b5ae8163d4d5fdc9"],
     },
     "LRA": {
         "icp": [9, "a9050c0138b0e8ff84262e45f70ba68cc4d9214c9d85fbe154b46ba61a207d22"],
-        "linear": [104, "2f5999da633ffa7de47d716e971f2b50983647cee7b2f6ad7cfb8f1b27fc1a0b"],
+        "linear": [104, "557394911abb7febb78cf6ea10e00c0505309d6a1a4da4511992f3c5c379f562"],
     },
     "QF_SLIA": {
         "icp": [0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],

@@ -153,7 +153,8 @@ class TestCampaignResume:
         """Run a journaled campaign that dies after ``after_cells`` cells.
 
         ``YinYang.run_cell`` is the cell loop: a serial campaign calls
-        it once per cell."""
+        it once per (family, oracle) cell, and journals the first
+        solver's report of each at once."""
         from repro.core.yinyang import YinYang
 
         original = YinYang.run_cell
@@ -195,7 +196,7 @@ class TestCampaignResume:
         ran = []
 
         def counting(self, *args, **kwargs):
-            ran.append(1)
+            ran.append(len(self.solvers))  # a cell run checks each solver
             return original(self, *args, **kwargs)
 
         YinYang.run_cell = counting
@@ -204,7 +205,7 @@ class TestCampaignResume:
         finally:
             YinYang.run_cell = original
         total_cells = len(result.reports)
-        assert sum(ran) == total_cells - 3  # the 3 journaled cells skipped
+        assert sum(ran) == total_cells - 3  # the 3 journaled solver cells skipped
 
     def test_fully_journaled_campaign_runs_nothing(self, corpora, tmp_path):
         path = tmp_path / "campaign.jsonl"
@@ -280,7 +281,7 @@ class TestJournalRefusals:
         path = tmp_path / "campaign.jsonl"
         journal = CampaignJournal(path)
         journal.ensure_meta(seed=6, iterations_per_cell=1)
-        journal.record_poison(("z3-like", "QF_LIA", "sat"), {"iteration": 0})
+        journal.record_poison(("QF_LIA", "sat"), {"iteration": 0})
         with pytest.raises(JournalError, match="resume"):
             run_campaign(lia, journal=path, **self.TINY)
 

@@ -230,3 +230,159 @@ class TestCellGoldens:
         )
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == JOURNAL_SHA256["strings"]
+
+
+class _PositionRecorder:
+    """A solver wrapper noting the fresh-name position each check
+    starts at and how many names the check drew (picklable-free: serial
+    use only)."""
+
+    def __init__(self, solver, log):
+        self.solver = solver
+        self.name = solver.name
+        self.log = log
+
+    def __getattr__(self, attr):
+        return getattr(self.solver, attr)
+
+    def check_script(self, script, directive=None, session=None):
+        from repro.smtlib.ast import fresh_name_position
+
+        began = fresh_name_position()
+        outcome = self.solver.check_script(
+            script, directive=directive, session=session
+        )
+        self.log.append((self.name, began, fresh_name_position() - began))
+        return outcome
+
+
+class TestOneDrawPerMutant:
+    def test_each_mutant_is_drawn_once_per_campaign(self, monkeypatch, tmp_path):
+        from repro.core import yinyang
+        from repro.strategies.fusion import FusionStrategy
+
+        draws = []
+        works = []  # kept alive, so no two cells' work items share an id
+        current = {}
+        original_rng = yinyang.iteration_rng
+        original_mutate = FusionStrategy.mutate
+
+        def tagged_rng(seed, index):
+            current["index"] = index
+            return original_rng(seed, index)
+
+        def counting_mutate(self, rng, work, *args, **kwargs):
+            works.append(work)
+            draws.append((id(work), current["index"]))
+            return original_mutate(self, rng, work, *args, **kwargs)
+
+        monkeypatch.setattr(yinyang, "iteration_rng", tagged_rng)
+        monkeypatch.setattr(FusionStrategy, "mutate", counting_mutate)
+        result = run_golden_campaign("arith", tmp_path / "journal.jsonl")
+        iterations = CAMPAIGNS["arith"][6]
+        cells = {key[1:] for key in result.reports}
+        assert len(draws) == len(set(draws)) == len(cells) * iterations
+        # Every solver's report still counts each of its cell's draws.
+        for report in result.reports.values():
+            assert report.iterations == iterations
+
+    def test_opfuzz_oracle_solves_once_per_iteration(self, monkeypatch, tmp_path):
+        from repro.strategies.opfuzz import OpFuzzStrategy
+
+        solves = []
+        original = OpFuzzStrategy.resolve_oracle
+
+        def counting(self, *args, **kwargs):
+            solves.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(OpFuzzStrategy, "resolve_oracle", counting)
+        result = run_golden_campaign("bv-opfuzz", tmp_path / "journal.jsonl")
+        first = result.reports[("z3-like", "QF_BV", "sat")]
+        assert first.fusion_failures == 0
+        cells = {key[1:] for key in result.reports}
+        # One reference solve per drawn mutant, not one per solver cell.
+        assert len(solves) == len(cells) * CAMPAIGNS["bv-opfuzz"][6]
+        assert len(solves) * 2 == sum(r.iterations for r in result.reports.values())
+
+    def test_every_check_of_a_mutant_starts_at_one_fresh_position(self):
+        from repro.core.config import YinYangConfig
+        from repro.core.yinyang import YinYang
+
+        log = []
+        solvers = [_PositionRecorder(s, log) for s in deterministic_solvers()]
+        seeds = build_corpus("LIA", scale=0.02, seed=5).by_oracle("sat")
+        tool = YinYang(solvers, YinYangConfig(seed=6, incremental=True))
+        tool.test("sat", seeds, iterations=6)
+        assert len(log) == 12 and [name for name, _, _ in log] == [
+            "z3-like", "cvc4-like"
+        ] * 6
+        pairs = list(zip(log[0::2], log[1::2]))
+        assert all(z3[1] == cvc4[1] for z3, cvc4 in pairs)
+        # The rewind bites: some first check drew names of its own.
+        assert any(z3[2] > 0 for z3, _cvc4 in pairs)
+
+    def test_quarantine_skips_land_in_the_quarantined_solvers_report(self, tmp_path):
+        result = run_golden_campaign("quarantine", tmp_path / "journal.jsonl")
+        for (solver, _family, _oracle), report in result.reports.items():
+            if solver == "cvc4-like":
+                assert report.quarantine_skips == 0
+                assert report.quarantined == set()
+            else:
+                assert report.quarantined == {"chaos(z3-like)"}
+        skips = sum(r.quarantine_skips for r in result.reports.values())
+        assert skips == result.resilience_counters()["quarantine_skips"] > 0
+
+
+class TestHeldReportsResume:
+    """A serial campaign journals the first solver's cells as they
+    finish and holds the later solvers' reports; an interrupt in that
+    window loses only held reports, and the resume reruns only the
+    solvers that lack them."""
+
+    def _interrupt_after_commits(self, monkeypatch, path, commits):
+        from repro.campaign import runner
+
+        original = runner._absorb_cell
+        state = {"commits": 0}
+
+        def interrupting(result, key, report, journal, telemetry=None):
+            if journal is not None and state["commits"] >= commits:
+                raise KeyboardInterrupt
+            state["commits"] += journal is not None
+            return original(result, key, report, journal, telemetry)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "_absorb_cell", interrupting)
+            with pytest.raises(KeyboardInterrupt):
+                run_golden_campaign("arith", path)
+
+    def test_resume_reruns_only_missing_solvers_byte_identically(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.core.yinyang import YinYang
+        from repro.robustness import CampaignJournal
+
+        path = tmp_path / "journal.jsonl"
+        self._interrupt_after_commits(monkeypatch, path, commits=2)
+        journaled = list(CampaignJournal(path).completed_cells())
+        assert journaled == [("z3-like", "LRA", "sat"), ("z3-like", "LRA", "unsat")]
+
+        ran = []
+        original = YinYang.run_cell
+
+        def recording(self, work, *args, **kwargs):
+            ran.append((work.oracle, [s.name for s in self.solvers]))
+            return original(self, work, *args, **kwargs)
+
+        monkeypatch.setattr(YinYang, "run_cell", recording)
+        result = run_golden_campaign("arith", path, resume=True)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == JOURNAL_SHA256["arith"]
+        assert ran == [
+            ("sat", ["cvc4-like"]),
+            ("unsat", ["cvc4-like"]),
+        ] + [(oracle, ["z3-like", "cvc4-like"]) for oracle in ("sat", "unsat")] * 2
+        assert list(result.reports) == [
+            tuple(key.split("/")) for key, _counters in REPORT_COUNTERS["arith"]
+        ]

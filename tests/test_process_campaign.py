@@ -145,7 +145,13 @@ def _leftovers(path):
 
 
 def _counted_iterations(telemetry):
+    """Iterations run (each checks its mutant against every solver)."""
     return telemetry.snapshot()["counters"]["iterations"]
+
+
+def _cell_count(keys):
+    """The (family, oracle) cells behind ``(solver, family, oracle)`` keys."""
+    return len({key[1:] for key in keys})
 
 
 #: Lease meta as ``CampaignSpec.describe`` stamps it (plus the shard).
@@ -164,9 +170,10 @@ class TestLeaseLogResume:
         # though the cell never reached the main journal.
         keys = list(baseline[0].reports)
         assert keys[2] not in _cell_keys_in_journal(path)
+        cell = keys[2][1:]  # the leased (family, oracle) cell
         logged = set()
         for shard in range(2):
-            logged |= _logged_iterations(lease_progress_path(path, keys[2], shard, 2))
+            logged |= _logged_iterations(lease_progress_path(path, cell, shard, 2))
         assert logged == set(range(CAMPAIGN["iterations_per_cell"]))
 
         telemetry = Telemetry()
@@ -179,10 +186,11 @@ class TestLeaseLogResume:
             telemetry=telemetry,
             **CAMPAIGN,
         )
-        # Three cells are done: two from the journal, the interrupted
-        # one replayed from its lease logs. Only the rest ran.
+        # The three cells that ran are replayed from their lease logs,
+        # which hold every solver's reports (the two journaled cells
+        # still lacked their second solver's). Only the last cell ran.
         per_cell = CAMPAIGN["iterations_per_cell"]
-        assert _counted_iterations(telemetry) == (len(keys) - 3) * per_cell
+        assert _counted_iterations(telemetry) == (_cell_count(keys) - 3) * per_cell
         assert resumed.summary_counters() == baseline[0].summary_counters()
         assert serialized(resumed.records) == serialized(baseline[0].records)
         assert path.read_bytes() == baseline[1]
@@ -225,9 +233,10 @@ class TestLeaseLogResume:
             telemetry=telemetry,
             **CAMPAIGN,
         )
-        # Nothing was replayed: every unjournaled cell ran in full.
+        # Nothing was replayed: every cell lacking a solver's journaled
+        # report ran in full, for the solvers it lacked.
         per_cell = CAMPAIGN["iterations_per_cell"]
-        assert _counted_iterations(telemetry) == (len(baseline[0].reports) - 2) * per_cell
+        assert _counted_iterations(telemetry) == _cell_count(baseline[0].reports) * per_cell
         assert path.read_bytes() == baseline[1]
         assert _leftovers(path) == []
 
@@ -256,7 +265,7 @@ class TestLeaseLogResume:
             **CAMPAIGN,
         )
         per_cell = CAMPAIGN["iterations_per_cell"]
-        assert _counted_iterations(telemetry) == len(baseline[0].reports) * per_cell
+        assert _counted_iterations(telemetry) == _cell_count(baseline[0].reports) * per_cell
         assert path.read_bytes() == baseline[1]
         assert _leftovers(path) == []
 

@@ -78,7 +78,10 @@ class TestJournalGoldens:
 # The QF_NRA campaign (incremental) under Telemetry(coverage=True):
 # kind -> the sorted ids of every probe it fired, recorded with
 # refutation-only probes. Against full-strength probes it lost only
-# ``nonlinear.sample_sat``, which fired inside probes alone.
+# ``nonlinear.sample_sat``, which fired inside probes alone. Since each
+# mutant goes to both solvers within one iteration, the second solver's
+# check of an unchanged mutant hits the session's outcome cache, which
+# adds ``dpllt.session_outcome_hit`` and nothing else.
 GOLDEN_FIRED = {
     "branch": [
         "dpllt.model_ok:T",
@@ -118,6 +121,7 @@ GOLDEN_FIRED = {
         "dpllt.model_guess_hit",
         "dpllt.round_budget",
         "dpllt.sat_verified",
+        "dpllt.session_outcome_hit",
         "dpllt.shrink_skipped",
         "dpllt.theory_unknown",
         "dpllt.unsat",

@@ -276,8 +276,10 @@ class TestLeasedResume:
             [parse_script(text) for text in task.seed_texts],
             list(task.logics),
         )
-        bare = tool.run_cell(work, range(spec.iterations_per_cell))
-        assert leased["report"] == serialize_report(bare, unknown_split=True)
+        [bare] = tool.run_cell(work, range(spec.iterations_per_cell))
+        assert leased["reports"] == [
+            ["z3-like", serialize_report(bare, unknown_split=True)]
+        ]
 
     def test_truncated_progress_line_reruns_iteration_same_bytes(self, tmp_path):
         spec, task = self._spec_and_task(tmp_path)
@@ -293,7 +295,7 @@ class TestLeasedResume:
         from dataclasses import replace
 
         resumed = run_worker_task(replace(task, attempt=1))
-        assert resumed["report"] == full["report"]
+        assert resumed["reports"] == full["reports"]
         # The torn iteration was re-executed and re-checkpointed.
         healed = progress_path.read_text(encoding="utf-8").splitlines()
         recorded = [json.loads(line)["i"] for line in healed[1:]]
@@ -308,7 +310,7 @@ class TestLeasedResume:
         from dataclasses import replace
 
         resumed = run_worker_task(replace(task, attempt=1))
-        assert resumed["report"] == full["report"]
+        assert resumed["reports"] == full["reports"]
         # Nothing was re-executed: the log gained no new lines.
         assert progress_path.read_text(encoding="utf-8") == before
 
@@ -358,8 +360,9 @@ class TestLeasedResume:
         payload = run_worker_task(task)
         from repro.robustness.journal import deserialize_report
 
-        report = deserialize_report(payload["report"])
-        assert report.iterations == 2
+        [(name, data)] = payload["reports"]
+        assert name == "z3-like"
+        assert deserialize_report(data).iterations == 2
 
 
 @pytest.mark.chaos

@@ -6,8 +6,6 @@ from __future__ import annotations
 from repro.faults.releases import PAPER_RELEASE_IMPACT, release_impact, releases_for
 from repro.faults.tracker import found_share, per_year_rows
 
-_SOLVER_LABELS = {"z3-like": "Z3", "cvc4-like": "CVC4"}
-
 # The paper's Figure 8 numbers, for side-by-side bench output.
 PAPER_FIG8A = {
     "Reported": (44, 13),

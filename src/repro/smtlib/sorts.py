@@ -33,11 +33,6 @@ class Sort:
     def __str__(self):
         return self.name
 
-    @property
-    def is_numeric(self):
-        """True for the arithmetic sorts Int and Real."""
-        return self.name in ("Int", "Real")
-
 
 BOOL = Sort("Bool")
 INT = Sort("Int")
@@ -107,12 +102,3 @@ def sort_by_name(name):
     if bv is not None:
         return bv
     raise KeyError(f"unknown sort: {name!r}")
-
-
-def is_known_sort(name):
-    """True if ``name`` (or an accepted alias) denotes a supported sort."""
-    return (
-        name in _BY_NAME
-        or name in _ALIASES
-        or _parse_bitvec_name(name) is not None
-    )

@@ -140,11 +140,6 @@ def theory(name):
     return _THEORIES[name]
 
 
-def theory_names():
-    """Registered theory names, in registration order."""
-    return tuple(_THEORIES)
-
-
 def value_theories():
     """Theories contributing value sorts/logics (everything but core)."""
     return tuple(t for t in _THEORIES.values() if t.logics)
@@ -222,15 +217,6 @@ def supported_logics():
     for t in _THEORIES.values():
         out.update(t.logics)
     return tuple(sorted(out))
-
-
-def backend_for_sort(sort):
-    """The solver backend owning ``sort``, or ``""`` if none claims it."""
-    for t in _THEORIES.values():
-        if sort in t.sorts or any(sort == s for s in t.fusible_sorts):
-            if t.solver_backend:
-                return t.solver_backend
-    return ""
 
 
 # -- syntax/semantics hooks ------------------------------------------------

@@ -427,12 +427,6 @@ _STRINGS = _theory.register_theory(_theory.Theory(
     solver_backend="strings",
 ))
 
-# Historical per-theory op sets, now derived from the registrations.
-CORE_OPS = set(_CORE.handlers)
-ARITH_OPS = set(_ARITHMETIC.handlers)
-STRING_OPS = {op for op in _STRINGS.handlers if op.startswith("str.")}
-REGEX_OPS = {op for op in _STRINGS.handlers if op.startswith("re.")}
-
 # The live merged dispatch table (the registry mutates it in place when
 # later theories — bitvectors — register their handlers).
 _HANDLERS = _theory.handler_table()

@@ -110,10 +110,6 @@ class LinearAtom:
         items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
         return cls(items, op, Fraction(constant))
 
-    @property
-    def coeff_dict(self):
-        return dict(self.coeffs)
-
     def evaluate(self, model):
         """Check the constraint under exact rational values."""
         total = sum(c * model[v] for v, c in self.coeffs)

@@ -122,17 +122,6 @@ class MutationStrategy:
         oracle) use it; the default ignores it.
         """
 
-    def expected_oracle(self, work):
-        """The expected verdict for mutants of ``work``.
-
-        Oracle-preserving strategies return the cell's label;
-        differential strategies return ``""`` here and stamp each
-        mutant with the ground truth they established for it.
-        """
-        if self.oracle_preservation == ORACLE_PRESERVING:
-            return work.oracle
-        return ""
-
     def theories(self):
         """Names of the registered theories this strategy can mutate
         over. The default — every value theory — fits structural

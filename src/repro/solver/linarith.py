@@ -10,6 +10,7 @@ Entry point: :func:`check_linear`.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -389,21 +390,26 @@ class Simplex:
 def _tighten_for_ints(atom, int_vars):
     """Integer bound tightening of a single atom.
 
-    For an all-integer left-hand side, ``lhs < c`` becomes
-    ``lhs <= ceil(c) - 1`` and ``lhs <= c`` becomes ``lhs <= floor(c)``,
-    which removes the fractional vertices that branch & bound would
-    otherwise chase one unit at a time.
+    An all-integer atom is first divided by the gcd ``g`` of its
+    coefficients. Then ``lhs < c`` becomes ``lhs <= ceil(c) - 1`` and
+    ``lhs <= c`` becomes ``lhs <= floor(c)``, which removes the
+    fractional vertices that branch & bound would otherwise chase one
+    unit at a time. An ``lhs = c`` with ``c`` not integral after the
+    division has no integer solution: ``None``.
     """
-    if atom.op not in ("<", "<=") or not atom.coeffs:
+    if not atom.coeffs:
         return atom
     if any(v not in int_vars or c.denominator != 1 for v, c in atom.coeffs):
         return atom
-    c = atom.constant
+    g = math.gcd(*(c.numerator for _, c in atom.coeffs))
+    c = atom.constant / g
+    if atom.op == "=":
+        return atom if c.denominator == 1 else None
+    coeffs = tuple((v, k / g) for v, k in atom.coeffs)
     if atom.op == "<":
         ceil = -((-c.numerator) // c.denominator)
-        return LinearAtom(atom.coeffs, "<=", Fraction(ceil - 1))
-    floor = c.numerator // c.denominator
-    return LinearAtom(atom.coeffs, "<=", Fraction(floor))
+        return LinearAtom(coeffs, "<=", Fraction(ceil - 1))
+    return LinearAtom(coeffs, "<=", Fraction(c.numerator // c.denominator))
 
 
 def check_linear(atoms, int_vars=(), max_branch_nodes=400):
@@ -421,6 +427,8 @@ def check_linear(atoms, int_vars=(), max_branch_nodes=400):
     int_vars = frozenset(int_vars)
     if int_vars:
         atoms = [_tighten_for_ints(a, int_vars) for a in atoms]
+        if any(atom is None for atom in atoms):
+            return UNSAT, None
     budget = [max_branch_nodes]
 
     # One tableau for the whole search: the initial constraints are

@@ -2,11 +2,9 @@
 
 This is the offline equivalent of the paper's four-month testing
 campaign, compressed: for each (corpus, oracle) cell the runner fuses
-seed pairs, checks each mutant against every solver under test (as in
-the paper's Algorithm 1) and records every bug-triggering formula, then
-triage (:mod:`repro.campaign.classify`) maps records to catalog faults.
-Each solver's results are journaled as its own (solver, corpus,
-oracle) cell, in solver-major order.
+seed pairs, checks each mutant against every solver under test and
+records every bug-triggering formula (journaled per solver), then triage
+(:mod:`repro.campaign.classify`) maps records to catalog faults.
 
 A long campaign is expected to be interrupted and to meet misbehaving
 solvers; ``run_campaign`` therefore accepts a
@@ -229,13 +227,10 @@ def _absorb_cell(result, key, report, journal, telemetry=None):
 
 
 def _committer(result, keys, journal, telemetry):
-    """``commit(cell, [(solver name, report)])`` for the cell loops.
-
-    Journal ``keys`` run solver-major: every cell of the first solver,
-    then every cell of the next. A cell run yields every solver's report
-    at once, so a report is held until every key before it is committed:
-    the journal and the result read as if each solver ran alone.
-    """
+    """``commit(cell, [(solver name, report)])`` for the cell loops: a
+    cell yields every solver's report at once, and each is held until
+    every journal key before it (``keys`` run solver-major) is committed,
+    so the journal and the result read as if each solver ran alone."""
     held = {}
     waiting = deque(keys)
 

@@ -14,10 +14,9 @@ which classifies each solver's behaviour into the paper's bug kinds:
 - **unknown** — ``unknown`` with an internal error note, or any
   ``unknown`` under the strict ``unknown_is_crash`` policy.
 
-The checker draws no randomness and gives every solver a report of
-its own, so each solver's records are a pure function of (mutant,
-that solver's state), whichever other solvers check the same mutant —
-the property every determinism guarantee upstream rests on.
+The checker draws no randomness and gives each solver a report of its
+own: a pure function of (mutant, that solver's state) — the property
+every determinism guarantee upstream rests on.
 """
 
 from __future__ import annotations

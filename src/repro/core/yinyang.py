@@ -204,14 +204,11 @@ def combine_solver_reports(reports):
     oracles) once, check counters summed, bugs in iteration order, then
     solver order."""
     combined = merge_shard_reports(reports)
-    first = reports[0]
-    checked = sum(r.unknowns_budget + r.unknowns_genuine for r in reports)
-    combined.iterations = first.iterations
-    combined.fused = first.fused
-    combined.fusion_failures = first.fusion_failures
-    combined.unknowns = (
-        first.unknowns - first.unknowns_budget - first.unknowns_genuine + checked
-    )
+    first, repeats = reports[0], len(reports) - 1
+    for key in ("iterations", "fused", "fusion_failures"):
+        setattr(combined, key, getattr(first, key))
+    unresolved = first.unknowns - first.unknowns_budget - first.unknowns_genuine
+    combined.unknowns -= repeats * unresolved
     return combined
 
 
@@ -475,9 +472,14 @@ class YinYang:
     ):
         tel = self._tel
         rng = iteration_rng(seed, index)
-        for report in reports:
-            report.iterations += 1
-        tel.count("iterations")
+
+        def tally(counter, event=None):
+            # Every solver's report counts the iteration's own events.
+            for report in reports:
+                setattr(report, counter, getattr(report, counter) + 1)
+            tel.count(event or counter)
+
+        tally("iterations")
         # The fresh-name scope makes the mutated script a pure function
         # of (strategy, seed, index): gensyms restart at 0 for every
         # iteration instead of accumulating across the run, so shard
@@ -488,20 +490,14 @@ class YinYang:
             except MutationError:
                 # "fusion_failures" counts failed mutation draws of any
                 # strategy; the name is journal-format legacy.
-                for report in reports:
-                    report.fusion_failures += 1
-                tel.count("fusion_failures")
+                tally("fusion_failures")
                 return
-            for report in reports:
-                report.fused += 1
-            tel.count("fused")
+            tally("fused")
             tel.count(mutant_counter)
             if not mutant.oracle:
                 # Differential strategy whose ground truth could not be
                 # established: nothing to compare against, skip checks.
-                for report in reports:
-                    report.unknowns += 1
-                tel.count("oracle_unresolved")
+                tally("unknowns", "oracle_unresolved")
                 return
             directive = None
             triage = self._triage

@@ -6,9 +6,8 @@ process campaign, a fleet on 127.0.0.1 that spawns its own workers).
 The coordinator owns exactly three responsibilities:
 
 1. **planning** — each remaining (family, oracle) cell becomes
-   ``workers`` strided shard leases, checked by the solvers that still
-   lack its journaled report, each with a crash-safe progress log next
-   to the journal;
+   ``workers`` strided shard leases for the solvers that lack its
+   report, each with a crash-safe progress log next to the journal;
 2. **supervision** — one :class:`~repro.robustness.supervisor.Supervisor`
    spans the whole campaign (restart budget and counters are
    campaign-global) and drives every lease to completion through
@@ -120,10 +119,9 @@ class Coordinator:
         completion, in canonical order, one at a time; hand each cell's
         merged ``[(solver name, report)]`` to ``commit(cell, pairs)``.
 
-        Per-shard counters go to ``result.shard_counters[cell]``, and
-        quarantine is aggregated between cells (once any shard's breaker
-        trips for a solver, later cells pre-quarantine it everywhere,
-        mirroring serial mode where one guard object spans the campaign).
+        Per-shard counters go to ``result.shard_counters[cell]``. Once
+        any shard's breaker trips for a solver, later cells pre-quarantine
+        it everywhere, as one guard object spans a serial campaign.
         """
         telemetry = self.telemetry
         workers = self.spec.workers

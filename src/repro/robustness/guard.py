@@ -31,7 +31,6 @@ from repro.solver.result import CheckOutcome, SolverCrash, SolverResult
 
 HARNESS_ERROR_KIND = "harness-error"
 QUARANTINED_KIND = "quarantined"
-TIMEOUT_KIND = "timeout"
 
 
 class HarnessError(SolverCrash):

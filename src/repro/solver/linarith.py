@@ -395,7 +395,7 @@ def _tighten_for_ints(atom, int_vars):
     ``lhs <= c`` becomes ``lhs <= floor(c)``, which removes the
     fractional vertices that branch & bound would otherwise chase one
     unit at a time. An ``lhs = c`` with ``c`` not integral after the
-    division has no integer solution: ``None``.
+    division has no integer solution, and becomes ``0 < 0``.
     """
     if not atom.coeffs:
         return atom
@@ -404,7 +404,7 @@ def _tighten_for_ints(atom, int_vars):
     g = math.gcd(*(c.numerator for _, c in atom.coeffs))
     c = atom.constant / g
     if atom.op == "=":
-        return atom if c.denominator == 1 else None
+        return atom if c.denominator == 1 else LinearAtom((), "<", Fraction(0))
     coeffs = tuple((v, k / g) for v, k in atom.coeffs)
     if atom.op == "<":
         ceil = -((-c.numerator) // c.denominator)
@@ -427,8 +427,6 @@ def check_linear(atoms, int_vars=(), max_branch_nodes=400):
     int_vars = frozenset(int_vars)
     if int_vars:
         atoms = [_tighten_for_ints(a, int_vars) for a in atoms]
-        if any(atom is None for atom in atoms):
-            return UNSAT, None
     budget = [max_branch_nodes]
 
     # One tableau for the whole search: the initial constraints are

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.smtlib.ast import fresh_name_position, rewind_fresh_names
+from repro.smtlib.ast import fresh_name_position, set_fresh_name_position
 from repro.solver.result import SolverCrash, SolverResult
 
 SOUNDNESS = "soundness"
@@ -182,7 +182,7 @@ def check_mutant(
             tel.count("quarantine_skips")
             report.quarantined.add(solver.name)
             continue
-        rewind_fresh_names(position)
+        set_fresh_name_position(position)
         began = time.perf_counter()
         try:
             with tel.phase("solve"):

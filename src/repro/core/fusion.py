@@ -42,7 +42,7 @@ from repro.smtlib.ast import (
     fresh_name_position,
     free_vars,
     mk_var,
-    skip_fresh_names,
+    set_fresh_name_position,
     substitute,
 )
 from repro.smtlib import theory as _theory
@@ -178,7 +178,7 @@ def _rename_apart(phi1, phi2):
         if entry is not None:
             prev_commands, asserts, vars_by_sort, extra_draws = entry
             if prev_commands == commands:
-                skip_fresh_names(extra_draws)
+                set_fresh_name_position(fresh_name_position() + extra_draws)
                 # The cached vars_by_sort holds tuples and callers only
                 # read it (pair selection copies before shuffling), so
                 # it is shared as-is; the assert list is copied because

@@ -765,17 +765,10 @@ def fresh_name_position():
     return getattr(_FRESH_STATE, "value", 0)
 
 
-def skip_fresh_names(n):
-    """Advance the gensym counter by ``n`` draws without building the
-    names — used when replaying a cached computation that drew ``n``
-    fresh names, so subsequent draws match the uncached run exactly."""
-    if n:
-        _FRESH_STATE.value = getattr(_FRESH_STATE, "value", 0) + n
-
-
-def rewind_fresh_names(position):
-    """Set the gensym counter back to ``position``: each solver check of
-    one mutant starts where the mutation left it, as if it ran alone."""
+def set_fresh_name_position(position):
+    """Move the gensym counter to ``position`` without building names:
+    a replayed cached computation skips the names it drew, and each
+    solver check of one mutant starts where the mutation left it."""
     _FRESH_STATE.value = position
 
 

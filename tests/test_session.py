@@ -5,15 +5,14 @@ Mirrors ``tests/test_triage.py``: the same three guarantees make
 per-cell solver sessions safe to leave on:
 
 1. **Verdict equivalence** — on the deterministic campaign corpus,
-   every definite verdict (``sat``/``unsat``) the cold loop produces is
-   reproduced with a session attached. Only ``unknown`` results may
-   move, and only toward definite answers (a warm attempt deciding what
-   the cold search could not). A single lost definite verdict is a lost
-   oracle check, so this suite fails on the first one.
+   every verdict the cold loop produces, ``unknown`` included, is
+   reproduced with a session attached. A single lost definite verdict
+   is a lost oracle check, so this suite fails on the first one.
 
 2. **Bug-finding power** — a fault-injected campaign finds exactly the
    same faults, in the same iterations, with incremental solving on
-   and off.
+   and off, and journals the same cells (meta aside) in every workload
+   shape of the benchmark.
 
 3. **Determinism** — incremental journals are byte-identical across
    worker counts: the prototype is a pure function of the cell, the
@@ -27,7 +26,11 @@ import pickle
 
 import pytest
 
-from repro.campaign.runner import deterministic_solvers, run_campaign
+from repro.campaign.runner import (
+    deterministic_bv_solvers,
+    deterministic_solvers,
+    run_campaign,
+)
 from repro.core.config import YinYangConfig
 from repro.core.yinyang import iteration_rng
 from repro.observability.telemetry import Telemetry
@@ -363,11 +366,13 @@ class TestVerdictEquivalence:
         ]
         assert flips == [], f"sessions flipped definite verdicts: {flips}"
 
-    def test_only_unknowns_may_improve(self, equivalence_sweep):
+    def test_verdicts_equal(self, equivalence_sweep):
+        # Sessions replay exact answers, so not even an ``unknown`` may
+        # move: a verdict that differs means a cache served a check it
+        # does not answer.
         rows, _ = equivalence_sweep
-        for _, _, _, cold, warm in rows:
-            if cold != warm:
-                assert cold == "unknown" and warm in ("sat", "unsat")
+        differ = [row for row in rows if row[3] != row[4]]
+        assert differ == [], f"sessions changed verdicts: {differ}"
 
     def test_sweep_exercises_the_warm_path(self, equivalence_sweep):
         # Without warm attempts the equivalence above proves nothing
@@ -417,6 +422,12 @@ class TestBugFindingPower:
         ]
         assert base.records, "fault-injected campaign found no bugs at all"
 
+    def test_same_cell_entries(self, campaign_pair):
+        _, _, root = campaign_pair
+        base = _cell_entries(root / "base.jsonl")
+        assert base
+        assert _cell_entries(root / "incremental.jsonl") == base
+
     def test_incremental_meta_stamped(self, campaign_pair):
         _, _, root = campaign_pair
         meta = json.loads(
@@ -435,6 +446,61 @@ class TestBugFindingPower:
     def test_non_bool_switch_rejected(self, corpora):
         with pytest.raises(TypeError, match="incremental"):
             run_campaign(corpora, incremental=object(), **CAMPAIGN)
+
+
+# name -> (families, corpus scale, corpus seed, strategy, logic, solver
+# factory, iterations per cell): the benchmark's workload shapes, small.
+JOURNAL_SHAPES = {
+    "arith": (("LRA", "QF_LIA", "QF_NRA"), 0.003, 7, "fusion", None,
+              deterministic_solvers, 6),
+    "strings": (("QF_S",), 0.0015, 5, "fusion", None, deterministic_solvers, 6),
+    "bv-fusion": (("QF_BV",), 0.02, 0, "fusion", "QF_BV",
+                  deterministic_bv_solvers, 6),
+    "bv-opfuzz": (("QF_BV",), 0.02, 0, "opfuzz", "QF_BV",
+                  deterministic_bv_solvers, 10),
+}
+
+
+def _cell_entries(path):
+    """The journal's lines, meta aside (only the meta names the session)."""
+    return [
+        line
+        for line in path.read_text().splitlines()
+        if json.loads(line).get("type") != "meta"
+    ]
+
+
+class TestJournalEquivalence:
+    """Incremental and cold campaigns journal identical cells: every
+    session cache replays an exact answer, so switching incremental
+    solving on may change the meta line and nothing else."""
+
+    @pytest.mark.parametrize("shape", sorted(JOURNAL_SHAPES))
+    def test_cell_entries_equal(self, shape, tmp_path):
+        (families, scale, corpus_seed, strategy, logic, factory,
+         iterations) = JOURNAL_SHAPES[shape]
+        entries = []
+        for incremental in (False, True):
+            path = tmp_path / f"{incremental}.jsonl"
+            run_campaign(
+                {
+                    family: build_corpus(family, scale=scale, seed=corpus_seed)
+                    for family in families
+                },
+                solvers=factory(),
+                journal=path,
+                iterations_per_cell=iterations,
+                seed=corpus_seed,
+                performance_threshold=None,
+                strategy=strategy,
+                triage=True,
+                incremental=incremental,
+                logic=logic,
+            )
+            entries.append(_cell_entries(path))
+        cold, incremental = entries
+        assert cold, "the campaign journaled no cells"
+        assert incremental == cold
 
 
 # ---------------------------------------------------------------------------

@@ -356,14 +356,13 @@ def run_campaign(
 
     ``incremental=True`` switches on incremental solving: each
     cell/shard builds a
-    :class:`~repro.solver.session.SolverSession` from its seed pool —
-    an outcome cache plus assumption-guarded warm SAT starts — over one
-    theory memo per campaign process (serial: the campaign; process or
-    tcp: each worker), which opfuzz's oracle shares too. All reuse is
-    answer-invariant by construction, so journals stay byte-identical
-    across modes and worker counts (the journal records the session
-    spec; a resume refuses to mix incremental and cold shards).
-    ``False`` keeps the cold solve path and pre-session journal bytes.
+    :class:`~repro.solver.session.SolverSession` — an outcome cache —
+    over one theory memo per campaign process (serial: the campaign;
+    process or tcp: each worker), which opfuzz's oracle shares too.
+    Both replay exact answers, so an incremental campaign journals the
+    same cells as a cold one, in every mode and at every worker count;
+    only the meta line differs (it records the session spec, and a
+    resume refuses to mix incremental and cold shards).
 
     Every argument but ``corpora``, ``solvers``, ``journal``,
     ``resume`` and ``telemetry`` goes into one frozen

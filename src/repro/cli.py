@@ -196,10 +196,10 @@ def _add_incremental_flag(parser):
     parser.add_argument(
         "--incremental",
         action="store_true",
-        help="per-cell incremental solver sessions: reuse outcome/theory "
-        "caches and assumption-guarded warm SAT starts across the "
-        "shared-seed mutant stream (answer-invariant; journals stay "
-        "byte-identical across modes and worker counts)",
+        help="per-cell incremental solver sessions: replay exact "
+        "outcome and theory-check answers across the shared-seed "
+        "mutant stream (journals the same cells as a cold run, in "
+        "every mode and at every worker count)",
     )
 
 

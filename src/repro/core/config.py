@@ -59,10 +59,10 @@ class YinYangConfig:
     # Off keeps the loop byte-identical to the pre-triage tool.
     triage: bool = False
     # Incremental solving: build one
-    # :class:`~repro.solver.session.SolverSession` per cell/shard
-    # (outcome cache, assumption-based warm SAT starts) over one theory
-    # memo per campaign process, which opfuzz's oracle shares. Off is
-    # the cold loop, byte-identical to the pre-session tool.
+    # :class:`~repro.solver.session.SolverSession` per cell/shard (an
+    # outcome cache) over one theory memo per campaign process, which
+    # opfuzz's oracle shares. Both replay exact answers; off is the
+    # cold loop, and both journal the same cells.
     incremental: bool = False
 
     def __post_init__(self):
@@ -177,7 +177,7 @@ class CampaignSpec:
         Opt-in features (triage, incremental sessions, a logic
         restriction) stamp their spec only when on, so default-campaign
         journal bytes stay stable while a resume that would mix
-        budgets, warm and cold shards, or catalogs mismatches and is
+        budgets, incremental and cold shards, or catalogs mismatches and is
         refused. Fusion journals predate strategies and omit the
         strategy key. Lease logs are transient (removed once the
         campaign lands in the main journal), so they always carry the

@@ -371,26 +371,17 @@ class YinYang:
         report.elapsed = time.perf_counter() - start
         return report
 
-    def make_session(self, work):
-        """Build the cell's :class:`~repro.solver.session.SolverSession`,
-        or ``None`` when ``config.incremental`` is off.
-
-        The session is seeded from the work item's scripts (for mixed
-        fusion, both pools): those are the assertions every mutant of
-        the cell is built from, hence the reusable vocabulary. Its
-        theory checks go to the tool's theory memo.
-        """
+    def make_session(self):
+        """Build a cell's :class:`~repro.solver.session.SolverSession`
+        over the tool's theory memo, or ``None`` when
+        ``config.incremental`` is off."""
         if not self.config.incremental:
             return None
         # Imported lazily: the session layer is optional and pulls in
         # the solver stack, which the core driver otherwise doesn't.
         from repro.solver.session import SolverSession
 
-        scripts = list(getattr(work, "scripts", ()) or ())
-        scripts += list(getattr(work, "unsat_scripts", None) or ())
-        return SolverSession(
-            scripts, telemetry=self._tel, theory_memo=self._theory_memo
-        )
+        return SolverSession(telemetry=self._tel, theory_memo=self._theory_memo)
 
     def run_cell(self, work, indices, hook=None, progress=None, strategy=None):
         """Run the iterations whose global ids are in ``indices`` over a
@@ -428,7 +419,7 @@ class YinYang:
             # Imported lazily: repro.robustness imports this module.
             from repro.robustness.journal import deserialize_report, serialize_report
         start = time.perf_counter()
-        session = self.make_session(work)
+        session = self.make_session()
         try:
             for index in indices:
                 if progress is not None:

@@ -186,14 +186,6 @@ def session_rows(counters):
                 counters.get("session.theory.miss", 0),
             ),
         ),
-        (
-            "warm solves decided",
-            rate(
-                counters.get("session.warm.decided", 0),
-                counters.get("session.warm.fallback", 0),
-            ),
-        ),
-        ("warm solves skipped", counters.get("session.warm.skipped", 0)),
         ("evictions", counters.get("session.evictions", 0)),
     ]
     return rows

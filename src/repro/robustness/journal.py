@@ -242,7 +242,7 @@ class CampaignJournal:
         Opt-in settings are stamped only when on, so a key present on
         one side only is a mismatch too: a triage journal resumed
         without triage (or a fusion journal resumed as opfuzz) would
-        mix budgets, warm and cold cells, or workloads.
+        mix budgets, incremental and cold cells, or workloads.
         """
         existing = self.meta()
         if existing is None:

@@ -7,8 +7,8 @@ first) over a fresh :class:`~repro.solver.sat.SatSolver` — ripple-carry
 adders, shift-and-add multipliers, barrel shifters, comparators — and
 each theory literal to a single literal asserted as a unit clause.
 The same CDCL core that decides the boolean abstraction then decides
-the blasted formula, so the incremental-session machinery (warm
-prototypes, assumption replay) works for QF_BV unchanged.
+the blasted formula, and the incremental session's outcome cache and
+theory memo serve QF_BV checks unchanged.
 
 Everything here is deterministic: variable numbering follows the
 deterministic traversal order of the atoms, and the conflict budget is

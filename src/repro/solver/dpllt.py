@@ -92,9 +92,9 @@ def check_assertions(
 
     ``session`` is an optional
     :class:`~repro.solver.session.SolverSession`: the incremental layer
-    (a per-cell outcome cache and warm SAT starts under assumption
-    literals, plus the campaign's shared theory memo). With
-    ``session=None`` the code path is the plain cold solve, unchanged.
+    (a per-cell outcome cache plus the campaign's shared theory memo).
+    Both replay exact answers, so a session changes what a check costs
+    and never what it answers.
     """
     function_probe("dpllt.check")
     original = list(assertions)
@@ -155,46 +155,9 @@ def _check_uncached(
             line_probe("dpllt.model_guess")
             return guessed
 
-    if session is not None and session.should_warm(max_rounds):
-        warm = session.warm_start(pre.assertions)
-        if warm is not None:
-            line_probe("dpllt.warm_attempt")
-            outcome = _search(
-                original,
-                pre,
-                warm.abstraction,
-                warm.sat,
-                string_config,
-                seed,
-                session.warm_rounds(max_rounds),
-                nonlinear_budget,
-                deadline,
-                session,
-                assumptions=warm.assumptions,
-                relevant=warm.relevant,
-            )
-            if outcome.result in (SolverResult.SAT, SolverResult.UNSAT):
-                # A warm ``sat`` was model-verified against the original
-                # assertions; a warm ``unsat`` holds because assumptions
-                # enforce exactly this mutant's assertions and presolve
-                # clauses are cell-valid (see session.py). Definite warm
-                # verdicts are therefore final.
-                line_probe("dpllt.warm_decided")
-                session.note_warm_decided()
-                return outcome
-            # Undecided within the warm budget: fall back to the exact
-            # cold path below, so versus incremental-off a warm attempt
-            # can only ever *add* definite verdicts, never lose one.
-            line_probe("dpllt.warm_fallback")
-            session.note_warm_fallback()
-
-    sat_core = SatSolver()
-    abstraction = tseitin.encode(pre.assertions, sat_core)
     return _search(
         original,
         pre,
-        abstraction,
-        sat_core,
         string_config,
         seed,
         max_rounds,
@@ -207,25 +170,16 @@ def _check_uncached(
 def _search(
     original,
     pre,
-    abstraction,
-    sat_core,
     string_config,
     seed,
     max_rounds,
     nonlinear_budget,
     deadline,
     session,
-    assumptions=(),
-    relevant=None,
 ):
-    """The DPLL(T) loop over an already-encoded abstraction.
-
-    The cold path runs it on a fresh encoding with no assumptions; a
-    warm (session) attempt runs it on a prototype clone under selector
-    assumptions, with the SAT model filtered to the atoms of the
-    asserted formulas (``relevant``) so theory checks range over the
-    same conjunctions a cold encoding would produce.
-    """
+    """The DPLL(T) loop over a fresh encoding of ``pre``'s assertions."""
+    sat_core = SatSolver()
+    abstraction = tseitin.encode(pre.assertions, sat_core)
     saw_unknown = False
     saw_genuine = False
     rounds = 0
@@ -295,7 +249,7 @@ def _search(
         if deadline is not None and time.monotonic() > deadline:
             line_probe("dpllt.deadline")
             return _unknown("timeout", BUDGET_UNKNOWN)
-        verdict = sat_core.solve(assumptions=assumptions)
+        verdict = sat_core.solve()
         if verdict is None:
             line_probe("dpllt.sat_budget")
             return _unknown("sat budget exhausted", BUDGET_UNKNOWN)
@@ -311,8 +265,6 @@ def _search(
 
         sat_model = sat_core.model()
         literals = abstraction.theory_assignment(sat_model)
-        if relevant is not None:
-            literals = [pair for pair in literals if pair[0] in relevant]
         bool_literals = [
             (atom, value) for atom, value in literals if isinstance(atom, Var)
         ]

@@ -15,7 +15,7 @@ needs: clauses may be added between ``solve()`` calls, each of which
 restarts the search.
 
 Kernel contract. The search is a function of the clauses added (in
-order), the assumptions and the heuristic state alone: which clause is
+order) and the heuristic state alone: which clause is
 visited, which variable is decided and which clause is learned must
 never depend on the data structures that make the kernel fast. Those
 structures are:
@@ -151,14 +151,6 @@ class SatSolver:
             self._units.append(index)
 
     # -- assignment helpers ----------------------------------------------
-
-    def value(self, lit):
-        """True/False if assigned, None otherwise."""
-        var = abs(lit)
-        if var not in self.assignment:
-            return None
-        val = self.assignment[var]
-        return val if lit > 0 else not val
 
     def _assign(self, lit, reason_index):
         var = abs(lit)
@@ -348,20 +340,11 @@ class SatSolver:
                 return var
         return None
 
-    def solve(self, max_conflicts=200000, assumptions=()):
+    def solve(self, max_conflicts=200000):
         """Search for a satisfying assignment.
 
         Returns ``True`` (model in :attr:`assignment`), ``False``
         (unsatisfiable), or ``None`` if the conflict budget is exhausted.
-
-        ``assumptions`` are literals decided (in order) before any free
-        decision, MiniSat-style: they live on the trail as decisions,
-        never as clauses, so conflict analysis cannot resolve them away
-        into learned clauses — which is what makes clauses learned under
-        assumptions valid without them. An assumption found False under
-        propagation makes the call return False (unsatisfiable *under
-        the assumptions*; the clause database itself may stay
-        satisfiable).
         """
         function_probe("sat.solve")
         # Restart search state but keep learned clauses.
@@ -371,8 +354,6 @@ class SatSolver:
         self.trail.clear()
         self.trail_lim.clear()
         self._qhead = 0
-        for lit in assumptions:
-            self.ensure_vars(abs(lit))
         if self._has_empty:
             line_probe("sat.solve.empty_clause")
             return False
@@ -424,18 +405,6 @@ class SatSolver:
                         self._unassign_to(0)
                     self._qhead = 0
                 continue
-            if len(self.trail_lim) < len(assumptions):
-                line_probe("sat.solve.assume")
-                lit = assumptions[len(self.trail_lim)]
-                current = values[lit]
-                if current is False:
-                    line_probe("sat.solve.assumption_conflict")
-                    return False
-                self.trail_lim.append(len(self.trail))
-                if current is None:
-                    self.decisions += 1
-                    self._assign(lit, None)
-                continue
             var = self._pick_branch_var()
             if var is None:
                 line_probe("sat.solve.sat")
@@ -448,37 +417,6 @@ class SatSolver:
     def model(self):
         """The satisfying assignment as var -> bool (after a True solve)."""
         return dict(self.assignment)
-
-    def clone(self):
-        """An independent copy with the same clauses and heuristic state.
-
-        The clone carries the clause database (original + learned), the
-        watch lists, the unit-clause list, activities and saved phases —
-        the warm-start ordering — but no search state: assignments,
-        trail and statistics start fresh. Mutating either solver never
-        affects the other.
-        """
-        other = SatSolver.__new__(SatSolver)
-        other.num_vars = self.num_vars
-        other.clauses = [list(clause) for clause in self.clauses]
-        other.watches = {lit: list(indices) for lit, indices in self.watches.items()}
-        other.assignment = {}
-        other.level = {}
-        other.reason = {}
-        other.trail = []
-        other.trail_lim = []
-        other.activity = dict(self.activity)
-        other.phase = dict(self.phase)
-        other.var_inc = self.var_inc
-        other.conflicts = 0
-        other.decisions = 0
-        other.propagations = 0
-        other._units = list(self._units)
-        other._has_empty = self._has_empty
-        other._heap = []
-        other._qhead = 0
-        other._values = []
-        return other
 
 
 declare_module_probes(__file__)

@@ -168,34 +168,6 @@ class Abstraction:
         """Constrain the formula to hold."""
         self.sat.add_clause([self.literal(term)])
 
-    def assert_term_under(self, term, selector):
-        """Constrain the formula to hold whenever ``selector`` is true.
-
-        The guarded form ``(-selector OR root)`` is the incremental
-        session's assumption mechanism: solving with ``selector`` as an
-        assumption enforces the assertion; leaving it free retires the
-        assertion without removing clauses. The selector appears only
-        negatively in clauses, so resolvents derived from the guarded
-        root always carry it — mutant-specific consequences can never
-        masquerade as shared-vocabulary lemmas.
-        """
-        self.sat.add_clause([-selector, self.literal(term)])
-
-    def clone_onto(self, sat_solver):
-        """A copy of this abstraction bound to ``sat_solver``.
-
-        Used by the incremental session: the prototype's SAT core is
-        cloned per mutant, and this rebinds the atom/term maps (copied,
-        so further encoding in either abstraction stays independent)
-        onto the clone.
-        """
-        other = Abstraction(sat_solver)
-        other.atom_to_var = dict(self.atom_to_var)
-        other.var_to_atom = dict(self.var_to_atom)
-        other._cache = dict(self._cache)
-        other._true_lit = self._true_lit
-        return other
-
     def block(self, literals):
         """Add a blocking clause: not all of ``literals`` again."""
         self.sat.add_clause([-lit for lit in literals])

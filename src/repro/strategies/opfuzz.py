@@ -26,8 +26,8 @@ bit-for-bit. Mutants the reference cannot decide carry an empty oracle
 and are skipped (counted as unknowns).
 
 With incremental solving on, the oracle solves through a session that
-holds the campaign's theory memo and nothing else: no warm prototype,
-and an outcome cache cleared before every solve. Theory checks are pure
+holds the campaign's theory memo and an outcome cache cleared before
+every solve. Theory checks are pure
 functions of their arguments, so a memo hit replays the miss exactly
 and the oracle's verdicts stay the cold reference's verdicts. A
 campaign cell draws each mutant once for all solvers under test, so the
@@ -152,16 +152,13 @@ class OpFuzzStrategy(MutationStrategy):
     def attach_theory_memo(self, memo, telemetry=NULL_TELEMETRY):
         """Solve the oracle through the campaign's theory memo.
 
-        The oracle's session is built from no seeds, so it has no warm
-        prototype; ``memo=None`` restores the plain cold solve.
+        ``memo=None`` restores the plain cold solve.
         """
         self._oracle_session = None
         if memo is not None:
             from repro.solver.session import SolverSession
 
-            self._oracle_session = SolverSession(
-                (), telemetry=telemetry, theory_memo=memo
-            )
+            self._oracle_session = SolverSession(telemetry=telemetry, theory_memo=memo)
 
     def resolve_oracle(self, script, tel=NULL_TELEMETRY):
         """Ground truth for one mutant: ``"sat"``/``"unsat"``, or ``""``

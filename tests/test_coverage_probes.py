@@ -147,8 +147,6 @@ class TestSatKernelProbes:
         "sat.propagate.conflict",
         "sat.propagate.moved_watch",
         "sat.solve",
-        "sat.solve.assume",
-        "sat.solve.assumption_conflict",
         "sat.solve.sat",
         "sat.solve.toplevel_conflict:F",
         "sat.solve.toplevel_conflict:T",

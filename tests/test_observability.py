@@ -602,10 +602,6 @@ class TestStatsDashboard:
         registry.inc("session.outcome.miss", 6)
         registry.inc("session.theory.hit", 40)
         registry.inc("session.theory.miss", 160)
-        registry.inc("session.warm.attempt", 5)
-        registry.inc("session.warm.decided", 3)
-        registry.inc("session.warm.fallback", 2)
-        registry.inc("session.warm.skipped", 1)
         registry.inc("session.evictions", 2)
         registry.gauge("session.theory_cache").track_max(96)
         text = render_stats(journal, registry.snapshot())

@@ -125,8 +125,6 @@ GOLDEN_FIRED = {
         "dpllt.shrink_skipped",
         "dpllt.theory_unknown",
         "dpllt.unsat",
-        "dpllt.warm_attempt",
-        "dpllt.warm_decided",
         "eval.*",
         "eval.+",
         "eval.-",
@@ -153,11 +151,9 @@ GOLDEN_FIRED = {
         "preprocess.purify_real_div",
         "sat.propagate.conflict",
         "sat.propagate.moved_watch",
-        "sat.solve.assume",
         "sat.solve.sat",
         "simplex.check.sat",
         "tseitin.and",
-        "tseitin.iff",
         "tseitin.implies",
         "tseitin.ite",
         "tseitin.or",
@@ -254,7 +250,7 @@ SATISFIABLE = "(declare-fun x () Int)(assert (> x 0))"
 
 class TestSessionIsolation:
     def test_refutation_only_entry_never_answers_a_full_lookup(self):
-        session = SolverSession([])
+        session = SolverSession()
         unknown = ("unknown", None, "budget")
         session.theory_store(["a"], 1, 0, None, unknown, True, refute=True)
         assert session.theory_lookup(["a"], 1, 0, None) is None
@@ -274,7 +270,7 @@ class TestSessionIsolation:
             return hit
 
         monkeypatch.setattr(SolverSession, "theory_lookup", recording)
-        outcome = check_assertions(assertions, session=SolverSession([]))
+        outcome = check_assertions(assertions, session=SolverSession())
         assert outcome.result is SolverResult.SAT
         key = next(key for key, _hit in lookups if not key[4])
         literals, budget, seed, strings_key, _refute = key
@@ -284,7 +280,7 @@ class TestSessionIsolation:
             list(literals), StringConfig(), seed, budget, None, True
         )
         assert refuted[0] == "unknown"
-        session = SolverSession([])
+        session = SolverSession()
         session.theory_store(
             list(literals), budget, seed, strings_key, refuted, True, refute=True
         )

@@ -110,15 +110,16 @@ class TestIncremental:
         s.add_clause([-2])
         assert s.solve() is False
 
-    def test_clone_keeps_unit_and_empty_clauses(self):
+    def test_unit_and_empty_clauses_hold_across_solves(self):
         s = SatSolver()
         s.add_clause([1])
         s.add_clause([-1, 2])
-        other = s.clone()
-        assert other.solve() is True
-        assert other.model() == {1: True, 2: True}
+        assert s.solve() is True
+        assert s.model() == {1: True, 2: True}
+        assert s.solve() is True
+        assert s.model() == {1: True, 2: True}
         s.add_clause([])
-        assert s.clone().solve() is False
+        assert s.solve() is False
 
     def test_blocking_loop_enumerates_models(self):
         s = SatSolver()
@@ -300,20 +301,6 @@ def _rescaled_cnf():
     return [_snapshot(s, result)]
 
 
-def _assumption_cnf():
-    rng = random.Random(77)
-    s = SatSolver()
-    for clause in _random_clauses(rng, 40, 150):
-        s.add_clause(clause)
-    out = []
-    for _ in range(6):
-        assumptions = [
-            rng.choice((1, -1)) * rng.randint(1, 45) for _ in range(rng.randint(1, 5))
-        ]
-        out.append(_snapshot(s, s.solve(assumptions=assumptions)))
-    return out
-
-
 def _incremental_cnf():
     # Blocking clauses, new units and new variables between solves.
     rng = random.Random(1234)
@@ -331,21 +318,6 @@ def _incremental_cnf():
         s.add_clause([-v if model[v] else v for v in sorted(model)][:10])
         for clause in _random_clauses(rng, 18, 3, 1, 3):
             s.add_clause(clause)
-    return out
-
-
-def _clone_cnf():
-    rng = random.Random(99)
-    s = SatSolver()
-    for clause in _random_clauses(rng, 45, 180):
-        s.add_clause(clause)
-    out = [_snapshot(s, s.solve())]
-    other = s.clone()
-    for clause in _random_clauses(rng, 50, 30):
-        other.add_clause(clause)
-    out.append(_snapshot(other, other.solve()))
-    out.append(_snapshot(other, other.solve(assumptions=[3, -7])))
-    out.append(_snapshot(s, s.solve()))
     return out
 
 
@@ -430,9 +402,7 @@ TRAJECTORY_CASES = {
     "cnf-unsat-2": lambda: _solve_cnf(12, 130, 560),
     "cnf-unsat-decays": lambda: _solve_cnf(10, 150, 640),
     "cnf-rescale": _rescaled_cnf,
-    "cnf-assumptions": _assumption_cnf,
     "cnf-incremental": _incremental_cnf,
-    "cnf-clone": _clone_cnf,
     "bv-commuted-product-5": lambda: _bv_commuted_product(5),
     "bv-factor-8": lambda: _bv_factor(8, 143),
     "bv-shift-is-product-4": lambda: _bv_shift_is_product(4),
@@ -452,14 +422,6 @@ TRAJECTORY_GOLDEN = {
     "cnf-unsat-2": [(False, 840, 1053, 24005, 130, 1395, "e3b0c44298fc1c14")],
     "cnf-unsat-decays": [(False, 3775, 4917, 105829, 150, 4408, "e3b0c44298fc1c14")],
     "cnf-rescale": [(True, 3117, 3006, 59547, 150, 2810, "92c1b938af6d2a19")],
-    "cnf-assumptions": [
-        (False, 6, 10, 63, 40, 152, "e3b0c44298fc1c14"),
-        (False, 7, 14, 98, 40, 153, "e3b0c44298fc1c14"),
-        (False, 13, 25, 172, 40, 159, "e3b0c44298fc1c14"),
-        (True, 15, 40, 234, 40, 161, "fc091206de7d0a4d"),
-        (False, 16, 45, 244, 40, 162, "e3b0c44298fc1c14"),
-        (True, 19, 68, 306, 42, 165, "a9ce405fdc02238f"),
-    ],
     "cnf-incremental": [
         (True, 0, 10, 14, 14, 18, "8b7e0a1eb2d176b1"),
         (True, 0, 17, 28, 14, 22, "5a6e99fa01fff1e3"),
@@ -469,12 +431,6 @@ TRAJECTORY_GOLDEN = {
         (True, 2, 37, 100, 17, 40, "b84bab8572a4fa6f"),
         (True, 2, 39, 117, 17, 44, "28e07dc09cc759b7"),
         (True, 3, 42, 136, 17, 49, "ed372f751a5c69c7"),
-    ],
-    "cnf-clone": [
-        (True, 16, 35, 200, 45, 190, "2319dbf9c4245bbf"),
-        (True, 2, 11, 65, 49, 222, "0972d93b4f1dd75e"),
-        (True, 2, 22, 114, 49, 222, "0972d93b4f1dd75e"),
-        (True, 16, 51, 245, 45, 190, "2319dbf9c4245bbf"),
     ],
     "bv-commuted-product-5": [
         ("unsat", False, 598, 706, 43771, 352, 1777, "e3b0c44298fc1c14"),

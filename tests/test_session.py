@@ -15,9 +15,8 @@ per-cell solver sessions safe to leave on:
    shape of the benchmark.
 
 3. **Determinism** — incremental journals are byte-identical across
-   worker counts: the prototype is a pure function of the cell, the
-   theory memo is a pure-function memo, and the outcome cache is
-   iteration-scoped (see the soundness argument in
+   worker counts: the theory memo is a pure-function memo and the
+   outcome cache is iteration-scoped (see
    ``src/repro/solver/session.py``).
 """
 
@@ -36,12 +35,9 @@ from repro.core.yinyang import iteration_rng
 from repro.observability.telemetry import Telemetry
 from repro.seeds import build_corpus
 from repro.smtlib.ast import fresh_scope
-from repro.smtlib.parser import parse_script
 from repro.solver.result import CheckOutcome, SolverResult
-from repro.solver.sat import SatSolver
 from repro.solver import session as session_module
 from repro.solver.session import SolverSession
-from repro.solver.tseitin import Abstraction
 from repro.strategies import make_strategy
 
 # The deterministic-campaign cell parameters shared with
@@ -65,106 +61,12 @@ def corpora():
 
 
 # ---------------------------------------------------------------------------
-# 1. SAT-core assumptions and cloning
-# ---------------------------------------------------------------------------
-
-
-class TestSatAssumptions:
-    def test_assumption_drives_propagation(self):
-        sat = SatSolver()
-        sat.ensure_vars(2)
-        sat.add_clause([1, 2])
-        assert sat.solve(assumptions=(-1,)) is True
-        assert sat.value(-1) is True  # the assumption held...
-        assert sat.value(2) is True  # ...and forced the other literal
-
-    def test_conflicting_assumption_returns_unsat(self):
-        sat = SatSolver()
-        sat.ensure_vars(1)
-        sat.add_clause([1])  # unit-propagates var 1 at the root level
-        assert sat.solve(assumptions=(-1,)) is False
-
-    def test_assumptions_are_decisions_not_clauses(self):
-        # An assumption constrains one solve only: the next call without
-        # it is free to pick the opposite value.
-        sat = SatSolver()
-        sat.ensure_vars(2)
-        sat.add_clause([1, 2])
-        assert sat.solve(assumptions=(-1, -2)) is False
-        assert sat.solve() is True
-
-    def test_assumption_order_fixes_both_vars(self):
-        sat = SatSolver()
-        sat.ensure_vars(3)
-        sat.add_clause([1, 2, 3])
-        assert sat.solve(assumptions=(-1, -2)) is True
-        assert sat.value(3) is True
-
-    def test_clone_is_independent(self):
-        sat = SatSolver()
-        sat.ensure_vars(2)
-        sat.add_clause([1, 2])
-        clone = sat.clone()
-        clone.add_clause([-1])
-        clone.add_clause([-2])
-        assert clone.solve() is False
-        assert sat.solve() is True
-        assert len(sat.clauses) == 1
-
-    def test_clone_starts_with_clean_trail(self):
-        sat = SatSolver()
-        sat.ensure_vars(2)
-        sat.add_clause([1, 2])
-        assert sat.solve() is True
-        clone = sat.clone()
-        assert clone.trail == []
-        assert clone.solve(assumptions=(-1,)) is True
-        assert clone.value(2) is True
-
-
-class TestSelectorGuard:
-    def _atom_session(self):
-        script = parse_script(
-            "(set-logic QF_LIA)(declare-fun x () Int)"
-            "(assert (> x 0))(check-sat)"
-        )
-        return script.asserts[0]
-
-    def test_term_enforced_only_under_selector(self):
-        with fresh_scope():
-            term = self._atom_session()
-            sat = SatSolver()
-            abstraction = Abstraction(sat)
-            selector = sat.new_var()
-            abstraction.assert_term_under(term, selector)
-            lit = abstraction.literal(term)
-            # Under the selector the atom literal is forced true...
-            assert sat.solve(assumptions=(selector, -lit)) is False
-            # ...without it the encoding leaves the atom free.
-            assert sat.solve(assumptions=(-lit,)) is True
-
-    def test_clone_onto_shares_atom_maps(self):
-        with fresh_scope():
-            term = self._atom_session()
-            sat = SatSolver()
-            abstraction = Abstraction(sat)
-            selector = sat.new_var()
-            abstraction.assert_term_under(term, selector)
-            clone_sat = sat.clone()
-            clone = abstraction.clone_onto(clone_sat)
-            assert clone.atom_to_var == abstraction.atom_to_var
-            # The clone writes to its own solver, not the prototype's.
-            clone.block([abstraction.literal(term)])
-            assert len(clone_sat.clauses) == len(sat.clauses) + 1
-
-
-# ---------------------------------------------------------------------------
-# 2. Session cache contracts
+# 1. Session cache contracts
 # ---------------------------------------------------------------------------
 
 
 def _empty_session():
-    return SolverSession([])
+    return SolverSession()
 
 
 class TestOutcomeCache:
@@ -192,16 +94,16 @@ class TestOutcomeCache:
         assert session.theory_lookup(["a"], 1, 0, None) is not None
 
     def test_close_keeps_the_theory_memo(self):
-        # The outcome cache and the atom memo die with the cell's
-        # session; the theory memo is the campaign's and outlives it.
+        # The outcome cache dies with the cell's session; the theory
+        # memo is the campaign's and outlives it.
         memo = {}
-        session = SolverSession([], theory_memo=memo)
+        session = SolverSession(theory_memo=memo)
         session.store_outcome("k", CheckOutcome(SolverResult.SAT))
         session.theory_store(["a"], 1, 0, None, ("sat", None, None), True)
         session.close()
         sizes = session.cache_sizes()
-        assert sizes["outcome_cache"] == sizes["atom_memo"] == 0
-        later = SolverSession([], theory_memo=memo)
+        assert sizes["outcome_cache"] == 0
+        later = SolverSession(theory_memo=memo)
         assert later.theory_lookup(["a"], 1, 0, None) is not None
 
 
@@ -240,7 +142,7 @@ class TestEviction:
     def test_evictions_counted(self, monkeypatch):
         monkeypatch.setattr(session_module, "OUTCOME_CACHE_CAP", 1)
         tel = Telemetry()
-        session = SolverSession([], telemetry=tel)
+        session = SolverSession(telemetry=tel)
         for key in ("a", "b", "c"):
             session.store_outcome(key, CheckOutcome(SolverResult.SAT))
         counters = tel.snapshot()["counters"]
@@ -264,32 +166,24 @@ class TestSessionConfig:
 
     def test_describe_mentions_every_cap(self):
         # The journalled spec names the caps the session runs with
-        # (``clauses=256`` is the retired clause store's, kept for
-        # byte-identity with existing journals).
+        # (``clauses=256``, ``presolve=64`` and ``warm=8`` belong to
+        # retired mechanisms, kept for byte-identity with existing
+        # journals).
         assert session_module.SESSION_SPEC == (
             f"outcome={session_module.OUTCOME_CACHE_CAP},"
             f"theory={session_module.THEORY_CACHE_CAP},"
-            "clauses=256,"
-            f"presolve={session_module.PRESOLVE_CONFLICTS},"
-            f"warm={session_module.WARM_ROUNDS}"
+            "clauses=256,presolve=64,warm=8"
         )
 
-    def test_should_warm_gates_on_round_budget(self):
-        assert session_module.WARM_ROUNDS == 8
-        session = _empty_session()
-        # At or below the warm cap a warm attempt costs as much as the
-        # search it would prefilter; only larger budgets warrant one.
-        assert not session.should_warm(8)
-        assert not session.should_warm(3)
-        assert session.should_warm(9)
-
     def test_empty_cell_never_warms(self):
+        # No session warms: warm_start stays only as a name the
+        # benchmark's tracer wraps.
         session = _empty_session()
         assert session.warm_start([]) is None
 
 
 # ---------------------------------------------------------------------------
-# 3. Verdict equivalence: cold loop vs. session-attached solves
+# 2. Verdict equivalence: cold loop vs. session-attached solves
 # ---------------------------------------------------------------------------
 
 
@@ -325,9 +219,7 @@ def equivalence_sweep(corpora):
                 [s.script for s in seeds],
                 [s.logic for s in seeds],
             )
-            session = SolverSession(
-                [s.script for s in seeds], telemetry=tel
-            )
+            session = SolverSession(telemetry=tel)
             for index in range(CAMPAIGN["iterations_per_cell"]):
                 with fresh_scope():
                     mutant = strategy.mutate(
@@ -335,12 +227,12 @@ def equivalence_sweep(corpora):
                     )
                     cold = str(solver.check_script(mutant.script).result)
                     session.begin_iteration()
-                    warm = str(
+                    incremental = str(
                         solver.check_script(
                             mutant.script, session=session
                         ).result
                     )
-                rows.append((logic, oracle, index, cold, warm))
+                rows.append((logic, oracle, index, cold, incremental))
             session.close()
     return rows, tel.snapshot()["counters"]
 
@@ -374,11 +266,12 @@ class TestVerdictEquivalence:
         differ = [row for row in rows if row[3] != row[4]]
         assert differ == [], f"sessions changed verdicts: {differ}"
 
-    def test_sweep_exercises_the_warm_path(self, equivalence_sweep):
-        # Without warm attempts the equivalence above proves nothing
+    def test_sweep_exercises_the_session(self, equivalence_sweep):
+        # Without cache lookups the equivalence above proves nothing
         # about the session machinery.
         _, counters = equivalence_sweep
-        assert counters.get("session.warm.attempt", 0) > 0
+        assert counters.get("session.theory.hit", 0) > 0
+        assert counters.get("session.outcome.miss", 0) > 0
 
     def test_definite_verdicts_exist(self, equivalence_sweep):
         rows, _ = equivalence_sweep
@@ -386,7 +279,7 @@ class TestVerdictEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# 4. Bug-finding power: fault campaigns with and without sessions
+# 3. Bug-finding power: fault campaigns with and without sessions
 # ---------------------------------------------------------------------------
 
 
@@ -504,12 +397,12 @@ class TestJournalEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# 5. Determinism: incremental journals across worker counts
+# 4. Determinism: incremental journals across worker counts
 # ---------------------------------------------------------------------------
 
 
 class TestSessionDeterminism:
-    """Incremental journals across the fleet-shape matrix: warm solver
+    """Incremental journals across the fleet-shape matrix: solver
     sessions live *inside* each worker, so any shape — process pool,
     tcp fleet, any worker count or steal order — partitions the cells
     into different session lifetimes. The journal bytes must not

@@ -79,9 +79,6 @@ GOLDEN_FIRED = {
         "dpllt.sat_verified",
         "dpllt.theory_unknown",
         "dpllt.unsat_but_unknown",
-        "dpllt.warm_attempt",
-        "dpllt.warm_decided",
-        "dpllt.warm_fallback",
         "eval.-",
         "eval.<=",
         "eval.=",
@@ -102,12 +99,9 @@ GOLDEN_FIRED = {
         "faulty.crash",
         "faulty.unknown",
         "linarith.branch",
-        "preprocess.distinct",
         "preprocess.eliminate_definition",
         "sat.propagate.conflict",
         "sat.propagate.moved_watch",
-        "sat.solve.assume",
-        "sat.solve.assumption_conflict",
         "sat.solve.sat",
         "simplex.check.sat",
         "strings.budget_exhausted",

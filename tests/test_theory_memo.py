@@ -166,9 +166,7 @@ class TestCampaignScope:
             YinYang(solver, config, strategy=strategy, theory_memo=memo)
             for _ in range(2)
         ]
-        sessions = [
-            tool.make_session(tool.strategy.prepare("sat", [], [])) for tool in tools
-        ]
+        sessions = [tool.make_session() for tool in tools]
         sessions[0].theory_store(["a"], 1, 0, None, ("sat", None, None), True)
         assert sessions[1].theory_lookup(["a"], 1, 0, None) is not None
         oracle_session = strategy._oracle_session
@@ -193,7 +191,7 @@ class TestCampaignScope:
         )
         assert tool._theory_memo is None
         assert strategy._oracle_session is None
-        assert tool.make_session(tool.strategy.prepare("sat", [], [])) is None
+        assert tool.make_session() is None
 
 
 class TestCapAcrossCells:
@@ -201,8 +199,8 @@ class TestCapAcrossCells:
         monkeypatch.setattr(session_module, "THEORY_CACHE_CAP", 2)
         tel = Telemetry()
         memo = {}
-        first = SolverSession([], theory_memo=memo)
-        second = SolverSession([], telemetry=tel, theory_memo=memo)
+        first = SolverSession(theory_memo=memo)
+        second = SolverSession(telemetry=tel, theory_memo=memo)
         for literal in ("a", "b"):
             first.theory_store([literal], 1, 0, None, ("sat", None, None), True)
         second.theory_store(["c"], 1, 0, None, ("sat", None, None), True)

@@ -305,7 +305,6 @@ def _cmd_worker(args):
     return run_worker(
         args.connect,
         net_chaos=net_chaos,
-        codec=args.codec,
         connect_timeout=args.connect_timeout,
     )
 
@@ -704,12 +703,6 @@ def build_parser():
         default=None,
         metavar="SPEC",
         help="override the coordinator's network fault plan (testing)",
-    )
-    p_worker.add_argument(
-        "--codec",
-        choices=["json", "msgpack"],
-        default="json",
-        help="frame payload codec (msgpack only when installed)",
     )
     p_worker.add_argument(
         "--connect-timeout",

@@ -126,7 +126,6 @@ class TcpFleet:
         self,
         spec,
         telemetry=None,
-        codec="json",
         max_worker_respawns=16,
     ):
         from repro.distributed import worker
@@ -139,7 +138,6 @@ class TcpFleet:
             )
         self.spec = spec
         self.telemetry = telemetry
-        self.codec = codec
         self.max_worker_respawns = max_worker_respawns
         self._lock = threading.Lock()
         self._queue = []  # [(task, future)] — pending leases, steal pool
@@ -362,7 +360,7 @@ class TcpFleet:
             self._threads.append(thread)
 
     def _serve(self, conn):
-        stream = FrameStream(conn, self.codec)
+        stream = FrameStream(conn)
         try:
             hello = stream.recv()
         except (Disconnected, ProtocolError):

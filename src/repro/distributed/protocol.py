@@ -1,10 +1,8 @@
 """The coordinator/worker wire protocol: length-prefixed message frames.
 
 A frame is ``4-byte big-endian payload length`` + ``payload``, where
-the payload is one JSON object encoded as UTF-8 (or msgpack when both
-ends negotiated it — msgpack is optional and the import is gated, so
-the JSON codec is always available). Length-prefix framing survives
-arbitrary TCP segmentation: :class:`FrameDecoder` buffers partial
+the payload is one JSON object encoded as UTF-8. Length-prefix framing
+survives arbitrary TCP segmentation: :class:`FrameDecoder` buffers partial
 frames and yields complete messages in order, and a truncated tail is
 simply *pending*, never mis-decoded. Anything that cannot be a valid
 frame — an oversized length, a payload that is not a JSON object —
@@ -93,53 +91,9 @@ def _json_decode(payload):
     return message
 
 
-def _msgpack_codec():
-    """The optional msgpack codec, or None when the wheel is absent.
-
-    msgpack is not part of the baked toolchain; the protocol works
-    identically (if a little larger on the wire) over JSON, so the
-    dependency is gated, never required.
-    """
-    try:
-        import msgpack
-    except ImportError:
-        return None
-
-    def encode(message):
-        return msgpack.packb(message, use_bin_type=True)
-
-    def decode(payload):
-        try:
-            message = msgpack.unpackb(payload, raw=False)
-        except Exception as exc:
-            raise ProtocolError(f"frame payload is not valid msgpack: {exc}") from None
-        if not isinstance(message, dict):
-            raise ProtocolError("frame payload must decode to a map")
-        return message
-
-    return encode, decode
-
-
-def available_codecs():
-    """The codec names this interpreter can speak (JSON always)."""
-    return ("json", "msgpack") if _msgpack_codec() else ("json",)
-
-
-def _codec(name):
-    if name == "json":
-        return _json_encode, _json_decode
-    if name == "msgpack":
-        pair = _msgpack_codec()
-        if pair is None:
-            raise ProtocolError("msgpack codec requested but msgpack is not installed")
-        return pair
-    raise ProtocolError(f"unknown frame codec {name!r}")
-
-
-def encode_frame(message, codec="json"):
+def encode_frame(message):
     """One message as its on-the-wire bytes."""
-    encode, _ = _codec(codec)
-    payload = encode(message)
+    payload = _json_encode(message)
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame payload of {len(payload)} bytes exceeds the "
@@ -158,8 +112,7 @@ class FrameDecoder:
     peer died mid-frame".
     """
 
-    def __init__(self, codec="json"):
-        _, self._decode = _codec(codec)
+    def __init__(self):
         self._buffer = bytearray()
 
     @property
@@ -184,7 +137,7 @@ class FrameDecoder:
                 break
             payload = bytes(self._buffer[_LEN.size:end])
             del self._buffer[:end]
-            messages.append(self._decode(payload))
+            messages.append(_json_decode(payload))
         return messages
 
 
@@ -205,11 +158,10 @@ class FrameStream:
     send path — the seam the network fault injector plugs into.
     """
 
-    def __init__(self, sock, codec="json", chaos=None):
+    def __init__(self, sock, chaos=None):
         self.sock = sock
-        self.codec = codec
         self.chaos = chaos
-        self._decoder = FrameDecoder(codec)
+        self._decoder = FrameDecoder()
         self._messages = []
         self._send_lock = threading.Lock()
 
@@ -219,7 +171,7 @@ class FrameStream:
         self._send_raw(message)
 
     def _send_raw(self, message):
-        data = encode_frame(message, self.codec)
+        data = encode_frame(message)
         with self._send_lock:
             try:
                 self.sock.sendall(data)

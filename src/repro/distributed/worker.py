@@ -45,7 +45,6 @@ from repro.distributed.protocol import (
     Disconnected,
     FrameStream,
     ProtocolError,
-    available_codecs,
     parse_address,
     task_from_wire,
     unpack_blob,
@@ -103,7 +102,7 @@ def _load_main(path):
     sys.modules["__main__"] = sys.modules["__mp_main__"] = main
 
 
-def run_worker(address, net_chaos=None, codec="json", connect_timeout=30.0):
+def run_worker(address, net_chaos=None, connect_timeout=30.0):
     """Serve one coordinator until it shuts the fleet down; return exit code.
 
     ``address`` is ``HOST:PORT`` (or a ``(host, port)`` pair);
@@ -116,14 +115,13 @@ def run_worker(address, net_chaos=None, codec="json", connect_timeout=30.0):
     """
     host, port = parse_address(address) if isinstance(address, str) else address
     sock = _connect(host, port, connect_timeout)
-    stream = FrameStream(sock, codec)
+    stream = FrameStream(sock)
     try:
         stream.send(
             {
                 "type": "hello",
                 "pid": os.getpid(),
                 "protocol": PROTOCOL_VERSION,
-                "codecs": list(available_codecs()),
             }
         )
         try:

@@ -53,7 +53,6 @@ from repro.distributed.protocol import (
     MAX_FRAME_BYTES,
     FrameDecoder,
     ProtocolError,
-    available_codecs,
     encode_frame,
     pack_blob,
     parse_address,
@@ -308,19 +307,6 @@ class TestFrameProtocol:
         wire = struct.pack(">I", len(payload)) + payload
         with pytest.raises(ProtocolError, match="object"):
             FrameDecoder().feed(wire)
-
-    def test_json_codec_is_always_available(self):
-        assert "json" in available_codecs()
-
-    def test_missing_msgpack_is_a_clean_error(self):
-        if "msgpack" in available_codecs():
-            pytest.skip("msgpack installed in this environment")
-        with pytest.raises(ProtocolError, match="msgpack"):
-            encode_frame({}, codec="msgpack")
-
-    def test_unknown_codec_is_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown"):
-            encode_frame({}, codec="pigeon")
 
     def test_blob_round_trip(self):
         blob = pack_blob({"nested": (1, 2), "config": YinYangConfig(seed=3)})

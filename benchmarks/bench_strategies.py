@@ -12,8 +12,8 @@ core shrinking) and the triage tier policy reclaim that wall clock.
 The ``fusion+triage`` row runs the same campaign with
 :class:`~repro.campaign.triage.TriagePolicy` routing on; the
 ``fusion+triage+incremental`` row additionally turns on incremental
-solving (:mod:`repro.solver.session`) — a per-cell warm SAT prototype
-and per-iteration outcome dedup over a theory memo. A campaign shares
+solving (:mod:`repro.solver.session`) — per-iteration outcome dedup
+over a theory memo, both exact replays. A campaign shares
 one theory memo across all its cells and opfuzz's oracle; this row
 runs a single ``YinYang.test`` cell, so its memo spans that cell
 only. The assertions
@@ -120,7 +120,7 @@ def test_strategy_throughput(benchmark):
         "additionally fail-fasts the budget-burning nonlinear mutants "
         f"(fusion+triage: {triage_rate:.1f} iter/s, "
         f"{triage_rate / PRE_TRIAGE_BASELINE:.0f}x the pre-triage "
-        "pipeline), and solver sessions reuse the seed encoding "
+        "pipeline), and solver sessions replay repeated checks "
         "and memoized theory checks across the mutant stream "
         f"(fusion+triage+incremental: {incremental_rate:.1f} iter/s, "
         f"{incremental_rate / TRIAGED_BASELINE:.1f}x the triaged "

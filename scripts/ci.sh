@@ -17,7 +17,8 @@
 #      YinYang.run_cell that serial campaigns and fleet leases share
 #      (one loop over iteration indices), and every check_script takes
 #      directive and session parameters (one call shape through every
-#      solver layer).
+#      solver layer); and the benchmark's layer tracer
+#      (verdict_bench/tracing.py) still finds every name it wraps.
 #   2. Strategy determinism — the default fusion strategy must
 #      reproduce the pre-refactor golden journal byte-for-byte, and
 #      opfuzz must journal identically across modes/worker counts.
@@ -27,10 +28,12 @@
 #      must stay byte-identical across worker counts, every definite
 #      full-budget verdict must survive tiering (verdict equivalence),
 #      and a fault-injected campaign must find the same bugs with
-#      triage on and off; incremental sessions must uphold the same
-#      three properties versus the cold loop, and the campaign-scoped
-#      theory memo (shared by every cell and opfuzz's oracle) must be
-#      a pure replay: golden opfuzz journals, oracle verdicts and
+#      triage on and off; incremental sessions are exact replays (an
+#      iteration-scoped outcome cache and the campaign's theory memo),
+#      so versus the cold loop they must change no verdict, unknowns
+#      included, find the same bugs and journal the same cells, and
+#      the campaign-scoped theory memo (shared by every cell and
+#      opfuzz's oracle) must be a pure replay: golden opfuzz journals, oracle verdicts and
 #      gensym positions unchanged, no leakage between campaigns; so
 #      must the string solver's per-check literal verdict memo: golden
 #      string-family journals and fired probes, one fold per literal
@@ -85,9 +88,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core, no pool executors, one lease planner, one cell loop, one check_script shape) =="
+echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core, no pool executors, one lease planner, one cell loop, one check_script shape) and the bench tracer seam =="
 python -m pytest tests/test_ast_lint.py \
-    "tests/test_observability.py::TestHotPathHygiene" -q
+    "tests/test_observability.py::TestHotPathHygiene" \
+    tests/test_bench_tracer_seam.py -q
 
 echo "== stage 2/9: strategy determinism (golden fusion journal, opfuzz byte-identity) =="
 python -m pytest tests/test_strategies.py -q -m "not slow"

@@ -177,8 +177,8 @@ class CampaignSpec:
         Opt-in features (triage, incremental sessions, a logic
         restriction) stamp their spec only when on, so default-campaign
         journal bytes stay stable while a resume that would mix
-        budgets, incremental and cold shards, or catalogs mismatches and is
-        refused. Fusion journals predate strategies and omit the
+        budgets, incremental and cold shards, or catalogs mismatches
+        and is refused. Fusion journals predate strategies and omit the
         strategy key. Lease logs are transient (removed once the
         campaign lands in the main journal), so they always carry the
         strategy, plus the worker count their shard partition depends

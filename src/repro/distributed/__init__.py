@@ -9,8 +9,9 @@ other terminals or on other hosts.
 The pieces:
 
 - :mod:`~repro.distributed.protocol` — the length-prefixed JSON frame
-  format every coordinator/worker pair speaks, plus the wire codecs for :class:`~repro.core.parallel.ShardTask`
-  and worker result payloads;
+  format every coordinator/worker pair speaks, plus the wire codecs
+  for :class:`~repro.core.parallel.ShardTask` and worker result
+  payloads;
 - :mod:`~repro.distributed.worker` — the worker side: connect, receive
   the campaign's :class:`~repro.core.config.CampaignSpec` once, then
   pull leases and run them through

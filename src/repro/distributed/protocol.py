@@ -1,9 +1,9 @@
 """The coordinator/worker wire protocol: length-prefixed message frames.
 
 A frame is ``4-byte big-endian payload length`` + ``payload``, where
-the payload is one JSON object encoded as UTF-8. Length-prefix framing
-survives arbitrary TCP segmentation: :class:`FrameDecoder` buffers partial
-frames and yields complete messages in order, and a truncated tail is
+the payload is one JSON object encoded as UTF-8. Length-prefix
+framing survives arbitrary TCP segmentation: :class:`FrameDecoder`
+buffers partial frames and yields complete messages in order, and a truncated tail is
 simply *pending*, never mis-decoded. Anything that cannot be a valid
 frame — an oversized length, a payload that is not a JSON object —
 raises :class:`ProtocolError` instead of guessing.

@@ -1,14 +1,13 @@
-"""Campaign execution modes head-to-head: serial, process, tcp.
+"""Campaign execution modes head-to-head: serial and process.
 
 The sharded-execution work promises two things: (1) sharding never
 changes what the campaign reports, and (2) sharding buys real
 throughput on multi-core machines, where one interpreter is GIL-bound
-for the pure-Python solvers under test. Process and tcp campaigns run
-the same lease transport (a socket worker fleet; process mode is that
-fleet on 127.0.0.1 with default settings), so their rows differ only
-by run-to-run noise. This benchmark runs the identical deterministic
-campaign through all three modes, asserts the bug records match
-record-for-record, and reports throughput per mode.
+for the pure-Python solvers under test. A process campaign runs a
+socket worker fleet (here its default: spawned workers on
+127.0.0.1). This benchmark runs the identical deterministic campaign
+through both modes, asserts the bug records match record-for-record,
+and reports throughput per mode.
 
 One run of a mode cannot tell a difference from noise: on a shared
 2-vCPU host, back-to-back runs of one campaign spread by 30%. So after
@@ -18,8 +17,8 @@ the next, and the table gives each mode's median time with its min-max
 range.
 
 Honesty note: the speedup column is only meaningful on multi-core
-hardware. On a single-CPU box (``os.cpu_count() == 1``) process and
-tcp modes *cannot* beat serial — the workers time-slice one core and
+hardware. On a single-CPU box (``os.cpu_count() == 1``) the process
+mode *cannot* beat serial — the workers time-slice one core and
 pay spawn, pickling and framing overhead on top — so the table records
 the core count and the assertion is on correctness, not speed. The
 committed ``BENCH_distributed.json`` snapshot carries the same caveat
@@ -50,7 +49,6 @@ CAMPAIGN = dict(
 MODES = (
     ("serial", 1),
     ("process", WORKERS),
-    ("tcp", WORKERS),
 )
 
 
@@ -101,12 +99,11 @@ def test_campaign_mode_throughput(benchmark):
         )
     lines += [
         "",
-        "Bug records identical across all three modes (asserted).",
+        "Bug records identical across both modes (asserted).",
         "iters/s and vs serial use each mode's median time.",
-        "Process and tcp run the same loopback worker fleet: their rows",
-        "differ only by noise. Speedup requires more cores than workers:",
-        "on a smaller host the parallel rows add spawn + pickling/framing",
-        "overhead with little parallelism to pay for it.",
+        "Speedup requires more cores than workers: on a smaller host",
+        "the process row adds spawn + pickling/framing overhead with",
+        "little parallelism to pay for it.",
     ]
     if smoke():
         # Smoke runs exist to exercise the rows in CI, not to time

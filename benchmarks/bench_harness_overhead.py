@@ -98,7 +98,7 @@ def test_guarded_solver_overhead(benchmark):
 def test_supervised_loop_overhead(benchmark):
     """Leased cell loop vs the bare runner, same work.
 
-    Every process/tcp shard runs as a lease: the cell loop a serial
+    Every process shard runs as a lease: the cell loop a serial
     campaign runs, plus one hook call and one progress-log append
     (flocked write + flush) per iteration, and per lease a Telemetry,
     a progress-log load and the payload serialization. All of it must

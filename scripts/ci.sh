@@ -57,7 +57,7 @@
 #      (see pyproject.toml; run the slow and chaos lanes nightly:
 #      `pytest -m slow` / `pytest -m chaos`).
 #   6. Fault tolerance — the acceptance property of the supervised
-#      worker fleet every process/tcp campaign runs on: seeded chaos
+#      worker fleet every process campaign runs on: seeded chaos
 #      kills of worker processes must leave the merged
 #      journal byte-identical to a failure-free deterministic run, and
 #      a permanently poisonous iteration must be quarantined, under
@@ -69,10 +69,11 @@
 #      REPRO_BENCH_SMOKE=1: no timing assertions, no result files
 #      written), so a broken bench harness fails CI instead of the
 #      next full benchmark run.
-#   8. Distributed fleet — the tcp transport end-to-end through the
-#      real CLI: a two-worker localhost fleet under tiny budgets, plus
-#      the fleet chaos soak, must merge to the byte-identical serial
-#      journal (the nightly slow lane re-runs the 4-worker shapes).
+#   8. Distributed fleet — the socket transport end-to-end through the
+#      real CLI: a two-worker localhost fleet under tiny budgets, a
+#      non-default steal order and seeded frame chaos, plus the fleet
+#      chaos soak, must merge to the byte-identical serial journal (the
+#      nightly slow lane re-runs the 4-worker shape).
 #   9. QF_BV theory — the SAT kernel's pinned search trajectories
 #      (tests/test_sat_solver.py: conflicts, decisions, propagations and
 #      models on seeded CNF and bit-blasting instances must match their
@@ -115,24 +116,25 @@ echo "== stage 7/9: bench smoke (strategy and harness-overhead rows run; no timi
 REPRO_BENCH_SMOKE=1 python -m pytest benchmarks/bench_strategies.py -q
 REPRO_BENCH_SMOKE=1 python -m pytest benchmarks/bench_harness_overhead.py -q
 
-echo "== stage 8/9: distributed fleet (tcp campaign vs serial baseline, chaos soak) =="
+echo "== stage 8/9: distributed fleet (process fleet vs serial baseline, chaos soak) =="
 python -m pytest tests/test_distributed.py -q -m "not slow"
 fleetdir="$(mktemp -d)"
 trap 'rm -rf "$fleetdir"' EXIT
 python -m repro.cli campaign \
-    --mode tcp --workers 2 \
+    --mode process --workers 2 --steal-seed 3 \
+    --net-chaos "drop=0.5;dup=0.5;delay=0.2;delay_seconds=0.005;seed=9" \
     --iterations 6 --scale 0.0015 --seed 1 --deterministic \
     --journal "$fleetdir/fleet.jsonl"
 python -m repro.cli campaign \
     --iterations 6 --scale 0.0015 --seed 1 --deterministic \
     --journal "$fleetdir/serial.jsonl" > /dev/null
 cmp "$fleetdir/fleet.jsonl" "$fleetdir/serial.jsonl" \
-    || { echo "tcp fleet journal differs from serial journal" >&2; exit 1; }
+    || { echo "fleet journal differs from serial journal" >&2; exit 1; }
 if compgen -G "$fleetdir/*.jsonl.*" > /dev/null; then
     echo "transient files (lease logs, .tmp) left beside a journal" >&2
     exit 1
 fi
-echo "fleet smoke OK: tcp journal byte-identical to serial"
+echo "fleet smoke OK: fleet journal byte-identical to serial"
 
 echo "== stage 9/9: QF_BV theory (pinned SAT search, bit-blasting campaign, serial vs process byte-identity) =="
 python -m pytest tests/test_sat_solver.py tests/test_theory_registry.py tests/test_bv_properties.py -q

@@ -14,19 +14,18 @@ per-cell journaling with ``resume=True`` skipping completed cells).
 
 ``run_campaign`` validates its keyword arguments once, into a frozen
 :class:`~repro.core.config.CampaignSpec`, and hands only the spec
-down. Campaigns run in one of three execution modes:
+down. Campaigns run in one of two execution modes:
 
 - ``serial`` — one process, one thread (the default): one
   :class:`~repro.core.parallel.CellRunner` runs every cell whole;
-- ``process`` — each cell's iterations leased to ``workers`` local
+- ``process`` — each cell's iterations leased to a socket fleet of
   worker processes, each with a runner of its own
-  (:mod:`repro.core.parallel`);
-- ``tcp`` — the same, with the fleet's wire settings open
-  (:mod:`repro.distributed`): it can listen elsewhere and serve
+  (:mod:`repro.distributed`): by default ``workers`` local processes
+  on 127.0.0.1; it can also listen elsewhere and serve
   ``yinyang worker`` processes started by hand.
 
-Every mode runs its cells through the same per-process runner and
-cell loop. Process and tcp campaigns split each cell into leases:
+Both modes run their cells through the same per-process runner and
+cell loop. A process campaign splits each cell into leases:
 every shard is a lease that
 the :class:`~repro.distributed.coordinator.Coordinator` hands to a
 socket worker fleet through a
@@ -113,7 +112,7 @@ def solver_factory_for_logic(logic, deterministic=False):
 
     ``None`` (the default corpora) keeps the paper catalogs; ``QF_BV``
     swaps in the BV catalogs. Factories must be module-level callables:
-    process/tcp campaigns ship them to their worker processes.
+    process campaigns ship them to their worker processes.
     """
     if logic == "QF_BV":
         return deterministic_bv_solvers if deterministic else bv_solvers
@@ -134,7 +133,7 @@ class CampaignResult:
     strategy: str = "fusion"  # the mutation strategy's registry name
     # (corpus, oracle) -> [per-shard counter dicts] (process mode)
     shard_counters: dict = field(default_factory=dict)
-    # Process/tcp modes: quarantined poison-iteration artifacts
+    # Process mode: quarantined poison-iteration artifacts
     # (PoisonedIteration records) and the supervisor's counters
     # (restarts / retries / requeues / bisections / poisoned / ...).
     poisoned: list = field(default_factory=list)
@@ -321,7 +320,7 @@ def run_campaign(
     records it (non-default strategies only, to keep fusion journal
     bytes stable) and a resume refuses to mix strategies.
 
-    Process and tcp campaigns always run under the self-healing
+    Process campaigns always run under the self-healing
     coordinator: dead or hung workers are respawned, their shard leases
     resume from crash-safe checkpoints, and an iteration that keeps
     killing (or raising in) its worker is bisected out and quarantined
@@ -342,23 +341,23 @@ def run_campaign(
     non-triage shards. ``False`` keeps journal bytes identical to the
     pre-triage campaign.
 
-    ``mode="tcp"`` opens the worker fleet's wire settings
-    (:class:`~repro.distributed.endpoint.TcpFleet`):
-    ``listen`` is the coordinator's ``(host, port)`` (default
-    127.0.0.1 on an ephemeral port), ``spawn_workers`` the number of
-    local ``yinyang worker`` processes to start (default ``workers``;
-    0 to serve only externally-connected workers), ``steal_seed``
-    seeds the work-stealing permutation (any seed must merge to
-    identical journal bytes — that invariant is the product), and
-    ``net_chaos`` (a :class:`~repro.distributed.netchaos.NetChaos`)
-    injects planned disconnects and seeded frame faults for recovery
-    testing.
+    A process campaign's worker fleet
+    (:class:`~repro.distributed.endpoint.TcpFleet`) takes four more
+    settings: ``listen`` is the coordinator's ``(host, port)``
+    (default 127.0.0.1 on an ephemeral port), ``spawn_workers`` the
+    number of local ``yinyang worker`` processes to start (default
+    ``workers``; 0 to serve only externally-connected workers),
+    ``steal_seed`` seeds the work-stealing permutation (any seed must
+    merge to identical journal bytes — that invariant is the
+    product), and ``net_chaos`` (a
+    :class:`~repro.distributed.netchaos.NetChaos`) injects seeded
+    frame faults for recovery testing.
 
     ``incremental=True`` switches on incremental solving: each
     cell/shard builds a
     :class:`~repro.solver.session.SolverSession` — an outcome cache —
     over one theory memo per campaign process (serial: the campaign;
-    process or tcp: each worker), which opfuzz's oracle shares too.
+    process: each worker), which opfuzz's oracle shares too.
     Both replay exact answers, so an incremental campaign journals the
     same cells as a cold one, in every mode and at every worker count;
     only the meta line differs (it records the session spec, and a
@@ -369,11 +368,11 @@ def run_campaign(
     :class:`~repro.core.config.CampaignSpec`, validated before any
     work starts. It raises :class:`~repro.errors.CampaignSpecError` (a
     :class:`ValueError`) for an unknown ``mode``, ``workers < 1``, a
-    process or tcp campaign without a ``solver_factory`` (when
-    ``solvers`` is given), and any setting the chosen mode would
-    ignore: ``workers > 1``, ``supervise``, ``containment`` or
-    ``chaos_process`` in a serial campaign, and ``steal_seed``,
-    ``listen``, ``spawn_workers`` or ``net_chaos`` outside tcp. A
+    process campaign without a ``solver_factory`` (when ``solvers``
+    is given), and any setting a serial campaign would ignore:
+    ``workers > 1``, ``supervise``, ``containment``,
+    ``chaos_process``, ``steal_seed``, ``listen``, ``spawn_workers``
+    or ``net_chaos``. A
     ``supervise`` that is not a ``SupervisorPolicy``, a strategy that
     is not a registry name, and a non-bool ``triage`` or
     ``incremental`` raise :class:`TypeError`.

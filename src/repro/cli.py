@@ -14,7 +14,7 @@ Examples::
     yinyang generate --family QF_NRA --oracle unsat --count 5
     yinyang check formula.smt2 --solver reference
     yinyang strategies
-    yinyang campaign --mode tcp --workers 2 --deterministic
+    yinyang campaign --mode process --workers 2 --deterministic
     yinyang worker --connect 127.0.0.1:7777
 """
 
@@ -82,7 +82,7 @@ def _supervision_from_args(args):
     """(SupervisorPolicy or None, ContainmentPolicy or None) from the
     supervision tuning and worker-limit flags.
 
-    Process and tcp campaigns are always supervised; ``None`` means
+    Process campaigns are always supervised; ``None`` means
     the default policy (respectively no rlimits).
     """
     from repro.robustness import ContainmentPolicy, SupervisorPolicy
@@ -299,14 +299,9 @@ def _cmd_reduce(args):
 
 def _cmd_worker(args):
     """Serve a fleet coordinator: ``yinyang worker --connect HOST:PORT``."""
-    from repro.distributed import parse_net_chaos, run_worker
+    from repro.distributed import run_worker
 
-    net_chaos = parse_net_chaos(args.net_chaos) if args.net_chaos else None
-    return run_worker(
-        args.connect,
-        net_chaos=net_chaos,
-        connect_timeout=args.connect_timeout,
-    )
+    return run_worker(args.connect, connect_timeout=args.connect_timeout)
 
 
 def _cmd_campaign(args):
@@ -533,34 +528,33 @@ def build_parser():
     )
     p_campaign.add_argument(
         "--mode",
-        choices=["serial", "process", "tcp"],
+        choices=["serial", "process"],
         default="serial",
-        help="execution mode: process leases each cell's shards to "
-        "--workers local worker processes on 127.0.0.1; tcp to a socket "
-        "worker fleet it can also serve from other hosts and terminals "
-        "(both supervised: dead/hung workers are respawned, shard leases "
-        "resume from checkpoints, repeat-killer iterations are "
-        "quarantined)",
+        help="execution mode: process leases each cell's shards to a "
+        "supervised socket worker fleet (by default --workers local "
+        "processes on 127.0.0.1): dead/hung workers are respawned, shard "
+        "leases resume from checkpoints, repeat-killer iterations are "
+        "quarantined",
     )
     p_campaign.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="shard count for --mode process/tcp",
+        help="shard count for --mode process",
     )
     p_campaign.add_argument(
         "--steal-seed",
         type=int,
         default=0,
         metavar="N",
-        help="seed of the tcp fleet's work-stealing permutation (any "
+        help="seed of the fleet's work-stealing permutation (any "
         "seed produces identical journal bytes — vary it to check)",
     )
     p_campaign.add_argument(
         "--listen",
         default=None,
         metavar="HOST:PORT",
-        help="tcp coordinator bind address (default 127.0.0.1 on an "
+        help="fleet coordinator bind address (default 127.0.0.1 on an "
         "ephemeral port); use with --spawn-workers 0 to serve "
         "workers started in other terminals via `yinyang worker`",
     )
@@ -569,15 +563,15 @@ def build_parser():
         type=int,
         default=None,
         metavar="N",
-        help="local `yinyang worker` processes the tcp coordinator "
+        help="local `yinyang worker` processes the fleet coordinator "
         "starts itself (default: --workers; 0 = external workers only)",
     )
     p_campaign.add_argument(
         "--net-chaos",
         default=None,
         metavar="SPEC",
-        help="seeded network fault plan for --mode tcp, e.g. "
-        "'disconnect=3,11;drop=0.2;dup=0.2;delay=0.05;seed=9' "
+        help="seeded frame fault plan for --mode process, e.g. "
+        "'drop=0.2;dup=0.2;delay=0.05;seed=9' "
         "(recovery testing; journals must stay byte-identical)",
     )
     _add_strategy_flag(p_campaign)
@@ -592,7 +586,7 @@ def build_parser():
         metavar="N",
         help="whole-fleet respawns allowed before the campaign gives up; "
         "the fleet replaces single dead workers itself and breaks only "
-        "when none is left (--mode process/tcp; default 8)",
+        "when none is left (--mode process; default 8)",
     )
     p_campaign.add_argument(
         "--max-shard-retries",
@@ -600,7 +594,7 @@ def build_parser():
         default=None,
         metavar="N",
         help="re-executions of a dying shard lease before its iteration "
-        "range is bisected to isolate the killer (--mode process/tcp; "
+        "range is bisected to isolate the killer (--mode process; "
         "default 2)",
     )
     p_campaign.add_argument(
@@ -609,7 +603,7 @@ def build_parser():
         default=None,
         metavar="SECONDS",
         help="end a lease as hung when its worker sends no beat for this "
-        "long (--mode process/tcp; default off)",
+        "long (--mode process; default off)",
     )
     p_campaign.add_argument(
         "--worker-mem-limit",
@@ -617,7 +611,7 @@ def build_parser():
         default=None,
         metavar="MB",
         help="RLIMIT_AS ceiling per worker process in megabytes "
-        "(--mode process/tcp)",
+        "(--mode process)",
     )
     p_campaign.add_argument(
         "--worker-cpu-limit",
@@ -625,7 +619,7 @@ def build_parser():
         default=None,
         metavar="SECONDS",
         help="RLIMIT_CPU ceiling per worker process in CPU-seconds "
-        "(--mode process/tcp)",
+        "(--mode process)",
     )
     p_campaign.add_argument(
         "--journal",
@@ -690,19 +684,14 @@ def build_parser():
 
     p_worker = sub.add_parser(
         "worker",
-        help="serve a fleet coordinator: pull campaign leases over tcp",
+        help="serve a fleet coordinator: pull campaign leases over a socket",
     )
     p_worker.add_argument(
         "--connect",
         required=True,
         metavar="HOST:PORT",
-        help="the coordinator's listen address (`campaign --mode tcp --listen`)",
-    )
-    p_worker.add_argument(
-        "--net-chaos",
-        default=None,
-        metavar="SPEC",
-        help="override the coordinator's network fault plan (testing)",
+        help="the coordinator's listen address "
+        "(`campaign --mode process --listen`)",
     )
     p_worker.add_argument(
         "--connect-timeout",

@@ -191,8 +191,10 @@ def check_mutant(
                 )
         except SolverCrash as crash:
             if crash.kind == QUARANTINED_KIND:
-                # The breaker tripped between our check above and
-                # the call (thread-mode race): a skip, not a crash.
+                # The guard re-tests its breaker on every call (it is
+                # lock-guarded, since the guard's watchdog runs checks
+                # on a helper thread) and refused this one: a skip,
+                # not a crash.
                 report.quarantine_skips += 1
                 tel.count("quarantine_skips")
                 report.quarantined.add(solver.name)

@@ -1,7 +1,7 @@
 """Configuration for Semantic Fusion, the YinYang loop and campaigns.
 
-All three configs are plain picklable values. A process or tcp
-campaign ships its :class:`CampaignSpec` (which holds the
+All three configs are plain picklable values. A process campaign
+ships its :class:`CampaignSpec` (which holds the
 :class:`YinYangConfig`) to every worker once; the worker rebuilds its
 solvers, strategy, triage policy and solver sessions from it locally.
 """
@@ -73,23 +73,21 @@ class YinYangConfig:
                 )
 
 
-#: The modes a campaign runs in: ``YinYang.test``'s two plus the
-#: distributed socket fleet (campaign-level only: a fleet needs the
-#: campaign's lease machinery).
-CAMPAIGN_MODES = ("serial", "process", "tcp")
+#: The modes a campaign runs in: one process, or a socket worker fleet.
+CAMPAIGN_MODES = ("serial", "process")
 
-#: The worker-boundary settings and the modes that consult them. Each
-#: must keep its default in every other mode: a setting the campaign
-#: would ignore is rejected, never silently dropped.
-_MODE_SETTINGS = {
-    "supervise": ("process", "tcp"),
-    "containment": ("process", "tcp"),
-    "chaos_process": ("process", "tcp"),
-    "steal_seed": ("tcp",),
-    "listen": ("tcp",),
-    "spawn_workers": ("tcp",),
-    "net_chaos": ("tcp",),
-}
+#: The settings only a worker fleet reads. A serial campaign must keep
+#: each at its default: a setting it would ignore is rejected, never
+#: silently dropped.
+_FLEET_SETTINGS = (
+    "supervise",
+    "containment",
+    "chaos_process",
+    "steal_seed",
+    "listen",
+    "spawn_workers",
+    "net_chaos",
+)
 
 
 @dataclass(frozen=True)
@@ -103,12 +101,12 @@ class CampaignSpec:
     worker receives it, pickled, in its spec frame.
     ``strategy`` is a registry name, because a worker rebuilds the
     strategy from name and ``config.fusion``. ``supervise``,
-    ``containment`` and ``chaos_process`` act at the worker boundary
-    (process and tcp); ``steal_seed``, ``listen``, ``spawn_workers``
-    and ``net_chaos`` configure the tcp fleet. A setting the mode
-    would ignore is a :class:`~repro.errors.CampaignSpecError`, as are
-    ``workers < 1``, ``workers > 1`` in serial, and a process or tcp
-    spec without a ``solver_factory``.
+    ``containment`` and ``chaos_process`` act at the worker boundary;
+    ``steal_seed``, ``listen``, ``spawn_workers`` and ``net_chaos``
+    shape the process campaign's socket fleet. Any of them in a serial
+    spec is a :class:`~repro.errors.CampaignSpecError`, as are
+    ``workers < 1``, ``workers > 1`` in serial, and a process spec
+    without a ``solver_factory``.
     """
 
     config: YinYangConfig = field(default_factory=YinYangConfig)
@@ -117,7 +115,7 @@ class CampaignSpec:
     logic: str | None = None
     performance_threshold: float | None = 0.3
     policy: object = None  # ResiliencePolicy | None
-    solver_factory: object = None  # picklable; required by process and tcp
+    solver_factory: object = None  # picklable; required by process
     mode: str = "serial"
     workers: int = 1
     supervise: object = None  # SupervisorPolicy | None (the default policy)
@@ -147,19 +145,20 @@ class CampaignSpec:
                 )
         if self.workers < 1:
             raise CampaignSpecError(f"workers must be at least 1, got {self.workers}")
-        if self.mode == "serial" and self.workers != 1:
-            raise CampaignSpecError(
-                f"workers={self.workers} needs mode='process' or 'tcp': "
-                "a serial campaign runs in one process"
-            )
-        defaults = {f.name: f.default for f in fields(self)}
-        for name, modes in _MODE_SETTINGS.items():
-            if self.mode not in modes and getattr(self, name) != defaults[name]:
+        if self.mode == "serial":
+            if self.workers != 1:
                 raise CampaignSpecError(
-                    f"{name} needs mode={' or '.join(map(repr, modes))}: "
-                    f"a {self.mode} campaign would ignore it"
+                    f"workers={self.workers} needs mode='process': "
+                    "a serial campaign runs in one process"
                 )
-        if self.mode != "serial" and self.solver_factory is None:
+            defaults = {f.name: f.default for f in fields(self)}
+            for name in _FLEET_SETTINGS:
+                if getattr(self, name) != defaults[name]:
+                    raise CampaignSpecError(
+                        f"{name} needs mode='process': a serial campaign "
+                        "would ignore it"
+                    )
+        elif self.solver_factory is None:
             raise CampaignSpecError(
                 f"{self.mode} mode needs solver_factory (a picklable "
                 "callable); live solver objects cannot be shipped to "

@@ -3,10 +3,10 @@
 The paper's Algorithm 1 is one loop, mutate then check, and every
 campaign runs it through one object: a :class:`CellRunner`. A serial
 campaign builds one from the caller's solvers and runs each remaining
-cell through it; a process or tcp campaign shards each cell's
-iteration index space over worker processes (:mod:`repro.distributed`:
-a :class:`~repro.distributed.endpoint.TcpFleet` of ``yinyang worker``
-processes, on 127.0.0.1 for a process campaign), and every worker
+cell through it; a process campaign shards each cell's iteration
+index space over worker processes (:mod:`repro.distributed`: a
+:class:`~repro.distributed.endpoint.TcpFleet` of ``yinyang worker``
+processes, by default on 127.0.0.1), and every worker
 builds one at startup (:func:`install_worker_state`) and runs each of
 its leases through it. A runner owns, for its process's lifetime:
 

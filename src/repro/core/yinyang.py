@@ -36,9 +36,9 @@ which draws each mutant once and returns one report per solver.
 ``process`` mode leases shards of the index space to a supervised
 fleet of local worker processes, each of which runs every lease
 through the same method (see :mod:`repro.core.parallel`). Mixed
-fusion and serial campaign cells run through it too; campaigns add a
-``tcp`` mode, the same fleet with its wire settings open
-(:mod:`repro.campaign.runner`).
+fusion and serial campaign cells run through it too; a campaign's
+process mode may also shape that fleet (listen address, worker
+spawning, steal order, frame chaos; :mod:`repro.campaign.runner`).
 """
 
 from __future__ import annotations

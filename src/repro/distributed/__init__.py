@@ -1,10 +1,10 @@
 """Distributed campaigns: a coordinator and a work-stealing worker fleet.
 
-Every process and tcp campaign runs on one transport: separate Python
-processes on sockets (``yinyang worker --connect HOST:PORT``). A
-process campaign is a fleet on 127.0.0.1 that spawns its own workers;
-a tcp campaign may also listen elsewhere and serve workers started in
-other terminals or on other hosts.
+Every process campaign runs on one transport: separate Python
+processes on sockets (``yinyang worker --connect HOST:PORT``). By
+default the fleet listens on 127.0.0.1 and spawns its own workers; it
+may also listen elsewhere and serve workers started in other terminals
+or on other hosts.
 
 The pieces:
 
@@ -29,13 +29,12 @@ The pieces:
   cells become iteration-range leases driven to completion by the
   :class:`~repro.robustness.supervisor.Supervisor` (retry/backoff,
   poison bisection) over the fleet;
-- :mod:`~repro.distributed.netchaos` — seeded network fault injection
-  (drop/delay/duplicate/disconnect) extending the chaos layer across
-  the wire.
+- :mod:`~repro.distributed.netchaos` — seeded frame fault injection
+  (drop/delay/duplicate) extending the chaos layer across the wire.
 
 The headline invariant is inherited, not re-proven per backend:
 deterministic-mode journals are byte-identical for any fleet shape —
-serial, process, tcp, any worker count, any steal order (see
+serial or process, any worker count, any steal order (see
 ``tests/test_distributed.py``).
 """
 

@@ -1,8 +1,8 @@
 """The campaign-plan owner: cells → shard leases → a supervised fleet.
 
-Every process and tcp campaign runs through here, on one lease
-backend: a socket :class:`~repro.distributed.endpoint.TcpFleet` (for a
-process campaign, a fleet on 127.0.0.1 that spawns its own workers).
+Every process campaign runs through here, on one lease backend: a
+socket :class:`~repro.distributed.endpoint.TcpFleet` (by default on
+127.0.0.1, spawning its own workers).
 The coordinator owns exactly three responsibilities:
 
 1. **planning** — each remaining (family, oracle) cell becomes
@@ -50,10 +50,10 @@ class Coordinator:
     """Runs the cells of campaign ``spec`` as supervised shard leases.
 
     Builds the campaign's worker fleet and the one supervisor that
-    drives it; leaving the ``with`` block closes the fleet. The mode
-    only shapes the fleet (``spec.listen``, ``spec.spawn_workers`` and
-    ``spec.net_chaos`` are tcp settings; a process campaign keeps their
-    defaults). With a ``journal``, cells are committed
+    drives it; leaving the ``with`` block closes the fleet, whose shape
+    (``spec.listen``, ``spec.spawn_workers``, ``spec.steal_seed``,
+    ``spec.net_chaos``) the coordinator never reads. With a
+    ``journal``, cells are committed
     to it, poisoned iterations are journaled as ``poison`` entries, and
     leases checkpoint next to it; without one (``YinYang.test``) the
     caller reads the cells off the result.

@@ -9,9 +9,10 @@ handshakes each connecting ``yinyang worker``, and schedules leases by
 ``ready``; the fleet hands it a pending lease chosen by a seeded RNG.
 Distinct ``steal_seed`` values produce distinct assignment
 interleavings — which worker ran which shard in which order — and the
-determinism matrix asserts the merged journal cannot tell them apart. A ``process`` campaign is a
-fleet on 127.0.0.1 that spawns its ``workers`` itself; a ``tcp``
-campaign may also listen elsewhere and serve workers started by hand.
+determinism matrix asserts the merged journal cannot tell them apart.
+By default a ``process`` campaign's fleet listens on 127.0.0.1 and
+spawns its ``workers`` itself; it may also listen elsewhere and serve
+workers started by hand.
 
 Failure vocabulary (the part that keeps supervision honest):
 
@@ -71,6 +72,10 @@ from repro.robustness.containment import HANG_KILL, classify_exit
 #: no exit code to read (a worker started elsewhere, or one that lived on).
 NET_DISCONNECT = "net-disconnect"
 
+#: Single lost workers the fleet replaces itself between two whole-fleet
+#: respawns; past it, losing the last worker breaks the fleet.
+MAX_WORKER_RESPAWNS = 16
+
 
 class FleetBroken(ReproError):
     """The whole fleet is gone — the supervisor should respawn it."""
@@ -113,21 +118,15 @@ class TcpFleet:
     receives the spec (net chaos plan included) and the ``telemetry``
     config in its spec frame; a worker the fleet spawned also receives
     the path of this process's main script (see
-    :func:`~repro.distributed.worker._load_main`). Only a tcp campaign
-    counts its wire (``fleet.*`` counters): a process campaign's
-    metrics stay those of a serial run. The fleet is a context manager
-    and teardown is idempotent — ``close`` may be called any number of
-    times, including after a failed construction.
+    :func:`~repro.distributed.worker._load_main`). With ``telemetry``
+    the fleet also counts its wire (``fleet.*`` counters). The fleet is
+    a context manager and teardown is idempotent — ``close`` may be
+    called any number of times, including after a failed construction.
     """
 
     broken_exceptions = (FleetBroken,)
 
-    def __init__(
-        self,
-        spec,
-        telemetry=None,
-        max_worker_respawns=16,
-    ):
+    def __init__(self, spec, telemetry=None):
         from repro.distributed import worker
 
         if worker.loading_main:
@@ -138,7 +137,6 @@ class TcpFleet:
             )
         self.spec = spec
         self.telemetry = telemetry
-        self.max_worker_respawns = max_worker_respawns
         self._lock = threading.Lock()
         self._queue = []  # [(task, future)] — pending leases, steal pool
         self._ready = deque()  # _Remote instances asking for work
@@ -518,7 +516,7 @@ class TcpFleet:
                 )
         if self._closed or self._failed is not None:
             return False
-        if proc is not None and self._respawns < self.max_worker_respawns:
+        if proc is not None and self._respawns < MAX_WORKER_RESPAWNS:
             self._respawns += 1
             return True
         if not self._remotes and not self._procs and self._spawn_target > 0:
@@ -558,5 +556,5 @@ class TcpFleet:
                 future.set_exception(error)
 
     def _count(self, name, n=1):
-        if self.telemetry is not None and self.spec.mode == "tcp":
+        if self.telemetry is not None:
             self.telemetry.count(name, n)

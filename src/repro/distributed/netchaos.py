@@ -1,32 +1,21 @@
 """Seeded network fault injection for socket fleets.
 
 :class:`~repro.robustness.chaos.ProcessChaos` makes worker *processes*
-die on plan; :class:`NetChaos` extends the same discipline to the
-*wire*. Two fault families, matching how real networks fail:
-
-- **Planned disconnects** (``disconnect_at``): when a worker is about
-  to run a listed global iteration id — and the lease's attempt is
-  still below ``attempts`` — it closes its coordinator socket and
-  exits. From the coordinator's side this is indistinguishable from a
-  network partition or a remote host loss: the connection drops with a
-  lease outstanding. Attempt gating makes recovery provable, exactly
-  as for process chaos: ``attempts=1`` means the supervised retry of
-  the lease sails through on another worker.
-
-- **Seeded frame faults**: per-frame coin flips (one
-  ``random.Random(seed)`` per connection) that *drop*, *duplicate*, or
-  *delay* frames on the send path. Faults are restricted to frame
-  types the protocol is designed to survive — drops hit only
-  best-effort ``status`` frames (nothing depends on them; a ``beat``
-  frame is never dropped, since the hang watchdog reads silence as a
-  hang), duplicates hit only ``result`` frames (the coordinator
-  dedupes by lease id), and delays hit anything (TCP already reorders
-  timing). A fault that the protocol is *not* designed to survive
-  (dropping a result) would just be a hang, which is the beat
-  watchdog's job, not this injector's.
+die on plan (a planned kill is, from the coordinator's side, a dropped
+connection with a lease outstanding); :class:`NetChaos` extends the
+same seeded discipline to the *wire*: per-frame coin flips (one
+``random.Random`` per connection) that *drop*, *duplicate*, or *delay*
+frames on the send path. Faults are restricted to frame types the
+protocol is designed to survive — drops hit only best-effort
+``status`` frames (nothing depends on them; a ``beat`` frame is never
+dropped, since the hang watchdog reads silence as a hang), duplicates
+hit only ``result`` frames (the coordinator dedupes by lease id), and
+delays hit anything (TCP already reorders timing). A fault that the
+protocol is *not* designed to survive (dropping a result) would just
+be a hang, which is the beat watchdog's job, not this injector's.
 
 The payoff is the same as every chaos layer here: the soak test can
-assert that a campaign crossed by disconnects and frame noise merges
+assert that a campaign crossed by worker kills and frame noise merges
 to the byte-identical deterministic journal.
 """
 
@@ -37,27 +26,15 @@ import time
 from dataclasses import dataclass
 
 #: NetChaos fault kinds.
-DISCONNECT, DROP, DUP, DELAY = "net-disconnect", "net-drop", "net-dup", "net-delay"
-
-#: The exit code a chaos-disconnected worker dies with. Distinct from
-#: real failure codes so a log reader can tell an injected partition
-#: from an organic crash; the coordinator treats any disconnect the
-#: same way regardless.
-DISCONNECT_EXIT = 70
+DROP, DUP, DELAY = "net-drop", "net-dup", "net-delay"
 
 
 @dataclass(frozen=True)
 class NetChaos:
-    """A picklable plan of network faults for one fleet campaign.
+    """A picklable plan of frame faults for one fleet campaign: the
+    probabilities drive per-frame seeded coin flips on each
+    connection's send path."""
 
-    ``disconnect_at`` names global iteration ids (gated on the lease
-    ``attempt`` like :class:`~repro.robustness.chaos.ProcessChaos`);
-    the probabilities drive per-frame seeded coin flips on each
-    connection's send path.
-    """
-
-    disconnect_at: tuple = ()
-    attempts: int = 1
     p_drop_status: float = 0.0
     p_dup_result: float = 0.0
     p_delay: float = 0.0
@@ -65,8 +42,6 @@ class NetChaos:
     seed: int = 0
 
     def __post_init__(self):
-        if self.attempts < 0:
-            raise ValueError("attempts must be >= 0")
         for label, p in (
             ("p_drop_status", self.p_drop_status),
             ("p_dup_result", self.p_dup_result),
@@ -74,14 +49,6 @@ class NetChaos:
         ):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{label} must be in [0, 1]")
-
-    def fault_for(self, index, attempt):
-        """The planned fault for this iteration/attempt, or None (pure)."""
-        if attempt >= self.attempts:
-            return None
-        if index in self.disconnect_at:
-            return DISCONNECT
-        return None
 
     def bind(self, worker_id=0):
         """A per-connection injector (own RNG stream, own counters)."""
@@ -127,18 +94,27 @@ class BoundNetChaos:
         return False
 
 
+#: The CLI key of each :class:`NetChaos` field, and its type.
+_SPELLING = {
+    "drop": ("p_drop_status", float),
+    "dup": ("p_dup_result", float),
+    "delay": ("p_delay", float),
+    "delay_seconds": ("delay_seconds", float),
+    "seed": ("seed", int),
+}
+
+
 def parse_net_chaos(spec):
     """A :class:`NetChaos` from its CLI spelling.
 
-    ``spec`` is semicolon-separated ``key=value`` pairs; iteration
-    lists are comma-separated. Example::
+    ``spec`` is semicolon-separated ``key=value`` pairs. Example::
 
-        disconnect=3,11;attempts=1;drop=0.2;dup=0.2;delay=0.05;seed=9
+        drop=0.2;dup=0.2;delay=0.05;delay_seconds=0.005;seed=9
 
-    Keys: ``disconnect`` (global iteration ids), ``attempts``,
-    ``drop`` (p of dropping a status frame), ``dup`` (p of duplicating
-    a result frame), ``delay`` (p of delaying any frame),
-    ``delay_seconds``, ``seed``.
+    Keys: ``drop`` (p of dropping a status frame), ``dup`` (p of
+    duplicating a result frame), ``delay`` (p of delaying any frame),
+    ``delay_seconds``, ``seed``. A planned worker death is a
+    :class:`~repro.robustness.chaos.ProcessChaos` kill.
     """
     kwargs = {}
     for part in spec.split(";"):
@@ -149,22 +125,8 @@ def parse_net_chaos(spec):
         key = key.strip()
         if not sep:
             raise ValueError(f"net-chaos field {part!r} is not key=value")
-        if key == "disconnect":
-            kwargs["disconnect_at"] = tuple(
-                int(item) for item in value.split(",") if item.strip()
-            )
-        elif key == "attempts":
-            kwargs["attempts"] = int(value)
-        elif key == "drop":
-            kwargs["p_drop_status"] = float(value)
-        elif key == "dup":
-            kwargs["p_dup_result"] = float(value)
-        elif key == "delay":
-            kwargs["p_delay"] = float(value)
-        elif key == "delay_seconds":
-            kwargs["delay_seconds"] = float(value)
-        elif key == "seed":
-            kwargs["seed"] = int(value)
-        else:
+        if key not in _SPELLING:
             raise ValueError(f"unknown net-chaos field {key!r}")
+        name, kind = _SPELLING[key]
+        kwargs[name] = kind(value)
     return NetChaos(**kwargs)

@@ -5,8 +5,8 @@ to a coordinator, receive the campaign's frozen
 :class:`~repro.core.config.CampaignSpec` (and the telemetry config)
 once, adopt this process as a campaign worker via
 ``install_worker_state``, then loop — ``ready`` → ``lease`` → run →
-``result``. Every process and tcp campaign runs its leases here,
-whether the coordinator spawned this worker or it was started by hand.
+``result``. Every process campaign runs its leases here, whether the
+coordinator spawned this worker or it was started by hand.
 A worker that cannot set itself up from the spec frame says why in an
 ``error`` frame and exits, so the coordinator can stop the campaign
 instead of respawning a worker that can only fail again.
@@ -16,12 +16,12 @@ same cell loop a serial campaign runs, which owns sessions, triage,
 containment rlimits and crash-safe progress checkpoints. This module
 moves frames and supplies the loop's per-iteration hook
 (:func:`_lease_hook`): a ``beat`` frame when the supervisor watches for
-hangs, then planned process chaos, then planned network chaos. A
-worker computing iteration ``i`` is a pure function of ``(strategy,
-seed, i)``, whichever worker it is, which is why journals are
-byte-identical across fleet shapes. The progress checkpoints are also
-what a resumed campaign replays: the worker that runs a re-leased
-shard reads the log earlier workers wrote.
+hangs, then planned process chaos. A worker computing iteration
+``i`` is a pure function of ``(strategy, seed, i)``, whichever worker
+it is, which is why journals are byte-identical across fleet shapes.
+The progress checkpoints are also what a resumed campaign replays:
+the worker that runs a re-leased shard reads the log earlier workers
+wrote.
 
 Same-host note: progress checkpoints are paths on the *coordinator's*
 filesystem, so a worker on another host would leave them where no
@@ -39,7 +39,6 @@ import sys
 import time
 import types
 
-from repro.distributed.netchaos import DISCONNECT, DISCONNECT_EXIT
 from repro.distributed.protocol import (
     PROTOCOL_VERSION,
     Disconnected,
@@ -102,15 +101,14 @@ def _load_main(path):
     sys.modules["__main__"] = sys.modules["__mp_main__"] = main
 
 
-def run_worker(address, net_chaos=None, connect_timeout=30.0):
+def run_worker(address, connect_timeout=30.0):
     """Serve one coordinator until it shuts the fleet down; return exit code.
 
-    ``address`` is ``HOST:PORT`` (or a ``(host, port)`` pair);
-    ``net_chaos`` optionally overrides the campaign spec's plan (the
-    CLI's ``--net-chaos``). A coordinator that disappears
-    without a ``shutdown`` frame is treated as normal teardown — the
-    worker exits 0 rather than paging anyone about a campaign that is
-    simply over. A spec frame this worker cannot set itself up from is
+    ``address`` is ``HOST:PORT`` (or a ``(host, port)`` pair); the
+    spec frame carries the campaign's network fault plan, if any. A
+    coordinator that disappears without a ``shutdown`` frame is
+    treated as normal teardown — the worker exits 0 rather than paging
+    anyone about a campaign that is simply over. A spec frame this worker cannot set itself up from is
     reported to the coordinator, and the worker exits 1.
     """
     host, port = parse_address(address) if isinstance(address, str) else address
@@ -138,9 +136,8 @@ def run_worker(address, net_chaos=None, connect_timeout=30.0):
             if message.get("main_path"):
                 _load_main(message["main_path"])
             spec = unpack_blob(message["blob"])
-            plan = net_chaos if net_chaos is not None else spec.net_chaos
-            if plan is not None:
-                stream.chaos = plan.bind(message.get("worker_index", 0))
+            if spec.net_chaos is not None:
+                stream.chaos = spec.net_chaos.bind(message.get("worker_index", 0))
             install_worker_state(spec, telemetry=unpack_blob(message["telemetry"]))
         except Exception as exc:
             stream.send(
@@ -153,22 +150,19 @@ def run_worker(address, net_chaos=None, connect_timeout=30.0):
                 }
             )
             return 1
-        return _serve(stream, spec, plan)
+        return _serve(stream, spec)
     finally:
         stream.close()
 
 
-def _lease_hook(stream, spec, plan, task):
+def _lease_hook(stream, spec, task):
     """The per-iteration hook of one lease, in its fixed order.
 
     1. A ``beat`` frame, only when the supervisor watches for hangs:
        it is what tells a slow iteration from a hung one.
     2. The planned process fault (``spec.chaos_process``), after the
-       beat so a death at this iteration is attributable.
-    3. The planned network disconnect (``plan``), before the iteration
-       runs, so its work is never half-done. ``os._exit`` skips
-       interpreter teardown on purpose — a partitioned peer does not
-       get to flush buffers or run finalizers either.
+       beat so a death at this iteration is attributable, and before
+       the iteration runs, so its work is never half-done.
     """
     supervise = spec.supervise
     beat = supervise is not None and supervise.heartbeat_timeout is not None
@@ -186,14 +180,11 @@ def _lease_hook(stream, spec, plan, task):
             )
         if chaos is not None:
             chaos.fire(index, task.attempt)
-        if plan is not None and plan.fault_for(index, task.attempt) == DISCONNECT:
-            stream.close()
-            os._exit(DISCONNECT_EXIT)
 
     return hook
 
 
-def _serve(stream, spec, plan):
+def _serve(stream, spec):
     """Pull and run leases until a ``shutdown`` frame. A coordinator
     that disconnects — it is gone, or it dropped this worker as hung —
     ends the loop with exit code 0."""
@@ -221,7 +212,7 @@ def _serve(stream, spec, plan):
                 }
             )
             try:
-                payload = run_worker_task(task, _lease_hook(stream, spec, plan, task))
+                payload = run_worker_task(task, _lease_hook(stream, spec, task))
             except Disconnected:
                 raise
             except Exception as exc:

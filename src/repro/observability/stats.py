@@ -114,8 +114,8 @@ def _metrics_sections(snapshot):
         if name.startswith("fleet.")
     ]
     if fleet:
-        # Only tcp campaigns emit fleet.* counters, so dashboards of
-        # in-process runs render unchanged.
+        # Only process campaigns emit fleet.* counters, so dashboards
+        # of serial runs render unchanged.
         lines += [
             "",
             render_table(["fleet", "value"], fleet, "Distributed fleet"),

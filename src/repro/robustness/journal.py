@@ -18,7 +18,7 @@ would break both replay equality and the stronger process-mode
 guarantee that journals written at different worker counts are
 byte-identical.
 
-Process and tcp campaigns add one finer layer below the cell:
+Process campaigns add one finer layer below the cell:
 :class:`ShardProgress`, an *append-only* per-lease log of completed
 iterations (``<path>.lease-*.jsonl``), written by whichever worker
 runs the lease. Unlike the main journal it is not atomically

@@ -23,7 +23,7 @@ the meta line (which names the session spec) differs.
   (it draws no gensyms and no ambient randomness), so memoizing it on
   the *ordered* tuple is result-identical. The memo is not the
   session's own: it is a plain dict scoped to the campaign process
-  (serial: the whole campaign; a process or tcp worker: the worker's
+  (serial: the whole campaign; a process campaign's worker: the worker's
   lifetime), shared by every cell's session and by opfuzz's
   differential oracle. Mutants of the same seeds keep re-asserting the
   same theory atoms, and the oracle and the solvers under test check

@@ -29,9 +29,9 @@ class SolverConfig:
     nonlinear_budget: int = 900
     # Wall-clock limit per check (0 = unlimited). Enforced as a
     # cooperative deadline checked at DPLL(T) round boundaries, so it
-    # holds on any thread (the harness watchdog and YinYang's thread
-    # mode run checks off the main thread, where a SIGALRM-based limit
-    # would silently not engage). Timeouts answer ``unknown``, like a
+    # holds on any thread (the guard watchdog runs checks on its helper
+    # thread, where a SIGALRM-based limit would silently not engage).
+    # Timeouts answer ``unknown``, like a
     # real solver driven with a fuzzing time limit.
     timeout_seconds: float = 0.0
     strings: StringConfig = field(default_factory=StringConfig)

@@ -13,7 +13,7 @@ from repro.solver.solver import ReferenceSolver, SolverConfig
 # ---------------------------------------------------------------------------
 
 #: One way of running a campaign: an execution mode, a worker count and
-#: (for tcp fleets) the seed of the coordinator's work-stealing RNG.
+#: (for a process fleet) the seed of the coordinator's work-stealing RNG.
 #: The headline invariant of the parallel architecture is that a
 #: deterministic campaign's journal bytes are a pure function of the
 #: campaign parameters — *never* of the FleetShape it ran under.
@@ -21,7 +21,8 @@ FleetShape = namedtuple("FleetShape", "mode workers steal_seed")
 
 
 def _shape(mode, workers, steal_seed=0, slow=False):
-    suffix = f"-steal{steal_seed}" if mode == "tcp" else ""
+    # One worker takes every lease whatever the steal order.
+    suffix = f"-steal{steal_seed}" if workers > 1 else ""
     return pytest.param(
         FleetShape(mode, workers, steal_seed),
         id=f"{mode}-w{workers}{suffix}",
@@ -29,17 +30,15 @@ def _shape(mode, workers, steal_seed=0, slow=False):
     )
 
 
-#: The fleet-shape matrix. The fast lane covers every mode and a
-#: steal-order permutation; the four-worker shapes ride in the ``slow``
-#: lane (extra pools/processes, no new code paths).
+#: The fleet-shape matrix. The fast lane covers both modes, a lone
+#: worker and two steal-order permutations; the four-worker shape rides
+#: in the ``slow`` lane (extra processes, no new code paths).
 FLEET_MATRIX = [
     _shape("serial", 1),
-    _shape("process", 2),
-    _shape("tcp", 1),
-    _shape("tcp", 2, steal_seed=0),
-    _shape("tcp", 2, steal_seed=3),
-    _shape("process", 4, slow=True),
-    _shape("tcp", 4, steal_seed=1, slow=True),
+    _shape("process", 1),
+    _shape("process", 2, steal_seed=0),
+    _shape("process", 2, steal_seed=3),
+    _shape("process", 4, steal_seed=1, slow=True),
 ]
 
 
@@ -52,7 +51,7 @@ def fleet(request):
 def fleet_campaign_kwargs(shape):
     """The ``run_campaign`` keyword arguments selecting ``shape``."""
     kwargs = {"mode": shape.mode, "workers": shape.workers}
-    if shape.mode == "tcp":
+    if shape.mode != "serial":
         kwargs["steal_seed"] = shape.steal_seed
     return kwargs
 

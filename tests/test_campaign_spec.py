@@ -17,6 +17,7 @@ import pytest
 
 from repro.campaign.runner import default_solvers, run_campaign
 from repro.core.config import CampaignSpec, YinYangConfig
+from repro.distributed import NetChaos
 from repro.errors import CampaignSpecError
 from repro.robustness import ContainmentPolicy, ProcessChaos, SupervisorPolicy
 
@@ -127,9 +128,7 @@ FACTORY = {"solver_factory": default_solvers}
         {"steal_seed": 3},
         {"listen": ("127.0.0.1", 0)},
         {"spawn_workers": 1},
-        {"mode": "process", "steal_seed": 3, **FACTORY},
-        {"mode": "process", "listen": ("127.0.0.1", 0), **FACTORY},
-        {"mode": "process", "spawn_workers": 0, **FACTORY},
+        {"net_chaos": NetChaos(p_delay=0.1)},
         {"mode": "process", "workers": 0, **FACTORY},
         {"mode": "tcp"},
     ],
@@ -142,7 +141,7 @@ def test_spec_rejects_ignored_settings(kwargs):
 
 def test_spec_accepts_every_setting_its_mode_reads():
     CampaignSpec(
-        mode="tcp",
+        mode="process",
         workers=2,
         supervise=SupervisorPolicy(),
         containment=ContainmentPolicy(mem_limit_mb=64),
@@ -150,6 +149,7 @@ def test_spec_accepts_every_setting_its_mode_reads():
         steal_seed=3,
         listen=("127.0.0.1", 0),
         spawn_workers=0,
+        net_chaos=NetChaos(p_delay=0.1),
         **FACTORY,
     )
 

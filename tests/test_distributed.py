@@ -1,9 +1,9 @@
 """Distributed fleet test matrix: the coordinator + worker-fleet layer.
 
 The headline invariant under test: a deterministic campaign's journal
-is **byte-identical for every fleet shape** — serial, a process
-campaign's loopback fleet, or a TCP worker fleet, at any worker count,
-under any work-stealing order. The fleet-shape matrix (``fleet`` fixture in
+is **byte-identical for every fleet shape** — serial, or a process
+campaign's socket worker fleet at any worker count, under any
+work-stealing order. The fleet-shape matrix (``fleet`` fixture in
 ``conftest.py``) runs one cheap campaign per shape and diffs the bytes
 against the serial baseline.
 
@@ -15,15 +15,17 @@ Around that center sit the layers the invariant rests on:
 - the lease merge is blind to completion order, empty or stale lease
   logs, and
   workers that die before finishing a single iteration;
-- seeded :class:`~repro.distributed.NetChaos` faults (mid-lease
-  disconnects, dropped status frames, duplicated results, delays)
-  leave the journal byte-identical — crash recovery is invisible;
+- planned mid-lease worker kills
+  (:class:`~repro.robustness.ProcessChaos`) plus seeded
+  :class:`~repro.distributed.NetChaos` frame faults (dropped status
+  frames, duplicated results, delays) leave the journal
+  byte-identical — crash recovery is invisible;
 - :class:`~repro.distributed.TcpFleet` teardown is idempotent and
   exception-safe.
 
 Socket-spawning tests are cheap (one cell, six iterations, a single
-deterministic solver); the disconnect soaks are marked ``chaos`` and
-the four-worker shapes ``slow``, matching the CI lanes.
+deterministic solver); the kill soaks are marked ``chaos`` and the
+four-worker shape ``slow``, matching the CI lanes.
 """
 
 import json
@@ -48,7 +50,7 @@ from repro.distributed import (
     TcpFleet,
     parse_net_chaos,
 )
-from repro.distributed.netchaos import DELAY, DISCONNECT, DROP, DUP
+from repro.distributed.netchaos import DELAY, DROP, DUP
 from repro.distributed.protocol import (
     MAX_FRAME_BYTES,
     FrameDecoder,
@@ -61,8 +63,7 @@ from repro.distributed.protocol import (
     unpack_blob,
 )
 from repro.observability.telemetry import Telemetry
-from repro.robustness import SupervisorPolicy
-from repro.robustness import ShardProgress
+from repro.robustness import ProcessChaos, ShardProgress, SupervisorPolicy
 from repro.robustness.journal import lease_progress_path
 from repro.seeds import build_corpus
 
@@ -146,7 +147,7 @@ class TestFleetShapeDeterminism:
         result = run_campaign(
             {"QF_S": corpora["QF_S"]},
             journal=tmp_path / "tcp.jsonl",
-            mode="tcp",
+            mode="process",
             workers=2,
             solver_factory=one_deterministic_solver,
             **CAMPAIGN,
@@ -169,7 +170,7 @@ class TestFleetShapeDeterminism:
             run_campaign(
                 corpora,
                 journal=tmp_path / "tel.jsonl",
-                mode="tcp",
+                mode="process",
                 workers=2,
                 telemetry=telemetry,
                 solver_factory=one_deterministic_solver,
@@ -215,7 +216,7 @@ class TestFleetShapeDeterminism:
             run_campaign(
                 corpora,
                 journal=path,
-                mode="tcp",
+                mode="process",
                 workers=2,
                 listen=("127.0.0.1", port),
                 spawn_workers=0,
@@ -396,12 +397,9 @@ class TestTaskWireCodec:
 class TestNetChaosPlan:
     def test_parse_full_spec(self):
         plan = parse_net_chaos(
-            "disconnect=3,11;attempts=2;drop=0.2;dup=0.25;"
-            "delay=0.05;delay_seconds=0.001;seed=9"
+            "drop=0.2;dup=0.25;delay=0.05;delay_seconds=0.001;seed=9"
         )
         assert plan == NetChaos(
-            disconnect_at=(3, 11),
-            attempts=2,
             p_drop_status=0.2,
             p_dup_result=0.25,
             p_delay=0.05,
@@ -412,20 +410,15 @@ class TestNetChaosPlan:
     def test_parse_rejects_unknown_and_malformed_fields(self):
         with pytest.raises(ValueError, match="unknown"):
             parse_net_chaos("teleport=1")
+        # A planned worker death is a ProcessChaos kill, not a net fault.
+        with pytest.raises(ValueError, match="unknown net-chaos field"):
+            parse_net_chaos("disconnect=1")
         with pytest.raises(ValueError, match="key=value"):
-            parse_net_chaos("disconnect")
+            parse_net_chaos("drop")
 
     def test_probabilities_are_validated(self):
         with pytest.raises(ValueError, match="p_drop_status"):
             NetChaos(p_drop_status=1.5)
-        with pytest.raises(ValueError, match="attempts"):
-            NetChaos(attempts=-1)
-
-    def test_disconnects_are_attempt_gated(self):
-        plan = NetChaos(disconnect_at=(4,), attempts=1)
-        assert plan.fault_for(4, 0) == DISCONNECT
-        assert plan.fault_for(4, 1) is None  # the retry sails through
-        assert plan.fault_for(5, 0) is None
 
     def test_bound_faults_replay_per_worker(self):
         """Same seed, same frame sequence → the same injected faults;
@@ -458,11 +451,11 @@ class TestNetChaosPlan:
 
 
 class TestMergeEdgeCases:
-    def _resume_tcp(self, corpora, path):
+    def _resume_fleet(self, corpora, path):
         run_campaign(
             corpora,
             journal=path,
-            mode="tcp",
+            mode="process",
             workers=2,
             resume=True,
             solver_factory=one_deterministic_solver,
@@ -481,7 +474,7 @@ class TestMergeEdgeCases:
             lease_progress_path(path, cell, 0, 2), meta=dict(LEASE_META, shard=0)
         )
         assert log.completed == {}
-        self._resume_tcp(corpora, path)
+        self._resume_fleet(corpora, path)
         assert path.read_bytes() == baseline[1]
         assert list(tmp_path.glob(path.name + ".*")) == []
 
@@ -496,7 +489,7 @@ class TestMergeEdgeCases:
         ShardProgress(lease_progress_path(path, cell, 0, 2), meta=stale).record(
             0, {"iterations": 99}
         )
-        self._resume_tcp(corpora, path)
+        self._resume_fleet(corpora, path)
         assert path.read_bytes() == baseline[1]
         assert list(tmp_path.glob(path.name + ".*")) == []
 
@@ -511,7 +504,7 @@ class TestMergeEdgeCases:
         run_campaign(
             corpora,
             journal=path,
-            mode="tcp",
+            mode="process",
             workers=2,
             spawn_workers=1,
             steal_seed=steal_seed,
@@ -535,7 +528,7 @@ class TestMergeEdgeCases:
         self, corpora, baseline, tmp_path
     ):
         """A worker that dies before finishing a *single* iteration of
-        its lease (disconnect planned at each shard's first index)
+        its lease (a kill planned at each shard's first index)
         contributes nothing — no partial shard entry, no stale
         checkpoint shadowing — and the retried lease restores the exact
         bytes."""
@@ -543,9 +536,9 @@ class TestMergeEdgeCases:
         result = run_campaign(
             corpora,
             journal=path,
-            mode="tcp",
+            mode="process",
             workers=2,
-            net_chaos=NetChaos(disconnect_at=(0, 1), attempts=1),
+            chaos_process=ProcessChaos(kill_at=(0, 1), attempts=1),
             supervise=SupervisorPolicy(max_worker_restarts=20, **NO_BACKOFF),
             solver_factory=one_deterministic_solver,
             **CAMPAIGN,
@@ -560,7 +553,7 @@ class TestMergeEdgeCases:
 
 
 # ---------------------------------------------------------------------------
-# 5. The chaos soak: disconnects plus frame noise, byte-identical output
+# 5. The chaos soak: worker kills plus frame noise, byte-identical output
 # ---------------------------------------------------------------------------
 
 
@@ -569,7 +562,7 @@ class TestNetChaosSoak:
     def test_disconnects_and_frame_noise_are_invisible(
         self, corpora, baseline, tmp_path
     ):
-        """Mid-lease partitions at two iterations plus heavy seeded
+        """Mid-lease worker kills at two iterations plus heavy seeded
         frame faults (half of status frames dropped, half of results
         duplicated, a fifth of frames delayed): the supervisor retries
         every dropped lease and the journal is byte-identical."""
@@ -579,11 +572,10 @@ class TestNetChaosSoak:
             result = run_campaign(
                 corpora,
                 journal=path,
-                mode="tcp",
+                mode="process",
                 workers=2,
+                chaos_process=ProcessChaos(kill_at=(1, 4), attempts=1),
                 net_chaos=NetChaos(
-                    disconnect_at=(1, 4),
-                    attempts=1,
                     p_drop_status=0.5,
                     p_dup_result=0.5,
                     p_delay=0.2,
@@ -603,7 +595,7 @@ class TestNetChaosSoak:
         assert result.supervision["poisoned"] == 0
         assert result.poisoned == []
         # The wire actually saw the injected trouble: each planned
-        # disconnect dropped a connection, and the fleet quietly
+        # kill dropped a connection, and the fleet quietly
         # replaced the lost workers without a supervisor restart or a
         # whole-fleet respawn.
         assert counters["fleet.disconnects"] >= 2
@@ -619,10 +611,10 @@ class TestNetChaosSoak:
         run_campaign(
             corpora,
             journal=path,
-            mode="tcp",
+            mode="process",
             workers=2,
             steal_seed=11,
-            net_chaos=NetChaos(disconnect_at=(2,), attempts=1),
+            chaos_process=ProcessChaos(kill_at=(2,), attempts=1),
             supervise=SupervisorPolicy(max_worker_restarts=20, **NO_BACKOFF),
             solver_factory=one_deterministic_solver,
             **CAMPAIGN,
@@ -635,12 +627,12 @@ class TestNetChaosSoak:
 # ---------------------------------------------------------------------------
 
 
-def _tcp_spec(workers=1):
+def _fleet_spec(workers=1):
     return CampaignSpec(
         config=YinYangConfig(fusion=FusionConfig(), seed=6),
         iterations_per_cell=1,
         solver_factory=one_deterministic_solver,
-        mode="tcp",
+        mode="process",
         workers=workers,
         spawn_workers=0,
     )
@@ -651,7 +643,7 @@ _TASK = dict(oracle="sat", seed_texts=("(assert true)",), logics=("QF_S",), shar
 
 class TestTeardownIdempotence:
     def test_tcp_fleet_close_twice(self):
-        fleet = TcpFleet(_tcp_spec(workers=2))
+        fleet = TcpFleet(_fleet_spec(workers=2))
         address = fleet.address
         fleet.close()
         fleet.close()
@@ -659,14 +651,14 @@ class TestTeardownIdempotence:
             socket.create_connection(address, timeout=1).close()
 
     def test_tcp_fleet_rejects_submit_after_close(self):
-        fleet = TcpFleet(_tcp_spec())
+        fleet = TcpFleet(_fleet_spec())
         fleet.close()
         task = ShardTask(**_TASK, lease_id=1)
         with pytest.raises(FleetBroken):
             fleet.submit(task)
 
     def test_tcp_fleet_requires_leases(self):
-        with TcpFleet(_tcp_spec()) as fleet:
+        with TcpFleet(_fleet_spec()) as fleet:
             task = ShardTask(**_TASK)
             with pytest.raises(ValueError, match="lease"):
                 fleet.submit(task)
@@ -674,7 +666,7 @@ class TestTeardownIdempotence:
     def test_tcp_fleet_close_fails_inflight_leases(self):
         """A fleet closed with a lease in flight fails that lease's
         future instead of leaving a waiter hanging forever."""
-        fleet = TcpFleet(_tcp_spec())
+        fleet = TcpFleet(_fleet_spec())
         try:
             task = ShardTask(**_TASK, lease_id=1)
             future = fleet.submit(task)  # queued: no worker will connect
@@ -689,7 +681,7 @@ class TestTeardownIdempotence:
         whose leases carried the campaign constants, or a future one —
         is turned away at the door: its connection closes without ever
         joining the fleet."""
-        with TcpFleet(_tcp_spec()) as fleet:
+        with TcpFleet(_fleet_spec()) as fleet:
             host, port = fleet.address
             for protocol in (1, 999):
                 with socket.create_connection((host, port), timeout=5) as sock:
@@ -747,7 +739,7 @@ if __name__ == "__main__":
     started = time.monotonic()
     try:
         run_campaign(
-            corpora, mode="tcp", workers=1, listen=("127.0.0.1", port),
+            corpora, mode="process", workers=1, listen=("127.0.0.1", port),
             spawn_workers=0, **campaign,
         )
     except WorkerSetupError as exc:
@@ -802,4 +794,4 @@ class TestWorkerSetup:
 
         monkeypatch.setattr(worker, "loading_main", True)
         with pytest.raises(RuntimeError, match="__name__"):
-            TcpFleet(_tcp_spec())
+            TcpFleet(_fleet_spec())

@@ -403,8 +403,8 @@ class TestJournalEquivalence:
 
 class TestSessionDeterminism:
     """Incremental journals across the fleet-shape matrix: solver
-    sessions live *inside* each worker, so any shape — process pool,
-    tcp fleet, any worker count or steal order — partitions the cells
+    sessions live *inside* each worker, so any shape — serial, or a
+    process fleet at any worker count or steal order — partitions the cells
     into different session lifetimes. The journal bytes must not
     notice."""
 

@@ -490,7 +490,7 @@ class TestHandStartedHang:
             result = run_campaign(
                 corpora,
                 journal=path,
-                mode="tcp",
+                mode="process",
                 workers=1,
                 listen=("127.0.0.1", port),
                 spawn_workers=0,

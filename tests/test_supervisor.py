@@ -395,6 +395,10 @@ class TestProcessChaos:
         assert chaos.fault_for(2, 1) is None  # retry sails through
         assert chaos.fault_for(4, 0) is None
 
+    def test_negative_attempts_are_rejected(self):
+        with pytest.raises(ValueError, match="attempts"):
+            ProcessChaos(attempts=-1)
+
     def test_permanent_poison_plan(self):
         chaos = ProcessChaos(kill_at=(5,), attempts=10**9)
         assert chaos.fault_for(5, 12345) == "kill"

@@ -84,7 +84,7 @@ class TestJournalGoldens:
 
 
 class TestFleetShapes:
-    """A pool or tcp worker keeps one memo for all its leases, so the
+    """A fleet worker keeps one memo for all its leases, so the
     fleet shape decides which cells and oracle solves share entries.
     The journal bytes must not notice."""
 

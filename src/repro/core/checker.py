@@ -191,10 +191,10 @@ def check_mutant(
                 )
         except SolverCrash as crash:
             if crash.kind == QUARANTINED_KIND:
-                # The guard re-tests its breaker on every call (it is
-                # lock-guarded, since the guard's watchdog runs checks
-                # on a helper thread) and refused this one: a skip,
-                # not a crash.
+                # The breaker tripped between our test above and the
+                # call: the guard is built for use from several threads
+                # (its watchdog runs checks on a helper thread). A
+                # skip, not a crash.
                 report.quarantine_skips += 1
                 tel.count("quarantine_skips")
                 report.quarantined.add(solver.name)

@@ -34,6 +34,7 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -186,6 +187,40 @@ class TestFleetShapeDeterminism:
         assert counters["fleet.results"] == 2
         assert counters["fleet.steals"] == 2
         assert counters.get("fleet.disconnects", 0) == 0
+
+    def test_concurrent_wire_counts_lose_nothing(self):
+        """Every connection's reader thread counts ``fleet.*`` into the
+        campaign's one registry; counts racing from many threads must
+        all land. Each round counts fresh names, since a name's first
+        count (creating its counter) is where an unguarded race loses
+        increments."""
+        telemetry = Telemetry()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with TcpFleet(_fleet_spec(), telemetry=telemetry) as fleet:
+                for round_ in range(20):
+                    names = [f"fleet.race{round_}.{i}" for i in range(500)]
+                    start = threading.Barrier(8)
+
+                    def count():
+                        start.wait()
+                        for name in names:
+                            fleet._count(name)
+
+                    threads = [threading.Thread(target=count) for _ in range(8)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                    assert not any(thread.is_alive() for thread in threads)
+            counters = telemetry.snapshot()["counters"]
+        finally:
+            sys.setswitchinterval(switch)
+            telemetry.close()
+        races = {n: v for n, v in counters.items() if n.startswith("fleet.race")}
+        assert len(races) == 20 * 500
+        assert set(races.values()) == {8}
 
     def test_external_workers_serve_a_spawnless_fleet(
         self, corpora, baseline, tmp_path

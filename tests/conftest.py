@@ -12,12 +12,16 @@ from repro.solver.solver import ReferenceSolver, SolverConfig
 # Fleet shapes: the execution-mode matrix shared by the determinism suites
 # ---------------------------------------------------------------------------
 
-#: One way of running a campaign: an execution mode, a worker count and
-#: (for a process fleet) the seed of the coordinator's work-stealing RNG.
+#: One way of running a campaign: an execution mode, a worker count,
+#: (for a process fleet) the seed of the coordinator's work-stealing RNG
+#: — ``None`` leaves it at its default — and any further fleet settings
+#: as ``(name, value)`` pairs.
 #: The headline invariant of the parallel architecture is that a
 #: deterministic campaign's journal bytes are a pure function of the
 #: campaign parameters — *never* of the FleetShape it ran under.
-FleetShape = namedtuple("FleetShape", "mode workers steal_seed")
+FleetShape = namedtuple(
+    "FleetShape", "mode workers steal_seed settings", defaults=((),)
+)
 
 
 def _shape(mode, workers, steal_seed=0, slow=False):
@@ -42,17 +46,44 @@ FLEET_MATRIX = [
 ]
 
 
+#: Two-worker fleets that differ from a matrix shape only in how the
+#: fleet is configured, so only the fleet suite (``test_distributed.py``)
+#: runs them: ``process-w2`` passes no fleet setting at all (what a bare
+#: ``mode="process", workers=2`` call gets), and ``tcp-w2-steal3`` spells
+#: out the settings of the former tcp mode — an explicit listen address,
+#: a spawn count and a steal seed.
+FLEET_SETTINGS_SHAPES = [
+    pytest.param(FleetShape("process", 2, None), id="process-w2"),
+    pytest.param(
+        FleetShape(
+            "process",
+            2,
+            3,
+            (("listen", ("127.0.0.1", 0)), ("spawn_workers", 2)),
+        ),
+        id="tcp-w2-steal3",
+    ),
+]
+
+
 @pytest.fixture(params=FLEET_MATRIX)
 def fleet(request):
     """Parametrize a test over every fleet shape in the matrix."""
     return request.param
 
 
+@pytest.fixture(params=FLEET_MATRIX + FLEET_SETTINGS_SHAPES)
+def fleet_configured(request):
+    """The matrix plus the fleet-settings shapes (the fleet suite)."""
+    return request.param
+
+
 def fleet_campaign_kwargs(shape):
     """The ``run_campaign`` keyword arguments selecting ``shape``."""
     kwargs = {"mode": shape.mode, "workers": shape.workers}
-    if shape.mode != "serial":
+    if shape.mode != "serial" and shape.steal_seed is not None:
         kwargs["steal_seed"] = shape.steal_seed
+    kwargs.update(shape.settings)
     return kwargs
 
 

@@ -130,6 +130,11 @@ FACTORY = {"solver_factory": default_solvers}
         {"spawn_workers": 1},
         {"net_chaos": NetChaos(p_delay=0.1)},
         {"mode": "process", "workers": 0, **FACTORY},
+        # A fleet setting the process mode reads never excuses an
+        # invalid one: a fleet of no workers stays rejected.
+        {"mode": "process", "steal_seed": 3, **FACTORY, "workers": 0},
+        {"mode": "process", "listen": ("127.0.0.1", 0), **FACTORY, "workers": 0},
+        {"mode": "process", "spawn_workers": 0, **FACTORY, "workers": 0},
         {"mode": "tcp"},
     ],
     ids=lambda kwargs: ",".join(f"{k}={v!r}" for k, v in kwargs.items()),

@@ -3,9 +3,11 @@
 The headline invariant under test: a deterministic campaign's journal
 is **byte-identical for every fleet shape** — serial, or a process
 campaign's socket worker fleet at any worker count, under any
-work-stealing order. The fleet-shape matrix (``fleet`` fixture in
-``conftest.py``) runs one cheap campaign per shape and diffs the bytes
-against the serial baseline.
+work-stealing order, whether its fleet settings are left at their
+defaults or spelled out. The fleet-shape matrix plus its two
+fleet-settings shapes (``fleet_configured`` fixture in ``conftest.py``)
+runs one cheap campaign per shape and diffs the bytes against the
+serial baseline.
 
 Around that center sit the layers the invariant rests on:
 
@@ -30,6 +32,7 @@ four-worker shape ``slow``, matching the CI lanes.
 
 import json
 import os
+import signal
 import socket
 import struct
 import subprocess
@@ -52,6 +55,7 @@ from repro.distributed import (
     parse_net_chaos,
 )
 from repro.distributed.netchaos import DELAY, DROP, DUP
+from repro.distributed.worker import _lease_hook
 from repro.distributed.protocol import (
     MAX_FRAME_BYTES,
     FrameDecoder,
@@ -126,12 +130,12 @@ class TestFleetShapeDeterminism:
     """One deterministic campaign, every fleet shape, identical bytes."""
 
     def test_journal_bytes_are_shape_blind(
-        self, corpora, baseline, tmp_path, fleet, run_fleet_campaign
+        self, corpora, baseline, tmp_path, fleet_configured, run_fleet_campaign
     ):
         path = tmp_path / "fleet.jsonl"
         result = run_fleet_campaign(
             corpora,
-            fleet,
+            fleet_configured,
             journal=path,
             solver_factory=one_deterministic_solver,
             **CAMPAIGN,
@@ -454,6 +458,30 @@ class TestNetChaosPlan:
     def test_probabilities_are_validated(self):
         with pytest.raises(ValueError, match="p_drop_status"):
             NetChaos(p_drop_status=1.5)
+
+    def test_disconnects_are_attempt_gated(self):
+        """A planned mid-lease disconnect is a ProcessChaos kill, fired
+        by the fleet worker's lease hook with the lease's attempt: the
+        first attempt dies at the planned iteration, the retry sails
+        through. SIGUSR1 stands in for the kill signal so the death is
+        observed, not suffered."""
+        plan = ProcessChaos(kill_at=(4,), attempts=1, kill_signal=signal.SIGUSR1)
+        spec = dataclasses.replace(_fleet_spec(), chaos_process=plan)
+        deaths = []
+        previous = signal.signal(signal.SIGUSR1, lambda *_: deaths.append(1))
+        try:
+            fired = []
+            for attempt in (0, 1):
+                task = ShardTask(**_TASK, lease_id=1, attempt=attempt)
+                hook = _lease_hook(None, spec, task)  # no beats: no stream
+                for index in range(6):
+                    hook(index)
+                    if deaths:
+                        fired.append((attempt, index))
+                        deaths.clear()
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        assert fired == [(0, 4)]
 
     def test_bound_faults_replay_per_worker(self):
         """Same seed, same frame sequence → the same injected faults;

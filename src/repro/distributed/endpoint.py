@@ -138,9 +138,6 @@ class TcpFleet:
         self.spec = spec
         self.telemetry = telemetry
         self._lock = threading.Lock()
-        # The registry is not thread-safe, and every connection's reader
-        # thread counts: unguarded, concurrent counts lose increments.
-        self._count_lock = threading.Lock()
         self._queue = []  # [(task, future)] — pending leases, steal pool
         self._ready = deque()  # _Remote instances asking for work
         self._inflight = {}  # lease_id -> (_Remote, future)
@@ -560,5 +557,4 @@ class TcpFleet:
 
     def _count(self, name, n=1):
         if self.telemetry is not None:
-            with self._count_lock:
-                self.telemetry.count(name, n)
+            self.telemetry.count(name, n)

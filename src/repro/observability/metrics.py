@@ -1,11 +1,17 @@
 """The metrics registry: counters, gauges, fixed-bucket histograms.
 
 Pure-Python and allocation-light: the hot path of every instrument is a
-plain attribute increment or a short bucket scan — no locks, no string
+plain attribute increment or a short bucket scan — no string
 formatting, no timestamps, and (in steady state) no allocations beyond
 the boxed numbers Python itself creates. Campaign code holds metric
 handles (``registry.counter("fused")``) and bumps them; everything else
 — serialization, merging, rendering — happens off the hot path.
+
+Handle creation and :meth:`MetricsRegistry.inc` hold the registry's
+lock, so counting by name is thread-safe: a fleet connection's reader
+thread, or a solver thread a guard watchdog has abandoned, may count
+while the campaign thread does. A handle's own methods are not guarded;
+only the thread that owns a handle bumps it directly.
 
 Merge semantics are the load-bearing design point: process-sharded
 campaigns collect one snapshot per shard and the parent folds them
@@ -31,6 +37,7 @@ must never perturb the campaign's RNG stream (see DESIGN.md §10).
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 
 # Default histogram buckets for wall-time observations, in seconds.
@@ -118,37 +125,49 @@ class MetricsRegistry:
         self._gauges = {}
         self._histograms = {}
         self._sets = {}
+        # Guards handle creation and inc(): unguarded, two threads making
+        # a name's first count could each create a handle, and the later
+        # store would drop the other's increments.
+        self._lock = threading.Lock()
 
     # -- handles ---------------------------------------------------------
 
     def counter(self, name):
         metric = self._counters.get(name)
         if metric is None:
-            metric = self._counters[name] = Counter(name)
+            with self._lock:
+                metric = self._counters.setdefault(name, Counter(name))
         return metric
 
     def gauge(self, name):
         metric = self._gauges.get(name)
         if metric is None:
-            metric = self._gauges[name] = Gauge(name)
+            with self._lock:
+                metric = self._gauges.setdefault(name, Gauge(name))
         return metric
 
     def histogram(self, name, bounds=TIME_BUCKETS):
         metric = self._histograms.get(name)
         if metric is None:
-            metric = self._histograms[name] = Histogram(name, bounds)
+            with self._lock:
+                metric = self._histograms.setdefault(name, Histogram(name, bounds))
         return metric
 
     def value_set(self, name):
         """A named set of hashable values (merged by union)."""
         values = self._sets.get(name)
         if values is None:
-            values = self._sets[name] = set()
+            with self._lock:
+                values = self._sets.setdefault(name, set())
         return values
 
     def inc(self, name, n=1):
-        """Convenience: bump a counter by name."""
-        self.counter(name).inc(n)
+        """Bump a counter by name; safe to call from any thread."""
+        with self._lock:
+            metric = self._counters.get(name)
+            if metric is None:
+                metric = self._counters[name] = Counter(name)
+            metric.inc(n)
 
     # -- snapshots -------------------------------------------------------
 

@@ -20,6 +20,7 @@ import ast
 import gc
 import os
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -285,6 +286,38 @@ class TestTelemetry:
         snap = a.snapshot()
         assert snap["counters"]["iterations"] == 7
         assert "version" not in snap["counters"]
+
+    def test_concurrent_counts_lose_nothing(self):
+        """Counting by name is thread-safe: 8 threads counting the same
+        fresh names into one Telemetry lose no increment, neither when a
+        name's first count creates its counter nor after. A guard
+        watchdog's abandoned solver thread counts this way."""
+        tel = Telemetry()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(20):
+                names = [f"race{round_}.{i}" for i in range(500)]
+                start = threading.Barrier(8)
+
+                def count():
+                    start.wait()
+                    for name in names:
+                        tel.count(name)
+                        tel.count(name, 2)
+
+                threads = [threading.Thread(target=count) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        counters = tel.snapshot()["counters"]
+        races = {n: v for n, v in counters.items() if n.startswith("race")}
+        assert len(races) == 20 * 500
+        assert set(races.values()) == {8 * 3}
 
     def test_write_and_load_snapshot(self, tmp_path):
         tel = Telemetry()

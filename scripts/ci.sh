@@ -17,8 +17,11 @@
 #      YinYang.run_cell that serial campaigns and fleet leases share
 #      (one loop over iteration indices), and every check_script takes
 #      directive and session parameters (one call shape through every
-#      solver layer); and the benchmark's layer tracer
-#      (verdict_bench/tracing.py) still finds every name it wraps.
+#      solver layer), and the int-first exact kernels
+#      (solver/linarith.py, solver/nonlinear.py) divide only through
+#      linarith.qdiv, since int / int is a float; and the benchmark's
+#      layer tracer (verdict_bench/tracing.py) still finds every name
+#      it wraps.
 #   2. Strategy determinism — the default fusion strategy must
 #      reproduce the pre-refactor golden journal byte-for-byte, and
 #      opfuzz must journal identically across modes/worker counts.
@@ -89,7 +92,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core, no pool executors, one lease planner, one cell loop, one check_script shape) and the bench tracer seam =="
+echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core, no pool executors, one lease planner, one cell loop, one check_script shape, no true division in the exact kernels) and the bench tracer seam =="
 python -m pytest tests/test_ast_lint.py \
     "tests/test_observability.py::TestHotPathHygiene" \
     tests/test_bench_tracer_seam.py -q

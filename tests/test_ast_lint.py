@@ -437,3 +437,65 @@ def test_check_script_lint_detects_violations(tmp_path):
         (2, ("directive", "session")),
         (5, ("session",)),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Exact-arithmetic lint: no true division in the int-first kernels.
+# ---------------------------------------------------------------------------
+
+# The linear and nonlinear kernels keep integral rationals as ints, and
+# int / int is a float: every division there must go through
+# ``linarith.qdiv``, the one function allowed to use ``/``.
+_EXACT_KERNELS = (SRC / "solver" / "linarith.py", SRC / "solver" / "nonlinear.py")
+_DIVISION_HELPER = "qdiv"
+
+
+def _true_divisions(path):
+    """Line of every ``/`` or ``/=`` in ``path`` outside ``qdiv``."""
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self):
+            self.functions = []
+            self.hits = []
+
+        def visit_FunctionDef(self, node):
+            self.functions.append(node.name)
+            self.generic_visit(node)
+            self.functions.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def _check(self, node):
+            if isinstance(node.op, ast.Div) and _DIVISION_HELPER not in self.functions:
+                self.hits.append(node.lineno)
+            self.generic_visit(node)
+
+        visit_BinOp = visit_AugAssign = _check
+
+    visitor = Visitor()
+    visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+    return visitor.hits
+
+
+@pytest.mark.parametrize("path", _EXACT_KERNELS, ids=lambda p: p.name)
+def test_exact_kernels_divide_only_through_qdiv(path):
+    hits = _true_divisions(path)
+    assert not hits, (
+        f"{path.relative_to(SRC)} uses true division outside qdiv at lines "
+        f"{hits}; int / int is a float, so divide with linarith.qdiv"
+    )
+
+
+def test_true_division_lint_detects_violations(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def qdiv(a, b):\n"
+        "    return a / b\n"
+        "def half(x):\n"
+        "    return x / 2\n"
+        "def shrink(x):\n"
+        "    x /= 3\n"
+        "    return x // 3\n"
+        "ratio = 1 / 4\n"
+    )
+    assert _true_divisions(bad) == [4, 6, 8]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from repro.coverage.probes import (
@@ -160,9 +161,15 @@ class PolyAtom:
         items = tuple(sorted((mono, exact(coeff)) for mono, coeff in poly.items()))
         return cls(items, op)
 
-    @property
+    # Built once per atom and shared by every caller, which must not
+    # mutate them.
+    @cached_property
     def poly_dict(self):
         return dict(self.poly)
+
+    @cached_property
+    def poly_vars(self):
+        return poly_vars(self.poly_dict)
 
     def evaluate(self, model):
         value = eval_poly(self.poly_dict, model)
@@ -747,8 +754,7 @@ def _propagate_equalities(atoms, int_vars):
         # Drop decided atoms; detect contradictions.
         remaining = []
         for atom in work:
-            poly = atom.poly_dict
-            if not poly_vars(poly):
+            if not atom.poly_vars:
                 if not atom.evaluate({}):
                     line_probe("nonlinear.propagate_conflict")
                     return UNSAT, fixed, eliminations, []
@@ -759,7 +765,7 @@ def _propagate_equalities(atoms, int_vars):
         # Univariate pins first (exact, and respects integrality).
         for atom in work:
             poly = atom.poly_dict
-            variables = poly_vars(poly)
+            variables = atom.poly_vars
             if atom.op == "=" and len(variables) == 1 and poly_is_linear(poly):
                 (var,) = variables
                 slope = poly.get(((var, 1),), 0)
@@ -784,7 +790,7 @@ def _propagate_equalities(atoms, int_vars):
             poly = atom.poly_dict
             if atom.op != "=" or not poly_is_linear(poly):
                 continue
-            candidates = sorted(poly_vars(poly), key=lambda v: (v in int_vars, v))
+            candidates = sorted(atom.poly_vars, key=lambda v: (v in int_vars, v))
             var = None
             for candidate in candidates:
                 if candidate not in int_vars:
@@ -842,7 +848,7 @@ def check_nonlinear(
         return deadline is not None and time.monotonic() > deadline
 
     int_vars = frozenset(int_vars)
-    variables = sorted({v for atom in atoms for v in poly_vars(atom.poly_dict)})
+    variables = sorted({v for atom in atoms for v in atom.poly_vars})
 
     # Cheap propagation of pinned variables first; fused formulas are
     # full of fusion-constraint equalities this resolves immediately.
@@ -878,7 +884,7 @@ def check_nonlinear(
 
     # Strategy 1: ICP refutation (cheap and sound).
     hard = [a for a in reduced if a.op != "!="]
-    reduced_vars = sorted({v for atom in reduced for v in poly_vars(atom.poly_dict)})
+    reduced_vars = sorted({v for atom in reduced for v in atom.poly_vars})
     if icp_unsat(hard, reduced_vars, int_vars, max_depth=8, max_nodes=120):
         line_probe("nonlinear.icp_unsat_hit")
         return UNSAT, None
@@ -923,7 +929,7 @@ def check_nonlinear(
             feasible = True
             for atom in mentioning:
                 partial = _substitute_values(atom, values)
-                if not poly_vars(partial.poly_dict) and not partial.evaluate({}):
+                if not partial.poly_vars and not partial.evaluate({}):
                     feasible = False
                     break
             if feasible:
@@ -989,13 +995,10 @@ def _check_linear_with_diseq(atoms, int_vars, split_budget=64, deadline=None):
             return status, None
         full = dict(model)
         for atom in remaining_diseqs:
-            for var in poly_vars(atom.poly_dict):
+            for var in atom.poly_vars:
                 full.setdefault(var, 0)
         violated = None
         for i, atom in enumerate(remaining_diseqs):
-            for var in poly_vars(atom.poly_dict):
-                if var not in full:
-                    full[var] = 0
             if not atom.evaluate(full):
                 violated = i
                 break

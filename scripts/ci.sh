@@ -81,10 +81,15 @@
 #      (tests/test_sat_solver.py: conflicts, decisions, propagations and
 #      models on seeded CNF and bit-blasting instances must match their
 #      golden values, so a kernel change that moves the search fails in
-#      seconds), then the pluggable-theory path end-to-end through the
-#      real CLI: deterministic bit-vector campaigns (fusion and opfuzz,
-#      --triage --incremental) run serially and on a two-worker
-#      process fleet, and the journals must be byte-identical.
+#      seconds; the bv-* trajectories pin the blaster that folds and
+#      shares its gates), the blaster's verdicts
+#      (tests/test_bitblast.py: check_bv statuses pinned on a campaign
+#      and on generated seeds, and checked against brute-force
+#      enumeration at widths 3 and 4), then the pluggable-theory path
+#      end-to-end through the real CLI: deterministic bit-vector
+#      campaigns (fusion and opfuzz, --triage --incremental) run
+#      serially and on a two-worker process fleet, and the journals
+#      must be byte-identical.
 #
 # Stages 1-4 are subsets of stage 5; running them first just makes
 # the common failure modes fail in seconds instead of minutes.
@@ -139,8 +144,8 @@ if compgen -G "$fleetdir/*.jsonl.*" > /dev/null; then
 fi
 echo "fleet smoke OK: fleet journal byte-identical to serial"
 
-echo "== stage 9/9: QF_BV theory (pinned SAT search, bit-blasting campaign, serial vs process byte-identity) =="
-python -m pytest tests/test_sat_solver.py tests/test_theory_registry.py tests/test_bv_properties.py -q
+echo "== stage 9/9: QF_BV theory (pinned SAT search, blaster verdicts against brute force, bit-blasting campaign, serial vs process byte-identity) =="
+python -m pytest tests/test_sat_solver.py tests/test_bitblast.py tests/test_theory_registry.py tests/test_bv_properties.py -q
 bvdir="$(mktemp -d)"
 trap 'rm -rf "$fleetdir" "$bvdir"' EXIT
 for strategy in fusion opfuzz; do

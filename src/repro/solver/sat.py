@@ -35,9 +35,12 @@ structures are:
   ascending list, and an empty clause sets a flag, so ``solve()`` never
   rescans the clause database.
 - *Gate clauses.* :meth:`SatSolver.add_gate_clauses` is the bit-blaster's
-  entry point for clauses that ``add_clause`` would store unchanged
-  (distinct variables, all already allocated). It stores and watches
-  them exactly as ``add_clause`` would, without the per-literal checks.
+  entry point for every gate: the blaster folds gates whose inputs
+  share a variable or are constant, so each gate's clauses are ones
+  that ``add_clause`` would store unchanged (distinct variables, all
+  already allocated). It stores and watches them exactly as
+  ``add_clause`` would, without the per-literal checks. The blaster
+  has no ``add_clause`` fallback for gates.
 
 A change that moves the search (conflicts, decisions, propagations,
 learned clauses or models) is not a speed-up of this module.

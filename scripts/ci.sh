@@ -38,9 +38,12 @@
 #      the campaign-scoped theory memo (shared by every cell and
 #      opfuzz's oracle) must be a pure replay: golden opfuzz journals, oracle verdicts and
 #      gensym positions unchanged, no leakage between campaigns; so
-#      must the string solver's per-check literal verdict memo: golden
-#      string-family journals and fired probes, one fold per literal
-#      and assignment of its variables; and so must refutation-only
+#      must the string solver's conflict pruner (its compiled literals,
+#      incremental checks and per-check verdict memo): golden
+#      string-family journals, fired probes and per-check answers, one
+#      evaluation per literal and assignment of its variables, closures
+#      that give the fold's verdict (a Hypothesis differential property)
+#      and the string solver's own tests; and so must refutation-only
 #      conflict-minimization probes: golden arithmetic journals, the
 #      same cores and UNSAT probes as full-strength probes, probe
 #      answers never replayed to a full check, and a per-search atom
@@ -108,9 +111,10 @@ python -m pytest tests/test_strategies.py -q -m "not slow"
 echo "== stage 3/9: telemetry determinism (journal byte-identity) =="
 python -m pytest tests/test_parallel_determinism.py -q -m "not slow"
 
-echo "== stage 4/9: triage + session determinism (verdict equivalence, bug-finding power, theory memo replay, string verdict memo: tests/test_strings_memo.py, refutation-only probes: tests/test_refute_probes.py, exact arithmetic kernels: tests/test_arith_kernels.py, one draw per mutant: tests/test_one_draw_per_mutant.py) =="
+echo "== stage 4/9: triage + session determinism (verdict equivalence, bug-finding power, theory memo replay, string pruner: tests/test_strings_memo.py tests/test_strings_compiled.py tests/test_strings_solver.py, refutation-only probes: tests/test_refute_probes.py, exact arithmetic kernels: tests/test_arith_kernels.py, one draw per mutant: tests/test_one_draw_per_mutant.py) =="
 python -m pytest tests/test_triage.py tests/test_session.py tests/test_theory_memo.py \
-    tests/test_strings_memo.py tests/test_refute_probes.py tests/test_arith_kernels.py \
+    tests/test_strings_memo.py tests/test_strings_compiled.py tests/test_strings_solver.py \
+    tests/test_refute_probes.py tests/test_arith_kernels.py \
     tests/test_one_draw_per_mutant.py -q -m "not slow"
 
 echo "== stage 5/9: fast lane (full suite minus slow/chaos) =="

@@ -19,7 +19,10 @@
 #      directive and session parameters (one call shape through every
 #      solver layer), and the int-first exact kernels
 #      (solver/linarith.py, solver/nonlinear.py) divide only through
-#      linarith.qdiv, since int / int is a float; and the benchmark's
+#      linarith.qdiv, since int / int is a float; no function under
+#      solver/ takes a deadline or step-limit parameter and only
+#      solver/budget.py reads time.monotonic (one work meter per check
+#      carries every limit and the deadline); and the benchmark's
 #      layer tracer (verdict_bench/tracing.py) still finds every name
 #      it wraps.
 #   2. Strategy determinism — the default fusion strategy must
@@ -100,7 +103,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core, no pool executors, one lease planner, one cell loop, one check_script shape, no true division in the exact kernels) and the bench tracer seam =="
+echo "== stage 1/9: AST lint (interning, no RNG in telemetry, strategy-agnostic core, no pool executors, one lease planner, one cell loop, one check_script shape, no true division in the exact kernels, one work meter per check) and the bench tracer seam =="
 python -m pytest tests/test_ast_lint.py \
     "tests/test_observability.py::TestHotPathHygiene" \
     tests/test_bench_tracer_seam.py -q

@@ -21,9 +21,8 @@ reaches the SAT core has distinct input variables and goes through
 
 Everything here is deterministic: variable numbering is still a
 function of the deterministic traversal order of the ordered atoms, and
-the conflict budget is a pure function of the caller's
-``nonlinear_budget``, so campaign journals stay byte-identical across
-fleet shapes.
+the conflict budget is a pure function of the caller's work-meter
+limit, so campaign journals stay byte-identical across fleet shapes.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ UNKNOWN = "unknown"
 BUDGET_UNKNOWN = "budget"
 GENUINE_UNKNOWN = "genuine"
 
-# Conflicts granted per point of the caller's nonlinear budget. At the
-# deterministic campaign budget (120) this yields 6000 conflicts —
+# Conflicts granted per point of the caller's enumeration limit. At the
+# deterministic campaign limit (120) this yields 6000 conflicts —
 # far beyond what 8-bit seed formulas need, while still bounding
 # adversarial mutants deterministically.
 _CONFLICTS_PER_BUDGET = 50
@@ -375,14 +374,16 @@ class BitBlaster:
         return model
 
 
-def check_bv(theory_literals, nonlinear_budget=120, deadline=None):
+def check_bv(theory_literals, limit=120):
     """Decide a conjunction of QF_BV theory literals by bit-blasting.
 
     Returns ``(status, model, unknown_kind)`` with the same contract as
     the other theory backends: a verified-extractable model on ``sat``,
     ``None`` otherwise; ``unknown_kind`` is :data:`BUDGET_UNKNOWN` when
     the conflict budget ran out and :data:`GENUINE_UNKNOWN` when a
-    literal falls outside the blastable fragment.
+    literal falls outside the blastable fragment. ``limit`` is the work
+    meter's enumeration limit (its probe limit for a conflict-minimization
+    probe), which sizes the conflict budget.
     """
     function_probe("bitblast.check_bv")
     sat = SatSolver()
@@ -394,7 +395,7 @@ def check_bv(theory_literals, nonlinear_budget=120, deadline=None):
     except OutOfFragment:
         line_probe("bitblast.out_of_fragment")
         return UNKNOWN, None, GENUINE_UNKNOWN
-    max_conflicts = max(1000, _CONFLICTS_PER_BUDGET * int(nonlinear_budget))
+    max_conflicts = max(1000, _CONFLICTS_PER_BUDGET * int(limit))
     result = sat.solve(max_conflicts=max_conflicts)
     if result is True:
         line_probe("bitblast.sat")

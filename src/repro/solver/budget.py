@@ -10,12 +10,14 @@ module constants that every worker routes to identically.
 Budget scales are exact rationals ``(numerator, denominator)`` applied
 with :func:`scale_int` — deterministic integer arithmetic, never
 floats, so the scaled budget of a tier is identical on every machine
-and the triage layer's determinism guarantee survives the scaling.
+and the triage layer's determinism guarantee survives the scaling. A
+:class:`WorkMeter` carries one check's scaled budgets to every layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 #: The identity scale: leave the configured budget untouched.
 FULL = (1, 1)
@@ -42,7 +44,7 @@ class SolveDirective:
       telemetry as ``triage.tier.<tier>``;
     - ``rounds`` / ``nonlinear`` / ``strings`` — rational scales
       applied to ``max_rounds``, ``nonlinear_budget`` and the string
-      solver's ``max_assignments``;
+      solver's ``max_assignments`` (see :meth:`WorkMeter.for_check`);
     - ``timeout`` — multiplier on the wall-clock deadline (only
       meaningful for non-deterministic configs; deterministic solvers
       run with ``timeout_seconds=0`` and stay wall-clock free);
@@ -66,22 +68,61 @@ class SolveDirective:
     eliminate_definitions: bool = False
     model_guess: bool = False
 
-    def scaled_rounds(self, max_rounds):
-        return scale_int(max_rounds, self.rounds)
 
-    def scaled_nonlinear(self, nonlinear_budget):
-        return scale_int(nonlinear_budget, self.nonlinear)
+@dataclass
+class WorkMeter:
+    """One check's step limits and wall-clock deadline, and its counters.
 
-    def scaled_strings(self, string_config):
-        """A copy of ``string_config`` with ``max_assignments`` scaled."""
-        if self.strings == FULL:
-            return string_config
-        from dataclasses import replace
+    ``rounds`` bounds the DPLL(T) rounds of a search, ``enumeration``
+    the model-search nodes of a nonlinear check (``probes`` for a
+    conflict-minimization probe; both also size the bit-blaster's
+    conflict budget), ``assignments`` a string check and ``splits`` the
+    case splits of a linear check with disequalities. ``deadline`` is an
+    absolute ``time.monotonic()`` timestamp, or ``None``. Each layer
+    resets its counter where its unit of work starts, so a theory
+    check's answer depends only on its literals and the limits.
+    """
 
-        return replace(
-            string_config,
-            max_assignments=scale_int(string_config.max_assignments, self.strings),
-        )
+    rounds: int = 600
+    enumeration: int = 900
+    assignments: int = 30000
+    splits: int = 64
+    deadline: float | None = None
+    spent: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def scaled_timeout(self, seconds):
-        return seconds * self.timeout if seconds > 0 else seconds
+    @classmethod
+    def for_check(cls, config, directive=None):
+        """The meter of one check under a ``SolverConfig`` and an
+        optional :class:`SolveDirective`; its deadline starts now."""
+        rounds = config.max_rounds
+        enumeration = config.nonlinear_budget
+        assignments = config.strings.max_assignments
+        seconds = config.timeout_seconds
+        if directive is not None:
+            rounds = scale_int(rounds, directive.rounds)
+            enumeration = scale_int(enumeration, directive.nonlinear)
+            if directive.strings != FULL:
+                assignments = scale_int(assignments, directive.strings)
+            if seconds > 0:
+                seconds *= directive.timeout
+        deadline = time.monotonic() + seconds if seconds > 0 else None
+        return cls(rounds, enumeration, assignments, deadline=deadline)
+
+    @property
+    def probes(self):
+        """The enumeration limit of a conflict-minimization probe."""
+        return max(1, self.enumeration // 4)
+
+    def reset(self, counter):
+        self.spent[counter] = 0
+
+    def charge(self, counter):
+        """Charge a step to ``counter``: its name once past its limit,
+        else ``"deadline"`` once the deadline has passed, else ``None``."""
+        spent = self.spent[counter] = self.spent[counter] + 1
+        if spent > getattr(self, counter):
+            return counter
+        return "deadline" if self.expired() else None
+
+    def expired(self):
+        return self.deadline is not None and time.monotonic() > self.deadline

@@ -14,7 +14,6 @@ Soundness policy:
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
 from repro.coverage.probes import (
@@ -30,6 +29,7 @@ from repro.semantics.values import default_value
 from repro.smtlib.ast import Const, Var, free_vars, mk_const
 from repro.smtlib.sorts import BOOL, INT, REAL, STRING, is_bitvec
 from repro.solver import bitblast, nonlinear, strings, tseitin
+from repro.solver.budget import WorkMeter
 from repro.solver.preprocess import instantiate_for_refutation, preprocess
 from repro.solver.result import CheckOutcome, SolverResult
 from repro.solver.sat import SatSolver
@@ -55,12 +55,13 @@ def _unknown(reason, kind):
     return outcome
 
 
-def _strings_key(string_config):
-    """The hashable identity of a :class:`StringConfig` for cache keys."""
+def _strings_key(string_config, assignments):
+    """The hashable identity of a :class:`StringConfig` for cache keys,
+    with ``assignments`` (the work meter's limit) as its assignment limit."""
     return (
         string_config.max_len_per_var,
         string_config.max_total_len,
-        string_config.max_assignments,
+        assignments,
         string_config.alphabet_size,
         string_config.numeric_probe_range,
         string_config.small_model_assumption,
@@ -71,18 +72,16 @@ def check_assertions(
     assertions,
     string_config=None,
     seed=0,
-    max_rounds=600,
-    nonlinear_budget=900,
-    deadline=None,
+    meter=None,
     eliminate_definitions=False,
     model_guess=False,
     session=None,
 ):
     """Decide the conjunction of ``assertions``; returns a CheckOutcome.
 
-    ``deadline`` is an absolute ``time.monotonic()`` timestamp; it is
-    checked cooperatively at round boundaries, so the wall-clock limit
-    holds on any thread (unlike a signal-based alarm).
+    ``meter`` (a :class:`~repro.solver.budget.WorkMeter`) bounds the
+    check's work and wall-clock time; ``None`` is the default limits,
+    with ``string_config``'s assignment limit and no deadline.
 
     ``eliminate_definitions`` and ``model_guess`` switch on the triage
     layer's fused-structure fast paths (see
@@ -99,17 +98,18 @@ def check_assertions(
     function_probe("dpllt.check")
     original = list(assertions)
     string_config = string_config or StringConfig()
+    meter = meter or WorkMeter(assignments=string_config.max_assignments)
 
     outcome_key = None
-    if session is not None and deadline is None:
+    if session is not None and meter.deadline is None:
         # Outcome caching is restricted to deterministic (deadline-free)
         # checks: a wall-clock outcome is not a function of the
         # arguments, so replaying one would not be answer-invariant.
         outcome_key = (
             tuple(original),
-            max_rounds,
-            nonlinear_budget,
-            _strings_key(string_config),
+            meter.rounds,
+            meter.enumeration,
+            _strings_key(string_config, meter.assignments),
             seed,
             eliminate_definitions,
             model_guess,
@@ -118,77 +118,37 @@ def check_assertions(
         if cached is not None:
             line_probe("dpllt.session_outcome_hit")
             return cached
-    outcome = _check_uncached(
-        original,
-        string_config,
-        seed,
-        max_rounds,
-        nonlinear_budget,
-        deadline,
-        eliminate_definitions,
-        model_guess,
-        session,
-    )
+    pre = preprocess(original, eliminate_definitions=eliminate_definitions)
+    if branch_probe("dpllt.quantified_residue", pre.quantified):
+        outcome = _refutation_path(original, pre, string_config, seed, meter)
+    else:
+        outcome = _guess_model(original) if model_guess else None
+        if outcome is not None:
+            line_probe("dpllt.model_guess")
+        else:
+            outcome = _search(original, pre, string_config, seed, meter, session)
     if outcome_key is not None:
         session.store_outcome(outcome_key, outcome)
     return outcome
 
 
-def _check_uncached(
-    original,
-    string_config,
-    seed,
-    max_rounds,
-    nonlinear_budget,
-    deadline,
-    eliminate_definitions,
-    model_guess,
-    session,
-):
-    pre = preprocess(original, eliminate_definitions=eliminate_definitions)
-    if branch_probe("dpllt.quantified_residue", pre.quantified):
-        return _refutation_path(original, pre, string_config, seed, deadline)
-
-    if model_guess:
-        guessed = _guess_model(original)
-        if guessed is not None:
-            line_probe("dpllt.model_guess")
-            return guessed
-
-    return _search(
-        original,
-        pre,
-        string_config,
-        seed,
-        max_rounds,
-        nonlinear_budget,
-        deadline,
-        session,
-    )
-
-
-def _search(
-    original,
-    pre,
-    string_config,
-    seed,
-    max_rounds,
-    nonlinear_budget,
-    deadline,
-    session,
-):
+def _search(original, pre, string_config, seed, meter, session):
     """The DPLL(T) loop over a fresh encoding of ``pre``'s assertions."""
     sat_core = SatSolver()
     abstraction = tseitin.encode(pre.assertions, sat_core)
     saw_unknown = False
     saw_genuine = False
-    rounds = 0
-    strings_key = _strings_key(string_config) if session is not None else None
+    meter.reset("rounds")
+    strings_key = None
+    if session is not None:
+        strings_key = _strings_key(string_config, meter.assignments)
     # (term, polarity) -> what theory dispatch needs of that literal;
     # the same atoms recur in almost every check of one search.
     atom_table = {}
 
-    def make_check(budget, refute):
+    def make_check(refute):
+        # The limit a check runs at, as the session memo keys it.
+        budget = meter.probes if refute else meter.enumeration
         local_cache = {}
 
         def check(literal_list):
@@ -209,10 +169,9 @@ def _search(
                     literal_list,
                     string_config,
                     seed,
-                    budget,
-                    deadline,
+                    meter,
                     refute,
-                    atom_table,
+                    atom_table=atom_table,
                 )
                 if session is not None:
                     session.theory_store(
@@ -221,7 +180,7 @@ def _search(
                         seed,
                         strings_key,
                         result,
-                        cacheable=deadline is None or result[0] != UNKNOWN,
+                        cacheable=meter.deadline is None or result[0] != UNKNOWN,
                         refute=refute,
                     )
             local_cache[key] = result
@@ -229,7 +188,7 @@ def _search(
 
         return check
 
-    cached_check = make_check(nonlinear_budget, False)
+    cached_check = make_check(False)
 
     # Conflict-minimization probes only need to *refute* subsets of an
     # already-refuted assignment, so they run refutation-only: an
@@ -239,14 +198,14 @@ def _search(
     # as much a proof as a full-budget one; an undecided probe just
     # keeps its literal in the core). Kept in a separate cache so probe
     # answers never masquerade as full answers.
-    probe_check = make_check(max(1, nonlinear_budget // 4), True)
+    probe_check = make_check(True)
 
     while True:
-        rounds += 1
-        if rounds > max_rounds:
+        ran_out = meter.charge("rounds")
+        if ran_out == "rounds":
             line_probe("dpllt.round_budget")
             return _unknown("round budget exhausted", BUDGET_UNKNOWN)
-        if deadline is not None and time.monotonic() > deadline:
+        if ran_out:
             line_probe("dpllt.deadline")
             return _unknown("timeout", BUDGET_UNKNOWN)
         verdict = sat_core.solve()
@@ -353,13 +312,7 @@ def _shrink_core(theory_literals, cached_check, max_literals=32):
 
 
 def _check_theory(
-    theory_literals,
-    string_config,
-    seed,
-    nonlinear_budget=900,
-    deadline=None,
-    refute=False,
-    atom_table=None,
+    theory_literals, string_config, seed, meter=None, refute=False, atom_table=None
 ):
     """Dispatch a conjunction of theory literals to the right core.
 
@@ -368,9 +321,12 @@ def _check_theory(
     steps — more budget could decide it) from a genuine one (an atom
     outside every core's fragment).
 
-    ``refute`` makes an arithmetic conjunction refutation-only (see
+    ``meter`` bounds the check (``None``: the default limits, with
+    ``string_config``'s assignment limit). ``refute`` makes an
+    arithmetic conjunction refutation-only (see
     :func:`~repro.solver.nonlinear.check_nonlinear`): ``unsat`` exactly
-    when the full check is, ``unknown`` where it would find a model.
+    when the full check is, ``unknown`` where it would find a model;
+    a bit-vector conjunction then runs at the meter's probe limit.
     ``atom_table`` maps ``(term, polarity)`` to the literal's
     :func:`_literal_facts`; a search passes one table to all its checks
     so each literal is analysed once (``None``: a table for this call).
@@ -380,6 +336,7 @@ def _check_theory(
         return SAT, Model(), ""
     if atom_table is None:
         atom_table = {}
+    meter = meter or WorkMeter(assignments=string_config.max_assignments)
     facts = []
     for literal in theory_literals:
         entry = atom_table.get(literal)
@@ -388,12 +345,12 @@ def _check_theory(
         facts.append(entry)
     if branch_probe("dpllt.uses_strings", any(entry[0] for entry in facts)):
         status, model = strings.check_strings(
-            theory_literals, string_config, seed, deadline
+            theory_literals, string_config, seed, meter
         )
         return status, model, BUDGET_UNKNOWN if status == UNKNOWN else ""
     if branch_probe("dpllt.uses_bv", any(entry[1] for entry in facts)):
         return bitblast.check_bv(
-            theory_literals, nonlinear_budget=nonlinear_budget, deadline=deadline
+            theory_literals, meter.probes if refute else meter.enumeration
         )
 
     poly_atoms = []
@@ -412,8 +369,7 @@ def _check_theory(
         poly_atoms,
         int_vars,
         seed=seed,
-        enum_budget=nonlinear_budget,
-        deadline=deadline,
+        meter=meter,
         refute=refute,
     )
     if status != SAT:
@@ -564,8 +520,9 @@ def _assemble_model(original, pre, bool_literals, theory_model):
     return None
 
 
-def _refutation_path(original, pre, string_config, seed, deadline=None):
-    """Quantified residue: attempt refutation by finite instantiation."""
+def _refutation_path(original, pre, string_config, seed, meter):
+    """Quantified residue: attempt refutation by finite instantiation,
+    at the default round and enumeration limits."""
     function_probe("dpllt.refutation_path")
     candidates = _instantiation_candidates(pre.assertions)
     weakened = [
@@ -574,7 +531,10 @@ def _refutation_path(original, pre, string_config, seed, deadline=None):
     if any(_still_quantified(t) for t in weakened):
         line_probe("dpllt.refutation_stuck")
         return _unknown("quantifier out of fragment", GENUINE_UNKNOWN)
-    outcome = check_assertions(weakened, string_config, seed, deadline=deadline)
+    refutation_meter = WorkMeter(
+        assignments=meter.assignments, deadline=meter.deadline
+    )
+    outcome = check_assertions(weakened, string_config, seed, refutation_meter)
     if outcome.result is SolverResult.UNSAT:
         line_probe("dpllt.refutation_success")
         return CheckOutcome(SolverResult.UNSAT)

@@ -22,7 +22,6 @@ paper's observation that solvers may answer ``unknown``.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -36,6 +35,7 @@ from repro.coverage.probes import (
 from repro.errors import ReproError
 from repro.smtlib.ast import App, Const, Var
 from repro.solver import linarith
+from repro.solver.budget import WorkMeter
 from repro.solver.linarith import LinearAtom, as_fraction, exact, qdiv
 
 SAT = "sat"
@@ -824,29 +824,25 @@ def _propagate_equalities(atoms, int_vars):
     return SAT, fixed, eliminations, work
 
 
-def check_nonlinear(
-    atoms, int_vars=(), seed=0, enum_budget=900, deadline=None, refute=False
-):
+def check_nonlinear(atoms, int_vars=(), seed=0, meter=None, refute=False):
     """Decide a conjunction of :class:`PolyAtom` constraints (best effort).
 
     Returns ``(status, model_dict)``; models map names to Fractions
     (integral for ``int_vars``), although the search inside runs on ints
-    wherever a value is integral. ``deadline`` (absolute
-    ``time.monotonic()``) truncates the search like an exhausted budget.
+    wherever a value is integral. ``meter``'s deadline (default limits
+    if ``None``) truncates the search like its exhausted limits.
 
     Every ``unsat`` source (equality propagation, the linear check,
     ICP) runs before the model search, which can only answer ``sat`` or
     ``unknown``. With ``refute`` the call stops where that search would
     begin and answers ``unknown`` instead of any ``sat``: it is
-    ``unsat`` exactly when the full check is, never ``sat``, and
-    ``enum_budget`` and ``seed`` go unused. Conflict-minimization
+    ``unsat`` exactly when the full check is, never ``sat``, and the
+    enumeration limit and ``seed`` go unused. Conflict-minimization
     probes, which only ask whether a subset is refuted, run this way.
     """
     function_probe("nonlinear.check")
-
-    def timed_out():
-        return deadline is not None and time.monotonic() > deadline
-
+    meter = meter or WorkMeter()
+    meter.reset("enumeration")
     int_vars = frozenset(int_vars)
     variables = sorted({v for atom in atoms for v in atom.poly_vars})
 
@@ -874,7 +870,7 @@ def check_nonlinear(
     if branch_probe(
         "nonlinear.all_linear", all(poly_is_linear(a.poly_dict) for a in reduced)
     ):
-        status, partial = _check_linear_with_diseq(reduced, int_vars, deadline=deadline)
+        status, partial = _check_linear_with_diseq(reduced, int_vars, meter)
         if status != SAT:
             return status, None
         model = None if refute else finish(partial)
@@ -898,19 +894,14 @@ def check_nonlinear(
 
     # Strategy 2: DFS over small values for nonlinearly-occurring
     # variables, pruning on decided atoms; residual systems are linear.
-    budget = [enum_budget]
-
     def dfs(index, values):
-        if budget[0] <= 0 or timed_out():
+        if meter.charge("enumeration"):
             return None
-        budget[0] -= 1
         if index == len(nl_vars):
             residual = [_substitute_values(a, values) for a in reduced]
             if not all(poly_is_linear(a.poly_dict) for a in residual):
                 return None
-            status, partial = _check_linear_with_diseq(
-                residual, int_vars, deadline=deadline
-            )
+            status, partial = _check_linear_with_diseq(residual, int_vars, meter)
             if status == SAT:
                 combined = dict(partial or {})
                 combined.update(values)
@@ -946,7 +937,7 @@ def check_nonlinear(
     # Strategy 3: random sampling over small rationals.
     rng = random.Random(seed)
     for _ in range(150):
-        if timed_out():
+        if meter.expired():
             break
         model = dict(fixed)
         for var in reduced_vars:
@@ -968,8 +959,9 @@ def _fraction_model(model):
     return {var: as_fraction(value) for var, value in model.items()}
 
 
-def _check_linear_with_diseq(atoms, int_vars, split_budget=64, deadline=None):
-    """Linear conjunction including ``!=`` atoms, by case splitting."""
+def _check_linear_with_diseq(atoms, int_vars, meter):
+    """Linear conjunction including ``!=`` atoms, by case splitting, at
+    most ``meter``'s split limit of linear checks."""
     function_probe("nonlinear.linear_with_diseq")
     plain = [a for a in atoms if a.op != "!="]
     diseqs = [a for a in atoms if a.op == "!="]
@@ -979,15 +971,13 @@ def _check_linear_with_diseq(atoms, int_vars, split_budget=64, deadline=None):
             if not atom.evaluate({}):
                 return UNSAT, None
     base = [a.to_linear_atom() for a in plain if a.poly_dict]
-    state = {"budget": split_budget, "unknown": False}
+    meter.reset("splits")
+    state = {"unknown": False}
 
     def solve(extra, remaining_diseqs):
-        if state["budget"] <= 0 or (
-            deadline is not None and time.monotonic() > deadline
-        ):
+        if meter.charge("splits"):
             state["unknown"] = True
             return UNKNOWN, None
-        state["budget"] -= 1
         status, model = linarith.check_linear(base + extra, int_vars)
         if status != SAT:
             if status == UNKNOWN:

@@ -8,13 +8,13 @@ does; the fault-injected variants in :mod:`repro.faults` do).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.coverage.probes import declare_module_probes, function_probe
 from repro.observability.telemetry import NULL_TELEMETRY
 from repro.smtlib.ast import Script
 from repro.smtlib.parser import parse_script
+from repro.solver.budget import WorkMeter
 from repro.solver.dpllt import check_assertions
 from repro.solver.result import SolverResult
 from repro.solver.strings import StringConfig
@@ -27,12 +27,13 @@ class SolverConfig:
     seed: int = 0
     max_rounds: int = 600
     nonlinear_budget: int = 900
-    # Wall-clock limit per check (0 = unlimited). Enforced as a
-    # cooperative deadline checked at DPLL(T) round boundaries, so it
-    # holds on any thread (the guard watchdog runs checks on its helper
-    # thread, where a SIGALRM-based limit would silently not engage).
-    # Timeouts answer ``unknown``, like a
-    # real solver driven with a fuzzing time limit.
+    # Wall-clock limit per check (0 = unlimited). Enforced as the
+    # cooperative deadline of the check's WorkMeter, tested wherever
+    # the DPLL(T), nonlinear, linear-split and string searches charge
+    # a step, so it holds on any thread (the guard watchdog runs checks
+    # on its helper thread, where a SIGALRM-based limit would silently
+    # not engage). Timeouts answer ``unknown``, like a real solver
+    # driven with a fuzzing time limit.
     timeout_seconds: float = 0.0
     strings: StringConfig = field(default_factory=StringConfig)
 
@@ -116,29 +117,16 @@ class ReferenceSolver:
         """
         if not isinstance(script, Script):
             raise TypeError(f"expected a Script, got {type(script).__name__}")
-        seconds = self.config.timeout_seconds
-        max_rounds = self.config.max_rounds
-        nonlinear_budget = self.config.nonlinear_budget
-        strings = self.config.strings
-        eliminate_definitions = False
-        model_guess = False
-        if directive is not None:
-            seconds = directive.scaled_timeout(seconds)
-            max_rounds = directive.scaled_rounds(max_rounds)
-            nonlinear_budget = directive.scaled_nonlinear(nonlinear_budget)
-            strings = directive.scaled_strings(strings)
-            eliminate_definitions = directive.eliminate_definitions
-            model_guess = directive.model_guess
-        deadline = time.monotonic() + seconds if seconds > 0 else None
+        meter = WorkMeter.for_check(self.config, directive)
+        eliminate_definitions = directive is not None and directive.eliminate_definitions
+        model_guess = directive is not None and directive.model_guess
         tel = self.telemetry
         with (tel or NULL_TELEMETRY).phase("solver.check"):
             outcome = check_assertions(
                 script.asserts,
-                string_config=strings,
+                string_config=self.config.strings,
                 seed=self.config.seed,
-                max_rounds=max_rounds,
-                nonlinear_budget=nonlinear_budget,
-                deadline=deadline,
+                meter=meter,
                 eliminate_definitions=eliminate_definitions,
                 model_guess=model_guess,
                 session=session,

@@ -34,7 +34,6 @@ The decision strategy mirrors what the paper's string logics need:
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -52,6 +51,7 @@ from repro.smtlib import theory as _theory
 from repro.smtlib.ast import App, Const, Var, free_vars, mk_app, mk_const, mk_var
 from repro.smtlib.sorts import INT, REAL, STRING
 from repro.solver import nonlinear
+from repro.solver.budget import WorkMeter
 from repro.solver.linarith import LinearAtom, check_linear
 
 SAT = "sat"
@@ -491,30 +491,33 @@ def _length_vectors(names, analysis, config):
 # ---------------------------------------------------------------------------
 
 
-def check_strings(literals, config=None, seed=0, deadline=None):
+def check_strings(literals, config=None, seed=0, meter=None):
     """Decide a conjunction of literals involving string terms.
 
     ``literals`` is a list of ``(atom_term, polarity)`` pairs. Returns
-    ``(status, Model or None)``. ``deadline`` (an absolute
-    ``time.monotonic()`` timestamp) truncates the bounded search the
-    same way the assignment budget does, so overruns answer ``unknown``.
+    ``(status, Model or None)``. ``meter``'s assignment limit (default:
+    ``config.max_assignments``) and deadline truncate the bounded
+    search, so overruns answer ``unknown``.
 
     The conflict pruner decides each closed literal by its compiled
     closure (``_compile_literal``), which gives the verdict
     ``_residual_atom(_fold(...))`` would, or by that fold where the
     closure does not cover it. A DFS node checks only the literals that
-    mention a name it assigned; the seedling of each length vector
-    checks every closed one. Verdicts go into a memo that lives for this
-    call only, one entry per literal and assignment of its variables,
-    so a hit replays the evaluation it skips. The budget is charged
-    before pruning, so none of this changes a visited node, status or
-    model. Every pruner call (one per length vector or DFS candidate)
-    is charged to ``max_assignments`` first and adds at most
-    ``len(literals)`` entries, so the memo holds at most
-    ``max_assignments`` x ``len(literals)`` entries.
+    mention a name it assigned; the seedling, pruned once per call,
+    checks every closed one. Verdicts go into a memo that lives for
+    this call only, one entry per literal and assignment of its
+    variables, so a hit replays the evaluation it skips. The budget is
+    charged before pruning, so none of this changes a visited node,
+    status or model. Every pruner call follows its own charge and adds
+    at most ``len(literals)`` entries, so the memo holds at most the
+    assignment limit x ``len(literals)`` entries.
     """
     function_probe("strings.check")
     config = config or StringConfig()
+    meter = meter or WorkMeter(assignments=config.max_assignments)
+    meter.reset("assignments")
+    # Residual arithmetic runs at the default limits, under the deadline.
+    residual_meter = WorkMeter(deadline=meter.deadline)
     analysis = _analyze(literals, config)
 
     # Sound unsat via the length abstraction.
@@ -549,7 +552,7 @@ def check_strings(literals, config=None, seed=0, deadline=None):
         range(-config.numeric_probe_range, config.max_total_len + 2)
     )
 
-    state = {"tried": 0, "truncated": False, "stuck": False}
+    state = {"truncated": False, "stuck": False}
     int_names = {n for n, v in analysis.numeric_vars.items() if v.sort == INT}
 
     def compute_derived(assigned):
@@ -648,7 +651,7 @@ def check_strings(literals, config=None, seed=0, deadline=None):
                 state["stuck"] = True
                 return None
         status, numeric = nonlinear.check_nonlinear(
-            residuals, int_vars=int_names, seed=seed
+            residuals, int_vars=int_names, seed=seed, meter=residual_meter
         )
         if status == SAT:
             model = string_model.copy()
@@ -663,6 +666,15 @@ def check_strings(literals, config=None, seed=0, deadline=None):
             state["stuck"] = True
         return None
 
+    def exhausted():
+        """Charge one assignment; what ran out (and truncate), if anything."""
+        ran_out = meter.charge("assignments")
+        if ran_out:
+            if ran_out == "assignments":
+                line_probe("strings.budget_exhausted")
+            state["truncated"] = True
+        return ran_out
+
     def leaf(assigned):
         """Full free assignment: probe numerics, solve residual arithmetic.
 
@@ -676,13 +688,7 @@ def check_strings(literals, config=None, seed=0, deadline=None):
             for probe in itertools.product(
                 probe_values, repeat=len(numeric_probe_names)
             ):
-                state["tried"] += 1
-                if state["tried"] > config.max_assignments:
-                    line_probe("strings.budget_exhausted")
-                    state["truncated"] = True
-                    return None
-                if deadline is not None and time.monotonic() > deadline:
-                    state["truncated"] = True
+                if exhausted():
                     return None
                 model = Model(assigned)
                 for pname, pval in zip(numeric_probe_names, probe):
@@ -713,20 +719,11 @@ def check_strings(literals, config=None, seed=0, deadline=None):
         return base
 
     def dfs(index, assigned, lengths):
-        if state["tried"] > config.max_assignments:
-            state["truncated"] = True
-            return None
-        if deadline is not None and time.monotonic() > deadline:
-            state["truncated"] = True
-            return None
         if index == len(free_names):
             return leaf(assigned)
         name = free_names[index]
         for value in candidates_for(name, lengths[name]):
-            state["tried"] += 1
-            if state["tried"] > config.max_assignments:
-                line_probe("strings.budget_exhausted")
-                state["truncated"] = True
+            if exhausted():
                 return None
             extended = dict(assigned)
             extended[name] = value
@@ -740,19 +737,20 @@ def check_strings(literals, config=None, seed=0, deadline=None):
                 return None
         return None
 
+    # The seedling (the variables derived from constants alone) is the
+    # same for every length vector, so it is pruned once, at the first.
+    seedling = {}
+    compute_derived(seedling)
+    seedling_conflict = None
     for lengths in _length_vectors(free_names, analysis, config):
-        # A length vector costs a full fold of every literal even when
-        # its DFS dies immediately, and there are exponentially many of
-        # them in the number of free variables — count each one so the
-        # budget bounds total work, not just leaf assignments.
-        state["tried"] += 1
-        if state["tried"] > config.max_assignments:
-            line_probe("strings.budget_exhausted")
-            state["truncated"] = True
+        # There are exponentially many length vectors in the number of
+        # free variables, even when each DFS dies at once — count each
+        # one so the budget bounds total work, not just leaf assignments.
+        if exhausted():
             break
-        seedling = {}
-        compute_derived(seedling)
-        if prune_conflict(seedling):
+        if seedling_conflict is None:
+            seedling_conflict = prune_conflict(seedling)
+        if seedling_conflict:
             continue
         found = dfs(0, seedling, lengths)
         if found is not None:

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.campaign.runner import deterministic_solvers, run_campaign
 from repro.seeds import build_corpus
 from repro.solver import linarith, nonlinear, strings
+from repro.solver.budget import WorkMeter
 from repro.solver.linarith import DeltaRational, LinearAtom, Simplex, qdiv
 from repro.solver.nonlinear import (
     Interval,
@@ -558,9 +559,11 @@ class TestIntFirstKernels:
     @_PROPERTIES
     @given(_POLY_ATOMS, st.sampled_from([(), ("x",), ("x", "y")]))
     def test_check_nonlinear_int_and_fraction_coefficients_agree(self, atoms, int_vars):
-        status, model = nonlinear.check_nonlinear(atoms, int_vars, enum_budget=60)
+        status, model = nonlinear.check_nonlinear(
+            atoms, int_vars, meter=WorkMeter(enumeration=60)
+        )
         twin_status, twin_model = nonlinear.check_nonlinear(
-            [_as_fractions(a) for a in atoms], int_vars, enum_budget=60
+            [_as_fractions(a) for a in atoms], int_vars, meter=WorkMeter(enumeration=60)
         )
         assert (status, model) == (twin_status, twin_model)
         assert _all_fractions(model) and _all_fractions(twin_model)

@@ -499,3 +499,74 @@ def test_true_division_lint_detects_violations(tmp_path):
         "ratio = 1 / 4\n"
     )
     assert _true_divisions(bad) == [4, 6, 8]
+
+
+# ---------------------------------------------------------------------------
+# Work-meter lint: one meter carries a check's limits and its deadline.
+# ---------------------------------------------------------------------------
+
+# Every step limit of a check and its wall-clock deadline travel in the
+# check's WorkMeter (solver/budget.py), which every solver layer charges.
+# A limit or deadline parameter under solver/ would be a second budget
+# path beside the meter, and a time.monotonic read outside budget.py a
+# second deadline test.
+_SOLVER = SRC / "solver"
+_METER_MODULE = _SOLVER / "budget.py"
+_THREADED_LIMITS = {
+    "deadline",
+    "max_rounds",
+    "nonlinear_budget",
+    "enum_budget",
+    "split_budget",
+}
+
+
+def _unmetered_budgets(path):
+    """(line, name) for every function parameter named like a threaded
+    limit and every read of ``time.monotonic`` in ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            hits += [(a.lineno, a.arg) for a in params if a.arg in _THREADED_LIMITS]
+        elif isinstance(node, ast.Attribute) and node.attr == "monotonic":
+            hits.append((node.lineno, "monotonic"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "time":
+            hits += [(node.lineno, a.name) for a in node.names if a.name == "monotonic"]
+    return sorted(hits)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(_SOLVER.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_solver_limits_travel_in_the_work_meter(path):
+    hits = _unmetered_budgets(path)
+    if path == _METER_MODULE:
+        hits = [hit for hit in hits if hit[1] != "monotonic"]
+    assert not hits, (
+        f"{path.relative_to(SRC)} threads a limit or reads the clock outside "
+        f"the WorkMeter; take a meter and charge it instead: {hits}"
+    )
+
+
+def test_meter_lint_detects_violations(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import time\n"
+        "from time import monotonic\n"
+        "def search(atoms, max_rounds=600, *, deadline=None):\n"
+        "    return time.monotonic() > deadline\n"
+        "probe = lambda enum_budget: enum_budget // 4\n"
+        "def ok(meter, budget=3):\n"
+        "    return meter.charge('rounds')\n"
+    )
+    assert _unmetered_budgets(bad) == [
+        (2, "monotonic"),
+        (3, "deadline"),
+        (3, "max_rounds"),
+        (4, "monotonic"),
+        (5, "enum_budget"),
+    ]

@@ -5,6 +5,7 @@ import pytest
 from repro.semantics.model import Model
 from repro.smtlib import builder as b
 from repro.smtlib.parser import parse_script
+from repro.solver.budget import WorkMeter
 from repro.solver.dpllt import _check_theory, _shrink_core, check_assertions
 from repro.solver.result import SolverResult
 from repro.solver.strings import StringConfig
@@ -101,7 +102,7 @@ class TestCheckAssertions:
             "(assert (= (* a a) (+ c 1.0)))(assert (= (* c c) (+ a 1.0)))"
             "(assert (distinct a c))(check-sat)"
         )
-        outcome = check_assertions(script.asserts, max_rounds=1)
+        outcome = check_assertions(script.asserts, meter=WorkMeter(rounds=1))
         if outcome.result is SolverResult.UNKNOWN:
             assert outcome.reason
 

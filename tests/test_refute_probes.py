@@ -12,6 +12,7 @@ recorded after the change (see ``GOLDEN_FIRED``).
 import hashlib
 import inspect
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.smtlib.ast import free_vars
 from repro.smtlib.parser import parse_script
 from repro.smtlib.sorts import INT
 from repro.solver import bitblast, dpllt, nonlinear, strings
+from repro.solver.budget import WorkMeter
 from repro.solver.dpllt import _strings_key, check_assertions
 from repro.solver.result import SolverResult
 from repro.solver.session import SolverSession
@@ -185,39 +187,30 @@ class TestProbeEquivalence:
         check_theory = dpllt._check_theory
         shrink_core = dpllt._shrink_core
         search = dpllt._search
-        searches = []  # (string_config, seed, nonlinear_budget, deadline)
+        searches = []  # (string_config, seed, meter)
         full_answers = Counter()
         shrinks = []
 
         def recording_search(*args, **kwargs):
             bound = _SEARCH_PARAMS.bind(*args, **kwargs).arguments
-            searches.append(
-                (
-                    bound["string_config"],
-                    bound["seed"],
-                    bound["nonlinear_budget"],
-                    bound["deadline"],
-                )
-            )
+            searches.append((bound["string_config"], bound["seed"], bound["meter"]))
             try:
                 return search(*args, **kwargs)
             finally:
                 searches.pop()
 
         def comparing_shrink(theory_literals, cached_check, *args, **kwargs):
-            config, seed, budget, deadline = searches[-1]
-            probe_budget = max(1, budget // 4)
+            config, seed, meter = searches[-1]
+            # A full check at the probe limit, which a refutation-only
+            # check with the search's meter runs at.
+            probe_meter = replace(meter, enumeration=meter.probes)
 
             def full(literals):
-                return check_theory(
-                    list(literals), config, seed, probe_budget, deadline
-                )
+                return check_theory(list(literals), config, seed, probe_meter)
 
             def compared(literals):
                 expected = full(literals)
-                refuted = check_theory(
-                    list(literals), config, seed, probe_budget, deadline, True
-                )
+                refuted = check_theory(list(literals), config, seed, meter, True)
                 answer = cached_check(literals)
                 full_answers[expected[0]] += 1
                 assert refuted[0] != "sat"
@@ -274,10 +267,12 @@ class TestSessionIsolation:
         assert outcome.result is SolverResult.SAT
         key = next(key for key, _hit in lookups if not key[4])
         literals, budget, seed, strings_key, _refute = key
-        assert strings_key == _strings_key(StringConfig())
+        assert strings_key == _strings_key(
+            StringConfig(), StringConfig().max_assignments
+        )
 
         refuted = dpllt._check_theory(
-            list(literals), StringConfig(), seed, budget, None, True
+            list(literals), StringConfig(), seed, WorkMeter(enumeration=budget), True
         )
         assert refuted[0] == "unknown"
         session = SolverSession()

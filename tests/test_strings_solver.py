@@ -1,8 +1,13 @@
 """Unit tests for the bounded string theory solver."""
 
+import time
+
 import pytest
 
 from repro.smtlib import builder as b
+from repro.solver import nonlinear, strings
+from repro.solver.budget import WorkMeter
+from repro.solver.dpllt import _check_theory
 from repro.solver.strings import StringConfig, check_strings, involves_strings
 
 
@@ -168,3 +173,54 @@ class TestBudgets:
         status, model = check_strings(lits((b.eq(b.length(S), 0), True)), config)
         assert status == "sat"
         assert model["s"] == ""
+
+
+class TestWorkMeter:
+    # s has length i > 1, and i + 0 = i leaves residual arithmetic at
+    # every leaf of the search.
+    LITERALS = lits(
+        (b.eq(b.length(S), I), True),
+        (b.gt(I, 1), True),
+    )
+
+    def test_expired_meter_answers_budget_unknown(self):
+        expired = WorkMeter(deadline=float("-inf"))
+        assert _check_theory(self.LITERALS, StringConfig(), 0, expired) == (
+            "unknown",
+            None,
+            "budget",
+        )
+        assert check_strings(self.LITERALS, StringConfig(), 0, expired) == (
+            "unknown",
+            None,
+        )
+
+    def test_residual_arithmetic_runs_under_the_deadline(self, monkeypatch):
+        check_nonlinear = nonlinear.check_nonlinear
+        meters = []
+
+        def recording(*args, **kwargs):
+            meters.append(kwargs["meter"])
+            return check_nonlinear(*args, **kwargs)
+
+        monkeypatch.setattr(strings.nonlinear, "check_nonlinear", recording)
+        meter = WorkMeter(enumeration=7, deadline=time.monotonic() + 3600)
+        status, model = check_strings(self.LITERALS, StringConfig(), 0, meter)
+        assert status == "sat" and len(model["s"]) == model["i"] > 1
+        assert meters
+        for residual in meters:
+            assert residual.deadline == meter.deadline
+            assert residual.enumeration == WorkMeter().enumeration
+
+    def test_expired_residual_check_answers_unknown(self):
+        _kind, atom = nonlinear.atom_to_poly(b.gt(I, 0), True)
+        expired = WorkMeter(deadline=float("-inf"))
+        assert nonlinear.check_nonlinear([atom], {"i"})[0] == "sat"
+        assert nonlinear.check_nonlinear([atom], {"i"}, meter=expired)[0] == "unknown"
+
+    def test_meter_limit_replaces_the_config_limit(self):
+        literals = lits((b.eq(b.concat(S, T), b.concat(T, S)), False))
+        config = StringConfig(max_assignments=30000)
+        assert check_strings(literals, config)[0] == "sat"
+        tiny = WorkMeter(assignments=1)
+        assert check_strings(literals, config, 0, tiny)[0] == "unknown"

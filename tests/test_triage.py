@@ -24,6 +24,7 @@ Three guarantees make tiered solve budgets safe to leave on:
 
 import json
 import pickle
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -53,6 +54,8 @@ from repro.smtlib import builder as b
 from repro.smtlib.ast import Assert, DeclareFun, Script, SetLogic, fresh_scope
 from repro.smtlib.parser import parse_script
 from repro.smtlib.printer import print_script
+from repro.solver.budget import WorkMeter, scale_int
+from repro.solver.solver import SolverConfig
 from repro.strategies import make_strategy
 
 # The deterministic-campaign cell parameters shared with
@@ -302,9 +305,33 @@ class TestTriageDeterminism:
         # mutant enough DPLL rounds to propagate its contradiction.
         # At the deterministic config's 30 rounds, 1/16 floors to a
         # single round and loses unsat verdicts; 1/8 keeps 3.
-        assert HOPELESS_TIER.scaled_rounds(30) >= 3
-        assert HARD_TIER.scaled_rounds(30) >= 15
-        assert EASY_TIER.scaled_rounds(30) == 30
+        config = SolverConfig.deterministic()
+        assert config.max_rounds == 30
+        assert WorkMeter.for_check(config, HOPELESS_TIER).rounds >= 3
+        assert WorkMeter.for_check(config, HARD_TIER).rounds >= 15
+        assert WorkMeter.for_check(config, EASY_TIER).rounds == 30
+
+    @pytest.mark.parametrize(
+        "tier", [EASY_TIER, HARD_TIER, HOPELESS_TIER], ids=lambda tier: tier.tier
+    )
+    @pytest.mark.parametrize("make_config", ["deterministic", "fast", "thorough"])
+    def test_meter_limits_are_the_tier_scaled_config(self, tier, make_config):
+        config = getattr(SolverConfig, make_config)()
+        started = time.monotonic()
+        meter = WorkMeter.for_check(config, tier)
+        finished = time.monotonic()
+        assert meter.rounds == scale_int(config.max_rounds, tier.rounds)
+        assert meter.enumeration == scale_int(config.nonlinear_budget, tier.nonlinear)
+        assert meter.probes == max(1, meter.enumeration // 4)
+        assert meter.assignments == scale_int(
+            config.strings.max_assignments, tier.strings
+        )
+        assert meter.splits == 64
+        seconds = config.timeout_seconds * tier.timeout
+        if seconds > 0:
+            assert started + seconds <= meter.deadline <= finished + seconds
+        else:
+            assert meter.deadline is None
 
 
 # ---------------------------------------------------------------------------
